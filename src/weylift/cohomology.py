@@ -30,13 +30,7 @@ from . import center as C
 from . import linsolve
 from .endo import Endo
 from .errors import InternalInconsistency, NotClosed, SolveFailure, WeyliftError
-from .scalars import Witt2
-from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, teich_lift
-
-
-def hat_u(e: Endo, i: int) -> WeylElem:
-    """u^_i = -u_{n+i} for i < n, u_{i-n} for i >= n (0-based)."""
-    return e.u_hat(i)
+from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, teich_lift, times_p_elem
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +418,6 @@ class ObstructionWitness:
     v: list[WeylElem]
 
 
-def p_times_lift(f: WeylElem) -> WeylElem:
-    """p * teich_lift(f) over W_2(k): coefficients (0, c^p)."""
-    zero = f.alg.field.zero
-    return WeylElem(
-        f.alg, "w2", {e: Witt2(zero, c.frobenius()) for e, c in f.terms.items()}
-    )
-
-
 def harmonic_to_center(alg: AlgebraParams, poly_ypow: C.Poly) -> C.Poly:
     """k[y^p] coefficient -> polynomial on the center (divide exponents by p)."""
     p = alg.field.p
@@ -476,7 +462,7 @@ def construct_lift(e: Endo):
                 raise InternalInconsistency("the residual identity fails")
     if harmonic:
         return ObstructionWitness(C=e.obstruction_C, harmonic=harmonic, v=v)
-    Phi = [teich_lift(e.u(i)) + p_times_lift(v[i]) for i in range(alg.nvars)]
+    Phi = [teich_lift(e.u(i)) + times_p_elem(v[i]) for i in range(alg.nvars)]
     if not verify_lift(alg, Phi):
         raise InternalInconsistency("constructed lift violates a relation")
     return Lift(v=v, Phi=Phi)

@@ -46,11 +46,17 @@ class Endo:
                 raise ParamsMismatch("images must live in A_n(k) for this algebra")
         self.alg = alg
         self.images = list(images)
+        self._validated = False
 
     # -- validation and degree ----------------------------------------------
 
     def validate(self) -> None:
-        """Check every defining relation exactly; raises RelationViolation."""
+        """Check every defining relation exactly; raises RelationViolation.
+
+        The images never change, so a passed check is not repeated.
+        """
+        if self._validated:
+            return
         alg = self.alg
         for i in range(alg.nvars):
             for j in range(i + 1, alg.nvars):
@@ -60,6 +66,7 @@ class Endo:
                 residual = commutator(self.images[i], self.images[j]) - want
                 if not residual.is_zero():
                     raise RelationViolation(i, j, residual)
+        self._validated = True
 
     @cached_property
     def deg(self) -> int:

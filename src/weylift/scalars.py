@@ -1,9 +1,9 @@
 """Exact scalars: finite fields F_{p^m} and length-2 Witt vectors W_2(k).
 
 A FieldParams object fixes (p, m, modulus) and interns the small amount of
-precomputed data everything else relies on: the carry coefficients
-binom(p,k)/p mod p used by Witt addition, and (for m = 1) the table of field
-elements so arithmetic does not allocate.
+precomputed data everything else relies on: for m = 1 the table of field
+elements so arithmetic does not allocate, and for m > 1 the carry
+coefficients binom(p,k)/p mod p used by Witt addition.
 
 Witt vectors are pairs (a1, a2) with the standard length-2 laws:
 
@@ -12,9 +12,10 @@ Witt vectors are pairs (a1, a2) with the standard length-2 laws:
     p * (a1,a2)       = (0, a1^p)
 
 The carry c is the integral polynomial -sum_{0<k<p} (binom(p,k)/p) a^k b^{p-k}
-reduced mod p, evaluated inside k.  W_2(k) has characteristic p^2 and every
-element decomposes uniquely as [a1] + p*[a2^{1/p}] with [.] the Teichmuller
-lift.
+reduced mod p, evaluated inside k; over F_p it is read off integers mod p^2
+directly, as is the image of an integer in W_2(F_p).  W_2(k) has
+characteristic p^2 and every element decomposes uniquely as
+[a1] + p*[a2^{1/p}] with [.] the Teichmuller lift.
 """
 
 from __future__ import annotations
@@ -172,14 +173,14 @@ class FieldParams:
                 raise WeyliftError("modulus coefficients must be reduced mod p")
             if not _is_irreducible(mod, self.p):
                 raise WeyliftError(f"modulus {mod} is reducible over F_{self.p}")
-        # Carry coefficients: -(binom(p,k)/p) mod p for 0 < k < p, index by k.
         p = self.p
-        carry = tuple((-(comb(p, k) // p)) % p for k in range(p + 1))
-        self._cache["carry"] = carry
         if self.m == 1:
             self._cache["elems"] = tuple(
                 FieldElem(self, (r,), _checked=True) for r in range(p)
             )
+        else:
+            # Carry coefficients: -(binom(p,k)/p) mod p for 0 < k < p, index by k.
+            self._cache["carry"] = tuple((-(comb(p, k) // p)) % p for k in range(p + 1))
 
     # -- element constructors ------------------------------------------------
 
@@ -222,18 +223,15 @@ class FieldParams:
 
     def carry(self, a: FieldElem, b: FieldElem) -> FieldElem:
         """Witt addition carry: (a^p + b^p - (a+b)^p)/p as an element of k."""
-        coeffs = self._cache["carry"]
         p = self.p
         if self.m == 1:
             av, bv = a.coeffs[0], b.coeffs[0]
-            if av == 0 or bv == 0:
-                return self.zero
-            total = 0
-            for k in range(1, p):
-                total += coeffs[k] * pow(av, k, p) % p * pow(bv, p - k, p)
-            return self._cache["elems"][total % p]
+            pp = p * p
+            x = (pow(av, p, pp) + pow(bv, p, pp) - pow(av + bv, p, pp)) % pp
+            return self._cache["elems"][x // p]
         if a.is_zero() or b.is_zero():
             return self.zero
+        coeffs = self._cache["carry"]
         total = self.zero
         apow = self.one
         bpows = [self.one]
@@ -258,20 +256,15 @@ class FieldParams:
         return Witt2(self.one, self.zero)
 
     def w2_from_int(self, t: int) -> Witt2:
-        """Image of the integer t in W_2(k); depends only on t mod p^2."""
-        key = "w2ints"
-        small = self._cache.get(key)
-        if small is None:
-            small = [self.w2_zero()]
-            self._cache[key] = small
-        r = t % (self.p**2)
-        lo, hi = r % self.p, r // self.p
-        while len(small) <= lo:
-            small.append(small[-1] + self.w2_one())
-        base = small[lo]
-        if hi == 0:
-            return base
-        return base + Witt2(self.zero, self.from_int(hi).frobenius())
+        """Image of the integer t in W_2(k); depends only on t mod p^2.
+
+        W_2(F_p) = Z/p^2 through (a1, a2) -> a1^p + p a2, so t maps to
+        (r, (t - r^p)/p) with r = t mod p, all read mod p^2.
+        """
+        p = self.p
+        pp = p * p
+        r = t % p
+        return Witt2(self.from_int(r), self.from_int((t - pow(r, p, pp)) % pp // p))
 
 
 class FieldElem:

@@ -15,7 +15,7 @@ from . import trivialization as TV
 from .endo import bkk_family, etale_family, identity_endo
 from .parser import parse_expr
 from .scalars import FieldParams, Witt2
-from .weyl import AlgebraParams, commutator
+from .weyl import AlgebraParams, commutator, times_p_elem
 
 
 def _f3() -> FieldParams:
@@ -89,7 +89,7 @@ def fixture_etale_family() -> None:
     # the textbook lift: Phi(z1) = [z1] - p [z2^2 z1], Phi(z2) = [z2] + [z2^3]
     z1 = alg.gen(0, "w2")
     z2 = alg.gen(1, "w2")
-    Phi1 = z1 - coh.p_times_lift(alg.monomial((1, 2), field.one, "k"))
+    Phi1 = z1 - times_p_elem(alg.monomial((1, 2), field.one, "k"))
     Phi2 = z2 + alg.monomial((0, 3), field.w2_one(), "w2")
     om = alg.from_terms({(0, 0): field.w2_from_int(-1)}, "w2")
     assert commutator(Phi1, Phi2) == om

@@ -11,9 +11,8 @@ because the brackets are central):
     z_{n+l}^a z_l^b = sum_k binom(a,k) binom(b,k) k! z_l^{b-k} z_{n+l}^{a-k}
 
 The naive single-swap rewriter mono_mul_naive is retained as a slow oracle;
-it fixes the sign conventions and the fast paths are tested against it.
-Products over prime fields go through the packed kernels in _kernel; the
-generic dictionary path handles extension fields and cross-checks.
+it fixes the sign conventions and the contraction product is tested against
+it.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from math import comb, factorial
 
-import numpy as np
-
-from . import _kernel
 from .errors import NotCentral, ParamsMismatch, WeyliftError
 from .scalars import FieldElem, FieldParams, Witt2
 
@@ -68,22 +64,18 @@ class AlgebraParams:
             return self.field.from_int(t)
         return self.field.w2_from_int(t)
 
-    def binom_ring(self, ring: str, a: int, k: int):
-        """binom(a, k) as a ring element (image of the integer)."""
-        cache = self._cache.setdefault("binom", {})
-        key = (ring, a, k)
-        v = cache.get(key)
-        if v is None:
-            v = self.ring_from_int(ring, comb(a, k))
-            cache[key] = v
-        return v
+    def contraction_ring(self, ring: str, a: int, b: int, k: int):
+        """binom(a,k) binom(b,k) k! as a ring element (image of the integer).
 
-    def fact_ring(self, ring: str, k: int):
-        cache = self._cache.setdefault("fact", {})
-        key = (ring, k)
+        The weight of k contractions between z_{n+l}^a and z_l^b.  The map
+        from the integers is a ring homomorphism, so the integer product is
+        mapped once and each contracted pair costs one ring multiplication.
+        """
+        cache = self._cache.setdefault("contraction", {})
+        key = (ring, a, b, k)
         v = cache.get(key)
         if v is None:
-            v = self.ring_from_int(ring, factorial(k))
+            v = self.ring_from_int(ring, comb(a, k) * comb(b, k) * factorial(k))
             cache[key] = v
         return v
 
@@ -219,10 +211,6 @@ class WeylElem:
         self._require_compatible(other)
         if not self.terms or not other.terms:
             return WeylElem(self.alg, self.ring, {})
-        if self.alg.field.m == 1:
-            prod = _mul_kernel(self, other)
-            if prod is not None:
-                return prod
         return _mul_generic(self, other)
 
     def __pow__(self, e: int) -> WeylElem:
@@ -277,7 +265,7 @@ class WeylElem:
 
 
 # ---------------------------------------------------------------------------
-# multiplication routes
+# multiplication
 
 
 def _mul_generic(A: WeylElem, B: WeylElem) -> WeylElem:
@@ -293,12 +281,7 @@ def _mul_generic(A: WeylElem, B: WeylElem) -> WeylElem:
                 coeff = base
                 for l, k in enumerate(kvec):
                     if k:
-                        coeff = (
-                            coeff
-                            * alg.binom_ring(ring, ea[n + l], k)
-                            * alg.binom_ring(ring, eb[l], k)
-                            * alg.fact_ring(ring, k)
-                        )
+                        coeff = coeff * alg.contraction_ring(ring, ea[n + l], eb[l], k)
                 if not coeff:
                     continue
                 exps = tuple(
@@ -311,47 +294,6 @@ def _mul_generic(A: WeylElem, B: WeylElem) -> WeylElem:
                 elif exps in out:
                     del out[exps]
     return WeylElem(alg, ring, out)
-
-
-def _mul_kernel(A: WeylElem, B: WeylElem) -> WeylElem | None:
-    """Packed-array product for m = 1; returns None when not encodable."""
-    alg = A.alg
-    n = alg.n
-    n2 = 2 * n
-    maxa = max(max(e) for e in A.terms)
-    maxb = max(max(e) for e in B.terms)
-    base = maxa + maxb + 1
-    if base**n2 >= 2**62:
-        return None
-    p = alg.field.p
-    t = _kernel.tables(p, max(maxa, maxb))
-    ea = np.array(list(A.terms.keys()), dtype=np.int64).reshape(len(A.terms), n2)
-    eb = np.array(list(B.terms.keys()), dtype=np.int64).reshape(len(B.terms), n2)
-    elems = alg.field._cache["elems"]
-    if A.ring == "k":
-        ca = np.fromiter((c.coeffs[0] for c in A.terms.values()), np.int64, len(A.terms))
-        cb = np.fromiter((c.coeffs[0] for c in B.terms.values()), np.int64, len(B.terms))
-        keys, vals = _kernel._contract_modp(ea, ca, eb, cb, n, p, t["binom"], t["fact"], base)
-        exps = _kernel.decode_keys(keys, n2, base)
-        rows = exps.tolist()
-        vl = vals.tolist()
-        return WeylElem(alg, "k", {tuple(rows[r]): elems[vl[r]] for r in range(len(rows))})
-    c1a = np.fromiter((c.a1.coeffs[0] for c in A.terms.values()), np.int64, len(A.terms))
-    c2a = np.fromiter((c.a2.coeffs[0] for c in A.terms.values()), np.int64, len(A.terms))
-    c1b = np.fromiter((c.a1.coeffs[0] for c in B.terms.values()), np.int64, len(B.terms))
-    c2b = np.fromiter((c.a2.coeffs[0] for c in B.terms.values()), np.int64, len(B.terms))
-    keys, v1, v2 = _kernel._contract_w2(
-        ea, c1a, c2a, eb, c1b, c2b, n, p, t["bw1"], t["bw2"], t["fw1"], t["fw2"], t["carry"], base
-    )
-    exps = _kernel.decode_keys(keys, n2, base)
-    rows = exps.tolist()
-    l1 = v1.tolist()
-    l2 = v2.tolist()
-    return WeylElem(
-        alg,
-        "w2",
-        {tuple(rows[r]): Witt2(elems[l1[r]], elems[l2[r]]) for r in range(len(rows))},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from weylift import diffeq
 from weylift.endo import Endo, generate_corpus
 from weylift.scalars import FieldParams
 from weylift.weyl import AlgebraParams
-from weylift._kernel import warmup
 
 CORPUS_SEED = 20260823
 CORPUS_SIZES = {
@@ -24,11 +23,6 @@ CORPUS_SIZES = {
     (5, 1): 20,
     (5, 2): 12,
 }
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    warmup()
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from weylift import cohomology as coh
 from weylift import diffeq as DQ
 from weylift.endo import bkk_family, etale_family
 from weylift.scalars import FieldParams
-from weylift.weyl import AlgebraParams, commutator
+from weylift.weyl import AlgebraParams, commutator, times_p_elem
 
 
 @pytest.fixture
@@ -94,7 +94,7 @@ def test_criterion_02_etale_family_flags_and_lifts(gate):
             assert rep.etale == rep.poisson == rep.liftable == (i < 2)
         e0 = etale_family(alg, 0, field.one)
         # Phi(z1) = [z1] - p [z2^2 z1], Phi(z2) = [z2] + [z2^3]
-        Phi1 = alg.gen(0, "w2") - coh.p_times_lift(alg.monomial((1, 2), field.one, "k"))
+        Phi1 = alg.gen(0, "w2") - times_p_elem(alg.monomial((1, 2), field.one, "k"))
         Phi2 = alg.gen(1, "w2") + alg.monomial((0, 3), field.w2_one(), "w2")
         om = alg.from_terms({(0, 0): field.w2_from_int(-1)}, "w2")
         assert commutator(Phi1, Phi2) == om

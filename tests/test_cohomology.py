@@ -13,10 +13,11 @@ import pytest
 
 from weylift import center as C
 from weylift import cohomology as coh
+from weylift import diffeq
 from weylift.endo import bkk_family, etale_family, generate_corpus, identity_endo
 from weylift.errors import NotClosed
 from weylift.scalars import FieldParams
-from weylift.weyl import AlgebraParams, ad_pow, commutator, teich_lift
+from weylift.weyl import AlgebraParams, ad_pow, commutator, teich_lift, times_p_elem
 
 
 def _rand_poly(alg, rng, max_deg=4, nterms=3, tag="y"):
@@ -155,8 +156,8 @@ def test_split_rejects_non_closed():
 
 def test_hat_u_and_duality(a1_f3, corpus):
     ident = identity_endo(a1_f3)
-    assert coh.hat_u(ident, 0) == -a1_f3.gen(1)
-    assert coh.hat_u(ident, 1) == a1_f3.gen(0)
+    assert ident.u_hat(0) == -a1_f3.gen(1)
+    assert ident.u_hat(1) == a1_f3.gen(0)
     for e in corpus[::9]:
         alg = e.alg
         for i in range(alg.nvars):
@@ -164,7 +165,7 @@ def test_hat_u_and_duality(a1_f3, corpus):
                 want = alg.from_terms(
                     {(0,) * alg.nvars: alg.field.from_int(1 if i == j else 0)}
                 )
-                assert commutator(e.u(i), coh.hat_u(e, j)) == want
+                assert commutator(e.u(i), e.u_hat(j)) == want
 
 
 def test_basis_expand_reconstructs(corpus):
@@ -282,10 +283,27 @@ def test_construct_lift_etale_and_textbook(a1_f3):
     z1 = a1_f3.gen(0, "w2")
     z2 = a1_f3.gen(1, "w2")
     textbook = [
-        z1 - coh.p_times_lift(a1_f3.monomial((1, 2))),
+        z1 - times_p_elem(a1_f3.monomial((1, 2))),
         z2 + a1_f3.monomial((0, 3), a1_f3.field.w2_one(), "w2"),
     ]
     assert coh.verify_lift(a1_f3, textbook)
+
+
+@pytest.mark.parametrize("family,n", [(etale_family, 1), (bkk_family, 2)])
+def test_families_over_f9_with_non_prime_coefficient(family, n):
+    """c = t lies outside F_3, a case the seeded corpus never produces."""
+    field = FieldParams(3, 2)
+    alg = AlgebraParams(n, field)
+    t = field.element((0, 1))
+    for i in range(field.p):
+        e = family(alg, i, t)
+        rep = e.analyze()
+        sol = diffeq.gamma_solution(e)
+        assert rep.liftable == rep.poisson == sol.symmetric == (i < field.p - 1)
+        # unit Jacobian throughout: for the etale family phi(x_2) keeps (1 - c) x_2
+        assert rep.etale
+        assert C.mat_eq(e.obstruction_C, e.obstruction_C_oracle)
+        assert isinstance(coh.construct_lift(e), coh.Lift) == rep.liftable
 
 
 def test_verify_lift_rejects_wrong_images(a1_f3):

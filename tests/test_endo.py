@@ -7,6 +7,7 @@ import pytest
 
 from weylift import center as C
 from weylift import diffeq
+from weylift import endo as endo_module
 from weylift.endo import (
     DEFAULT_BUDGET,
     Endo,
@@ -40,6 +41,17 @@ def test_validate_bkk(a2_f3):
     e = bkk_family(a2_f3, 2, a2_f3.field.one)
     e.validate()
     assert e.deg == 5
+
+
+def test_validate_checks_once(a2_f3, monkeypatch):
+    e = bkk_family(a2_f3, 2, a2_f3.field.one)
+    e.validate()
+
+    def no_commutator(f, g):
+        raise AssertionError("relations checked again")
+
+    monkeypatch.setattr(endo_module, "commutator", no_commutator)
+    e.validate()
 
 
 def test_u_ij_examples(a1_f3):

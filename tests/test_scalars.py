@@ -8,6 +8,7 @@ operations and every pair of elements.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +65,23 @@ def test_w2_from_int_matches_iso(p):
         assert _iso(field, field.w2_from_int(t)) == t
     assert field.w2_from_int(p * p) == field.w2_zero()
     assert field.w2_from_int(-1) == -field.w2_one()
+
+
+def test_w2_iso_sampled_at_largest_p():
+    """The closed-form carry and integer map at p = 32749, the top of the range."""
+    field = FieldParams(32749)
+    p = field.p
+    rng = random.Random(32749)
+
+    def draw():
+        return field.witt(field.from_int(rng.randrange(p)), field.from_int(rng.randrange(p)))
+
+    for _ in range(200):
+        u, v = draw(), draw()
+        assert _iso(field, u + v) == (_iso(field, u) + _iso(field, v)) % (p * p)
+        assert _iso(field, u * v) == (_iso(field, u) * _iso(field, v)) % (p * p)
+        t = rng.randrange(-p * p, 2 * p * p)
+        assert _iso(field, field.w2_from_int(t)) == t % (p * p)
 
 
 def test_teichmuller_is_multiplicative():

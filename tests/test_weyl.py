@@ -14,10 +14,7 @@ pairs over W_2, p in {2, 3}.
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -87,7 +84,7 @@ def _random_elem(alg: AlgebraParams, rng: random.Random, max_deg: int, ring: str
     return alg.from_terms(terms, ring)
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 2)])
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 2), (5, 2)])
 def test_product_against_two_references(p, n):
     alg = AlgebraParams(n, FieldParams(p))
     rng = random.Random(("refmul", p, n).__repr__())
@@ -254,24 +251,3 @@ def test_split_ambiguity_does_not_matter():
     r1 = times_p_elem((u ** (p - 1)).scale(kappa) + ad_pow(u, p - 1, w))
     r2 = times_p_elem((u ** (p - 1)).scale(kappa2) + ad_pow(u, p - 1, w_shift))
     assert r1 == r2
-
-
-def test_pure_python_fallback_matches(tmp_path):
-    code = (
-        "from weylift.scalars import FieldParams\n"
-        "from weylift.weyl import AlgebraParams, mono_mul\n"
-        "alg = AlgebraParams(2, FieldParams(5))\n"
-        "f = mono_mul(alg, (3, 2, 4, 1), (2, 4, 1, 3))\n"
-        "g = mono_mul(alg, (1, 0, 3, 2), (0, 4, 2, 1), 'w2')\n"
-        "print(sorted((e, repr(c)) for e, c in f.terms.items()))\n"
-        "print(sorted((e, repr(c)) for e, c in g.terms.items()))\n"
-    )
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, WEYLIFT_NO_NUMBA=flag)
-        r = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert r.returncode == 0, r.stderr
-        outs.append(r.stdout)
-    assert outs[0] == outs[1]
