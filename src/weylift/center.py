@@ -12,17 +12,16 @@ commutator oracle poisson_witt_oracle recomputes the bracket upstairs as
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, NotCentral, NotDivisibleByP, ParamsMismatch, WeyliftError
+from .errors import DivisionByZero, NotCentral, NotDivisibleByP, WeyliftError
 from .scalars import teichmuller
-from .weyl import AlgebraParams, WeylElem, commutator, w2_decompose_elem
-
-NEG_INF = float("-inf")
+from .weyl import AlgebraParams, SparseElem, WeylElem, commutator, w2_decompose_elem
 
 
-class Poly:
+class Poly(SparseElem):
     """Sparse polynomial over k in 2n tagged commuting variables."""
 
-    __slots__ = ("alg", "tag", "terms")
+    __slots__ = ("tag",)
+    ring = "k"
 
     def __init__(self, alg: AlgebraParams, tag: str, terms: dict):
         if tag not in ("x", "y"):
@@ -31,27 +30,12 @@ class Poly:
         self.tag = tag
         self.terms = terms
 
-    def _require_compatible(self, other: Poly) -> None:
-        if self.alg != other.alg or self.tag != other.tag:
-            raise ParamsMismatch("polynomials from different rings or coordinate tags")
+    @property
+    def var(self) -> str:
+        return self.tag
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.alg == other.alg and self.tag == other.tag and self.terms == other.terms
-
-    __hash__ = None
-
-    def degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
+    def _like(self, terms: dict) -> Poly:
+        return Poly(self.alg, self.tag, terms)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -59,29 +43,8 @@ class Poly:
     def constant_term(self):
         return self.terms.get((0,) * self.alg.nvars, self.alg.field.zero)
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.alg.field.zero)
-
     def homogeneous_slice(self, d: int) -> Poly:
         return Poly(self.alg, self.tag, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def __add__(self, other: Poly) -> Poly:
-        self._require_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Poly(self.alg, self.tag, out)
-
-    def __neg__(self) -> Poly:
-        return Poly(self.alg, self.tag, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
         self._require_compatible(other)
@@ -100,41 +63,6 @@ class Poly:
                     del out[e]
         return Poly(self.alg, self.tag, out)
 
-    def scale(self, c) -> Poly:
-        if not c:
-            return Poly(self.alg, self.tag, {})
-        out = {}
-        for e, v in self.terms.items():
-            w = c * v
-            if w:
-                out[e] = w
-        return Poly(self.alg, self.tag, out)
-
-    def __pow__(self, e: int) -> Poly:
-        if e < 0:
-            raise WeyliftError("negative powers are not defined")
-        result = poly_one(self.alg, self.tag)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def pderiv(self, i: int) -> Poly:
-        """Partial derivative in variable i (0-based), in characteristic p."""
-        out = {}
-        alg = self.alg
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            w = c * alg.field.from_int(e[i])
-            if w:
-                out[tuple(x - 1 if j == i else x for j, x in enumerate(e))] = w
-        return Poly(alg, self.tag, out)
-
     def pderiv_iter(self, i: int, r: int) -> Poly:
         f = self
         for _ in range(r):
@@ -145,20 +73,6 @@ class Poly:
         """(exponent, coefficient) of the lex-largest monomial."""
         e = max(self.terms)
         return e, self.terms[e]
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        v = self.tag
-        bits = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)[:8]:
-            mono = "*".join(
-                f"{v}{i + 1}^{e}" if e > 1 else f"{v}{i + 1}" for i, e in enumerate(exps) if e
-            )
-            c = self.terms[exps]
-            bits.append(f"{c!r}*{mono}" if mono else f"{c!r}")
-        tail = " + ..." if len(self.terms) > 8 else ""
-        return " + ".join(bits) + tail
 
 
 # -- constructors -----------------------------------------------------------
@@ -264,59 +178,107 @@ def poisson_witt_oracle(f: Poly, g: Poly) -> Poly:
 
 
 # -- matrices of polynomials -------------------------------------------------
+#
+# A matrix is a tuple of row tuples of Poly, so matrices can be cached and
+# shared; every entry of one matrix has the same algebra and tag.
+
+Mat = tuple
 
 
-def jacobian(images: list[Poly], tag: str | None = None) -> list[list[Poly]]:
+def mat_scalar(s: Poly, N: int) -> Mat:
+    """The N x N matrix s * Id."""
+    z = poly_zero(s.alg, s.tag)
+    return tuple(tuple(s if i == j else z for j in range(N)) for i in range(N))
+
+
+def mat_zero(alg: AlgebraParams, tag: str, N: int) -> Mat:
+    return mat_scalar(poly_zero(alg, tag), N)
+
+
+def mat_identity(alg: AlgebraParams, tag: str, N: int) -> Mat:
+    return mat_scalar(poly_one(alg, tag), N)
+
+
+def jacobian(images: list[Poly]) -> Mat:
     """J[i][j] = d(images[i]) / d var_j."""
-    return [[f.pderiv(j) for j in range(f.alg.nvars)] for f in images]
+    return tuple(tuple(f.pderiv(j) for j in range(f.alg.nvars)) for f in images)
 
 
-def omega_matrix(alg: AlgebraParams, tag: str) -> list[list[Poly]]:
-    return [
-        [poly_const(alg, tag, alg.field.from_int(alg.omega_int(i, j))) for j in range(alg.nvars)]
-        for i in range(alg.nvars)
-    ]
+def omega_matrix(alg: AlgebraParams, tag: str) -> Mat:
+    size = alg.nvars
+    return tuple(
+        tuple(poly_const(alg, tag, alg.field.from_int(alg.omega_int(i, j))) for j in range(size))
+        for i in range(size)
+    )
 
 
-def omega_inv_matrix(alg: AlgebraParams, tag: str) -> list[list[Poly]]:
+def omega_inv_matrix(alg: AlgebraParams, tag: str) -> Mat:
     """omega^{-1} = -omega for the standard symplectic form."""
-    return [
-        [poly_const(alg, tag, alg.field.from_int(-alg.omega_int(i, j))) for j in range(alg.nvars)]
-        for i in range(alg.nvars)
-    ]
+    return tuple(tuple(-a for a in row) for row in omega_matrix(alg, tag))
 
 
-def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    return [
-        [_dot(A[i], [B[t][j] for t in range(inner)]) for j in range(cols)] for i in range(rows)
-    ]
+def mat_mul(A: Mat, B: Mat) -> Mat:
+    """Matrix product; a pair with a zero factor costs nothing."""
+    zero = poly_zero(A[0][0].alg, A[0][0].tag)
+    cols = tuple(zip(*B))
+    out = []
+    for row in A:
+        new = []
+        for col in cols:
+            acc = None
+            for a, b in zip(row, col):
+                if a and b:
+                    acc = a * b if acc is None else acc + a * b
+            new.append(zero if acc is None else acc)
+        out.append(tuple(new))
+    return tuple(out)
 
 
-def _dot(row, col):
-    acc = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        acc = acc + a * b
-    return acc
+def mat_vec(A: Mat, v: list) -> list:
+    zero = poly_zero(A[0][0].alg, A[0][0].tag)
+    out = []
+    for row in A:
+        acc = zero
+        for a, b in zip(row, v):
+            if a and b:
+                acc = acc + a * b
+        out.append(acc)
+    return out
 
 
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
+def mat_pow(A: Mat, e: int) -> Mat:
+    result = mat_identity(A[0][0].alg, A[0][0].tag, len(A))
+    base = A
+    while e:
+        if e & 1:
+            result = mat_mul(result, base)
+        e >>= 1
+        if e:
+            base = mat_mul(base, base)
+    return result
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+def mat_transpose(A: Mat) -> Mat:
+    return tuple(zip(*A))
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+def mat_add(A: Mat, B: Mat) -> Mat:
+    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def mat_eq(A, B) -> bool:
+def mat_sub(A: Mat, B: Mat) -> Mat:
+    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def mat_scale(A: Mat, s: Poly) -> Mat:
+    return tuple(tuple(a * s for a in row) for row in A)
+
+
+def mat_eq(A: Mat, B: Mat) -> bool:
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def mat_frobenius_twist(M):
+def mat_frobenius_twist(M: Mat) -> Mat:
     """Entrywise p-th power; y-entries are re-tagged to x via y_i^p = x_i."""
     out = []
     for row in M:
@@ -329,8 +291,8 @@ def mat_frobenius_twist(M):
                 new.append(
                     Poly(f.alg, "x", {tuple(p * a for a in e): c.frobenius() for e, c in f.terms.items()})
                 )
-        out.append(new)
-    return out
+        out.append(tuple(new))
+    return tuple(out)
 
 
 # -- exact division and determinants -----------------------------------------
@@ -356,7 +318,7 @@ def divexact(f: Poly, g: Poly) -> Poly:
     return Poly(f.alg, f.tag, quot)
 
 
-def det(M: list[list[Poly]]) -> Poly:
+def det(M: Mat) -> Poly:
     """Determinant: cofactor expansion for size <= 4, Bareiss beyond."""
     size = len(M)
     if size == 0:
@@ -383,7 +345,7 @@ def _det_cofactor(M, alg, tag) -> Poly:
 
 def _det_bareiss(M, alg, tag) -> Poly:
     size = len(M)
-    A = [row[:] for row in M]
+    A = [list(row) for row in M]
     prev = poly_one(alg, tag)
     sign = False
     for r in range(size - 1):
@@ -417,7 +379,3 @@ def is_etale(images: list[Poly]) -> bool:
     d = det(jacobian(images))
     return (not d.is_zero()) and d.is_constant()
 
-
-def to_center_poly(f: WeylElem) -> Poly:
-    """Central element of A_n(k) as a polynomial in x_i = z_i^p."""
-    return f.to_center_poly()

@@ -99,8 +99,8 @@ class GammaSolution:
     gamma: list[C.Poly]
     f: list[C.Poly]
     rhs: list[C.Poly]
-    J_gamma: list[list[C.Poly]]
-    J_f: list[list[C.Poly]]
+    J_gamma: C.Mat
+    J_f: C.Mat
     symmetric: bool
 
 

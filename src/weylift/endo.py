@@ -139,12 +139,6 @@ class Endo:
                 mat[j][i] = -cp
         return mat
 
-    def obstruction_C_direct(self, i: int, j: int) -> C.Poly:
-        """c_ij recomputed from scratch in the stated orientation (test hook)."""
-        p = self.alg.field.p
-        c = ad_pow(self.images[i], p - 1, ad_pow(self.images[j], p - 1, self.u_ij(i, j)))
-        return c.to_center_poly()
-
     @cached_property
     def obstruction_C_oracle(self) -> list[list[C.Poly]]:
         """c_ij via p c_ij = [U_i^p, U_j^p] + p omega_{ij} over W_2(k)."""
@@ -293,19 +287,6 @@ def identity_endo(alg: AlgebraParams) -> Endo:
     return Endo(alg, [alg.gen(i) for i in range(alg.nvars)])
 
 
-def _half_pderiv(g: WeylElem, i: int) -> WeylElem:
-    """Formal derivative of an element supported in one commuting half."""
-    alg = g.alg
-    out = {}
-    for e, c in g.terms.items():
-        if e[i] == 0:
-            continue
-        w = c * alg.field.from_int(e[i])
-        if w:
-            out[tuple(x - 1 if j == i else x for j, x in enumerate(e))] = w
-    return WeylElem(alg, "k", out)
-
-
 def elementary(alg: AlgebraParams, g: WeylElem, half: str = "second") -> Endo:
     """Translation automorphism from a potential g on one commuting half.
 
@@ -327,10 +308,10 @@ def elementary(alg: AlgebraParams, g: WeylElem, half: str = "second") -> Endo:
     images = [alg.gen(i) for i in range(alg.nvars)]
     if half == "second":
         for l in range(n):
-            images[l] = images[l] + _half_pderiv(g, n + l)
+            images[l] = images[l] + g.pderiv(n + l)
     else:
         for l in range(n):
-            images[n + l] = images[n + l] + _half_pderiv(g, l)
+            images[n + l] = images[n + l] + g.pderiv(l)
     return Endo(alg, images)
 
 

@@ -179,29 +179,21 @@ def format_elem(f: WeylElem) -> str:
     """Deterministic in-grammar rendering; parse_expr(format_elem(f)) == f."""
     if f.ring != "k":
         raise WeyliftError("only elements over k can be rendered in the grammar")
-    if not f.terms:
-        return "0"
-    parts = []
-    for exps in sorted(f.terms):
-        c = f.terms[exps]
-        bits = []
-        cs = format_coeff(c)
-        if cs != "1" or not any(exps):
-            bits.append(cs)
-        for i, x in enumerate(exps):
-            if x:
-                bits.append(f"z{i + 1}" + (f"^{x}" if x > 1 else ""))
-        parts.append("*".join(bits))
-    return " + ".join(parts)
+    return _format_terms(f.terms, "z")
 
 
 def format_poly(g, var: str = "x") -> str:
     """Render a center polynomial with x<i> or y<i> variables (reports only)."""
-    if not g.terms:
+    return _format_terms(g.terms, var)
+
+
+def _format_terms(terms: dict, var: str) -> str:
+    """Terms in ascending exponent order as c*<var>1^e1*..., "0" when empty."""
+    if not terms:
         return "0"
     parts = []
-    for exps in sorted(g.terms):
-        c = g.terms[exps]
+    for exps in sorted(terms):
+        c = terms[exps]
         bits = []
         cs = format_coeff(c)
         if cs != "1" or not any(exps):

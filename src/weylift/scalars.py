@@ -21,7 +21,6 @@ characteristic p^2 and every element decomposes uniquely as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from .errors import DivisionByZero, ParamsMismatch, WeyliftError
 
@@ -179,8 +178,12 @@ class FieldParams:
                 FieldElem(self, (r,), _checked=True) for r in range(p)
             )
         else:
-            # Carry coefficients: -(binom(p,k)/p) mod p for 0 < k < p, index by k.
-            self._cache["carry"] = tuple((-(comb(p, k) // p)) % p for k in range(p + 1))
+            # Carry coefficients -(binom(p,k)/p) mod p, indexed by k: since
+            # binom(p,k)/p = (p-1)...(p-k+1)/k! = (-1)^(k-1)/k mod p, they are
+            # (-1)^k/k for 0 < k < p and 0 at k = 0 and k = p.
+            self._cache["carry"] = (
+                (0,) + tuple((-1) ** k * pow(k, -1, p) % p for k in range(1, p)) + (0,)
+            )
 
     # -- element constructors ------------------------------------------------
 

@@ -40,7 +40,7 @@ def fixture_witt_ring() -> None:
 
 
 def fixture_normal_order() -> None:
-    """Kernel product equals the one-swap rewriting oracle on small inputs."""
+    """The contraction product equals the one-swap rewriting oracle on small inputs."""
     from .weyl import mono_mul, mono_mul_naive
 
     alg = AlgebraParams(1, _f3())
@@ -130,7 +130,7 @@ def fixture_conjugator() -> None:
     field = _f3()
     alg = AlgebraParams(1, field)
     cj = TV.conjugator_for_endo(identity_endo(alg))
-    assert TV.mat_eq(cj.G, TV.mat_identity(alg, 3))
+    assert C.mat_eq(cj.G, C.mat_identity(alg, "y", 3))
     cj = TV.conjugator_for_endo(etale_family(alg, 1, field.one))
     assert cj.det.is_constant() and not cj.det.is_zero()
 

@@ -22,103 +22,17 @@ from math import factorial
 
 from . import center as C
 from .endo import Endo
-from .errors import InternalInconsistency, NotAHomomorphism, WeyliftError
+from .errors import NotAHomomorphism, WeyliftError
 from .weyl import AlgebraParams, WeylElem
 
 
-# ---------------------------------------------------------------------------
-# matrices over S
-
-Mat = tuple  # tuple of tuples of C.Poly
-
-
 def mat_size(alg: AlgebraParams) -> int:
+    """Side p^n of the matrices: the dimension of k[T]/(T_1^p, .., T_n^p)."""
     return alg.field.p**alg.n
 
 
-def _zero(alg: AlgebraParams) -> C.Poly:
-    return C.poly_zero(alg, "y")
-
-
-def mat_zero(alg: AlgebraParams, N: int) -> Mat:
-    z = _zero(alg)
-    return tuple(tuple(z for _ in range(N)) for _ in range(N))
-
-
-def mat_identity(alg: AlgebraParams, N: int) -> Mat:
-    one = C.poly_one(alg, "y")
-    z = _zero(alg)
-    return tuple(tuple(one if i == j else z for j in range(N)) for i in range(N))
-
-
-def mat_scalar(alg: AlgebraParams, N: int, s: C.Poly) -> Mat:
-    z = _zero(alg)
-    return tuple(tuple(s if i == j else z for j in range(N)) for i in range(N))
-
-
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    N = len(A)
-    out = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            acc = None
-            for t in range(N):
-                a = A[i][t]
-                b = B[t][j]
-                if a and b:
-                    acc = a * b if acc is None else acc + a * b
-            row.append(acc if acc is not None else _zero_like(A))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _zero_like(A: Mat) -> C.Poly:
-    return C.poly_zero(A[0][0].alg, "y")
-
-
-def mat_add(A: Mat, B: Mat) -> Mat:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_sub(A: Mat, B: Mat) -> Mat:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(A: Mat, s: C.Poly) -> Mat:
-    return tuple(tuple(a * s for a in row) for row in A)
-
-
-def mat_vec(A: Mat, v: list) -> list:
-    N = len(A)
-    out = []
-    for i in range(N):
-        acc = _zero_like(A)
-        for t in range(N):
-            if A[i][t] and v[t]:
-                acc = acc + A[i][t] * v[t]
-        out.append(acc)
-    return out
-
-
-def mat_eq(A: Mat, B: Mat) -> bool:
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def mat_pow(A: Mat, e: int, alg: AlgebraParams) -> Mat:
-    result = mat_identity(alg, len(A))
-    base = A
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return result
-
-
-def trace(A: Mat) -> C.Poly:
-    acc = _zero_like(A)
+def trace(A: C.Mat) -> C.Poly:
+    acc = C.poly_zero(A[0][0].alg, A[0][0].tag)
     for i in range(len(A)):
         acc = acc + A[i][i]
     return acc
@@ -146,7 +60,7 @@ def _basis_exps(alg: AlgebraParams, r: int) -> tuple:
     return tuple(reversed(out))
 
 
-def nu(alg: AlgebraParams, i: int) -> Mat:
+def nu(alg: AlgebraParams, i: int) -> C.Mat:
     """Matrix of multiplication by T_i (i < n) or d/dT_{i-n} (i >= n)."""
     key = ("nu", i)
     got = alg._cache.get(key)
@@ -154,7 +68,7 @@ def nu(alg: AlgebraParams, i: int) -> Mat:
         return got
     p = alg.field.p
     N = mat_size(alg)
-    rows = [[_zero(alg) for _ in range(N)] for _ in range(N)]
+    rows = [[C.poly_zero(alg, "y") for _ in range(N)] for _ in range(N)]
     for c in range(N):
         e = _basis_exps(alg, c)
         if i < alg.n:
@@ -171,22 +85,22 @@ def nu(alg: AlgebraParams, i: int) -> Mat:
     return got
 
 
-def rep_gen(alg: AlgebraParams, i: int) -> Mat:
+def rep_gen(alg: AlgebraParams, i: int) -> C.Mat:
     """rep(z_i) = nu_i + y_i * Id."""
     key = ("repgen", i)
     got = alg._cache.get(key)
     if got is None:
-        got = mat_add(nu(alg, i), mat_scalar(alg, mat_size(alg), C.poly_var(alg, "y", i)))
+        got = C.mat_add(nu(alg, i), C.mat_scalar(C.poly_var(alg, "y", i), mat_size(alg)))
         alg._cache[key] = got
     return got
 
 
-def rep(alg: AlgebraParams, f: WeylElem) -> Mat:
+def rep(alg: AlgebraParams, f: WeylElem) -> C.Mat:
     """Image of a normal-ordered element under the trivialization."""
     if f.ring != "k":
         raise WeyliftError("rep is defined over k, not W_2")
     N = mat_size(alg)
-    acc = mat_zero(alg, N)
+    acc = C.mat_zero(alg, "y", N)
     powers = alg._cache.setdefault("reppowers", {})
     for exps, c in sorted(f.terms.items()):
         term = None
@@ -195,12 +109,12 @@ def rep(alg: AlgebraParams, f: WeylElem) -> Mat:
                 continue
             pw = powers.get((i, e))
             if pw is None:
-                pw = mat_pow(rep_gen(alg, i), e, alg)
+                pw = C.mat_pow(rep_gen(alg, i), e)
                 powers[(i, e)] = pw
-            term = pw if term is None else mat_mul(term, pw)
+            term = pw if term is None else C.mat_mul(term, pw)
         if term is None:
-            term = mat_identity(alg, N)
-        acc = mat_add(acc, mat_scale(term, C.poly_const(alg, "y", c)))
+            term = C.mat_identity(alg, "y", N)
+        acc = C.mat_add(acc, C.mat_scale(term, C.poly_const(alg, "y", c)))
     return acc
 
 
@@ -346,7 +260,7 @@ def column_content(col: list) -> C.Poly:
 class Conjugator:
     """G with rep(u_i) G = G (nu_i + ybar_i Id), det constant and nonzero."""
 
-    G: Mat
+    G: C.Mat
     det: C.Poly
     ybar: list
 
@@ -369,22 +283,22 @@ def _twisted_generators(e: Endo):
     n = alg.n
     N = mat_size(alg)
     ybar = [C.pth_root_retag(f) for f in e.center_images]
-    A = [mat_sub(rep(alg, e.u(l)), mat_scalar(alg, N, ybar[l])) for l in range(n)]
-    B = [mat_sub(rep(alg, e.u(n + l)), mat_scalar(alg, N, ybar[n + l])) for l in range(n)]
-    proj = mat_identity(alg, N)
+    A = [C.mat_sub(rep(alg, e.u(l)), C.mat_scalar(ybar[l], N)) for l in range(n)]
+    B = [C.mat_sub(rep(alg, e.u(n + l)), C.mat_scalar(ybar[n + l], N)) for l in range(n)]
+    proj = C.mat_identity(alg, "y", N)
     for l in range(n):
-        acc = mat_zero(alg, N)
-        Apow = mat_identity(alg, N)
-        Bpow = mat_identity(alg, N)
+        acc = C.mat_zero(alg, "y", N)
+        Apow = C.mat_identity(alg, "y", N)
+        Bpow = C.mat_identity(alg, "y", N)
         for t in range(p):
             c = alg.field.from_int(factorial(t)).inverse()
             if t % 2:
                 c = -c
-            acc = mat_add(acc, mat_scale(mat_mul(Apow, Bpow), C.poly_const(alg, "y", c)))
+            acc = C.mat_add(acc, C.mat_scale(C.mat_mul(Apow, Bpow), C.poly_const(alg, "y", c)))
             if t + 1 < p:
-                Apow = mat_mul(Apow, A[l])
-                Bpow = mat_mul(Bpow, B[l])
-        proj = mat_mul(proj, acc)
+                Apow = C.mat_mul(Apow, A[l])
+                Bpow = C.mat_mul(Bpow, B[l])
+        proj = C.mat_mul(proj, acc)
     return A, B, proj, ybar
 
 
@@ -405,37 +319,46 @@ def twisted_matrix_units(e: Endo) -> dict:
     N = mat_size(alg)
     A, B, proj, _ = _twisted_generators(e)
 
-    def a_power(m: tuple) -> Mat:
-        out = mat_identity(alg, N)
+    def a_power(m: tuple) -> C.Mat:
+        out = C.mat_identity(alg, "y", N)
         for l, x in enumerate(m):
             for _ in range(x):
-                out = mat_mul(out, A[l])
+                out = C.mat_mul(out, A[l])
         return out
 
-    def b_power(m: tuple) -> Mat:
-        out = mat_identity(alg, N)
+    def b_power(m: tuple) -> C.Mat:
+        out = C.mat_identity(alg, "y", N)
         for l, x in enumerate(m):
             for _ in range(x):
-                out = mat_mul(out, B[l])
+                out = C.mat_mul(out, B[l])
         return out
 
-    lefts = {i: mat_mul(a_power(mi), proj) for i, mi in _exps_iter(alg)}
+    lefts = {i: C.mat_mul(a_power(mi), proj) for i, mi in _exps_iter(alg)}
     rights = {
-        j: mat_scale(b_power(mj), C.poly_const(alg, "y", _inv_factorial(alg, mj)))
+        j: C.mat_scale(b_power(mj), C.poly_const(alg, "y", _inv_factorial(alg, mj)))
         for j, mj in _exps_iter(alg)
     }
-    return {(i, j): mat_mul(lefts[i], rights[j]) for i in range(N) for j in range(N)}
+    return {(i, j): C.mat_mul(lefts[i], rights[j]) for i in range(N) for j in range(N)}
 
 
-def _unit_matrix(alg: AlgebraParams, N: int, i: int, j: int) -> Mat:
+def _unit_matrix(alg: AlgebraParams, N: int, i: int, j: int) -> C.Mat:
     one = C.poly_one(alg, "y")
-    z = _zero(alg)
+    z = C.poly_zero(alg, "y")
     return tuple(
         tuple(one if (r, c) == (i, j) else z for c in range(N)) for r in range(N)
     )
 
 
-def recover_conjugator(F: dict) -> Mat:
+def _primitive_first_column(M: C.Mat, what: str) -> list:
+    """The first nonzero column of M divided by its content."""
+    for col in zip(*M):
+        if any(col):
+            cont = column_content(col)
+            return [C.divexact(entry, cont) if entry else entry for entry in col]
+    raise NotAHomomorphism(f"{what} vanishes")
+
+
+def recover_conjugator(F: dict) -> C.Mat:
     """Rebuild G with F_ij G = G E_ij from the images of the matrix units.
 
     Constructive and inverse-free: a primitive column r of F_00 generates
@@ -446,37 +369,28 @@ def recover_conjugator(F: dict) -> Mat:
     F00 = F[(0, 0)]
     N = len(F00)
     alg = F00[0][0].alg
-    col = None
-    for s in range(N):
-        cand = [F00[i][s] for i in range(N)]
-        if any(cand):
-            col = cand
-            break
-    if col is None:
-        raise NotAHomomorphism("image of E_11 vanishes")
-    cont = column_content(col)
-    r0 = [C.divexact(entry, cont) if entry else entry for entry in col]
-    cols = [mat_vec(F[(i, 0)], r0) for i in range(N)]
+    r0 = _primitive_first_column(F00, "image of E_11")
+    cols = [C.mat_vec(F[(i, 0)], r0) for i in range(N)]
     G = tuple(tuple(cols[c][r] for c in range(N)) for r in range(N))
     for (i, j), Fij in F.items():
-        if not mat_eq(mat_mul(Fij, G), mat_mul(G, _unit_matrix(alg, N, i, j))):
+        if not C.mat_eq(C.mat_mul(Fij, G), C.mat_mul(G, _unit_matrix(alg, N, i, j))):
             raise NotAHomomorphism(f"relation F_{i}{j} G = G E_{i}{j} fails")
     return G
 
 
-def extract_twisted_scalar(G: Mat, M: Mat) -> C.Poly:
+def extract_twisted_scalar(G: C.Mat, M: C.Mat) -> C.Poly:
     """The scalar s with M = s G, by exact division; NotAHomomorphism if none."""
     s = None
     for r in range(len(G)):
         for c in range(len(G)):
             if G[r][c]:
-                s = C.divexact(M[r][c], G[r][c]) if M[r][c] else _zero_like(G)
+                s = C.divexact(M[r][c], G[r][c]) if M[r][c] else C.poly_zero(G[0][0].alg, "y")
                 break
         if s is not None:
             break
     if s is None:
         raise WeyliftError("cannot extract a scalar against the zero matrix")
-    if not mat_eq(M, mat_scale(G, s)):
+    if not C.mat_eq(M, C.mat_scale(G, s)):
         raise NotAHomomorphism("matrix is not a scalar multiple")
     return s
 
@@ -494,16 +408,7 @@ def conjugator_for_endo(e: Endo) -> Conjugator:
     n = alg.n
     N = mat_size(alg)
     A, B, proj, ybar = _twisted_generators(e)
-    col = None
-    for s in range(N):
-        cand = [proj[i][s] for i in range(N)]
-        if any(cand):
-            col = cand
-            break
-    if col is None:
-        raise NotAHomomorphism("twisted vacuum projector vanishes")
-    cont = column_content(col)
-    r0 = [C.divexact(entry, cont) if entry else entry for entry in col]
+    r0 = _primitive_first_column(proj, "twisted vacuum projector")
     # columns v_i = A^i r0, filled by first-index recursion
     vcols: dict = {(0,) * n: r0}
 
@@ -512,7 +417,7 @@ def conjugator_for_endo(e: Endo) -> Conjugator:
         if got is None:
             l = next(i for i, x in enumerate(m) if x)
             prev = vcol(tuple(x - (1 if i == l else 0) for i, x in enumerate(m)))
-            got = mat_vec(A[l], prev)
+            got = C.mat_vec(A[l], prev)
             vcols[m] = got
         return got
 
@@ -527,28 +432,28 @@ def conjugator_for_endo(e: Endo) -> Conjugator:
             if got is None:
                 l = next(i for i, x in enumerate(m) if x)
                 prev = bcol(tuple(x - (1 if i == l else 0) for i, x in enumerate(m)))
-                got = mat_vec(B[l], prev)
+                got = C.mat_vec(B[l], prev)
                 cur[m] = got
             return got
 
         for j, mj in _exps_iter(alg):
-            w = mat_vec(proj, bcol(mj))
+            w = C.mat_vec(proj, bcol(mj))
             inv = _inv_factorial(alg, mj)
             w = [entry.scale(inv) for entry in w]
             want = r0 if j == k else None
             for t in range(N):
-                target = want[t] if want is not None else _zero(alg)
+                target = want[t] if want is not None else C.poly_zero(alg, "y")
                 if w[t] != target:
                     raise NotAHomomorphism(
                         f"matrix-unit relation fails at (j={mj}, k={mk})"
                     )
-    detG = C.det([list(row) for row in G])
+    detG = C.det(G)
     if detG.is_zero() or not detG.is_constant():
         raise NotAHomomorphism("conjugator determinant is not a nonzero constant")
     # twisted-scalar extraction: rep(u_i) G - G nu_i = ybar_i G
     extracted = []
     for i in range(2 * n):
-        M = mat_sub(mat_mul(rep(alg, e.u(i)), G), mat_mul(G, nu(alg, i)))
+        M = C.mat_sub(C.mat_mul(rep(alg, e.u(i)), G), C.mat_mul(G, nu(alg, i)))
         try:
             s = extract_twisted_scalar(G, M)
         except NotAHomomorphism:

@@ -22,7 +22,7 @@ from itertools import product as iter_product
 from math import comb, factorial
 
 from .errors import NotCentral, ParamsMismatch, WeyliftError
-from .scalars import FieldElem, FieldParams, Witt2
+from .scalars import FieldParams, Witt2
 
 NEG_INF = float("-inf")
 
@@ -116,29 +116,30 @@ class AlgebraParams:
         return WeylElem(self, ring, clean)
 
 
-class WeylElem:
-    """A sparse element of A_n over k ("k") or over W_2(k) ("w2").
+class SparseElem:
+    """A sparse map from exponent vectors to nonzero coefficients.
+
+    The arithmetic WeylElem and center.Poly share.  A subclass names its
+    coefficient ring ("k" or "w2") in ``ring`` and the variable letter in
+    ``var``; operands must agree on the algebra, the ring and the letter.
+    It supplies ``_like`` (an element of its own kind with the given terms)
+    and its own product.
 
     Instances are treated as immutable: no method mutates terms after
     construction, so sharing across threads or caches is safe.
     """
 
-    __slots__ = ("alg", "ring", "terms")
+    __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: AlgebraParams, ring: str, terms: dict):
-        if ring not in ("k", "w2"):
-            raise WeyliftError(f"unknown coefficient ring {ring!r}")
-        self.alg = alg
-        self.ring = ring
-        self.terms = terms
+    def _like(self, terms: dict):
+        raise NotImplementedError
 
-    # -- basics --------------------------------------------------------------
-
-    def _require_compatible(self, other: WeylElem) -> None:
-        if self.alg != other.alg:
-            raise ParamsMismatch("elements from different algebras")
-        if self.ring != other.ring:
-            raise ParamsMismatch(f"ring mismatch: {self.ring} vs {other.ring}")
+    def _require_compatible(self, other) -> None:
+        if (self.alg, self.ring, self.var) != (other.alg, other.ring, other.var):
+            raise ParamsMismatch(
+                f"operands from different algebras, rings or variables: "
+                f"{self.ring}/{self.var} vs {other.ring}/{other.var}"
+            )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -147,9 +148,11 @@ class WeylElem:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElem):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.alg == other.alg and self.ring == other.ring and self.terms == other.terms
+        return (self.alg, self.ring, self.var) == (other.alg, other.ring, other.var) and (
+            self.terms == other.terms
+        )
 
     __hash__ = None
 
@@ -165,10 +168,11 @@ class WeylElem:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
+        v = self.var
         bits = []
         for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)[:8]:
             mono = "*".join(
-                f"z{i + 1}^{e}" if e > 1 else f"z{i + 1}" for i, e in enumerate(exps) if e
+                f"{v}{i + 1}^{e}" if e > 1 else f"{v}{i + 1}" for i, e in enumerate(exps) if e
             )
             c = self.terms[exps]
             bits.append(f"{c!r}*{mono}" if mono else f"{c!r}")
@@ -177,7 +181,7 @@ class WeylElem:
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other: WeylElem) -> WeylElem:
+    def __add__(self, other):
         self._require_compatible(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -187,36 +191,28 @@ class WeylElem:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return WeylElem(self.alg, self.ring, out)
+        return self._like(out)
 
-    def __neg__(self) -> WeylElem:
-        return WeylElem(self.alg, self.ring, {e: -c for e, c in self.terms.items()})
+    def __neg__(self):
+        return self._like({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: WeylElem) -> WeylElem:
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> WeylElem:
+    def scale(self, c):
         if not c:
-            return WeylElem(self.alg, self.ring, {})
+            return self._like({})
         out = {}
         for e, v in self.terms.items():
             w = c * v
             if w:
                 out[e] = w
-        return WeylElem(self.alg, self.ring, out)
+        return self._like(out)
 
-    # -- multiplication ------------------------------------------------------
-
-    def __mul__(self, other: WeylElem) -> WeylElem:
-        self._require_compatible(other)
-        if not self.terms or not other.terms:
-            return WeylElem(self.alg, self.ring, {})
-        return _mul_generic(self, other)
-
-    def __pow__(self, e: int) -> WeylElem:
+    def __pow__(self, e: int):
         if e < 0:
             raise WeyliftError("negative powers are not defined")
-        result = self.alg.one_elem(self.ring)
+        result = self._like({(0,) * self.alg.nvars: self.alg.ring_one(self.ring)})
         base = self
         while e:
             if e & 1:
@@ -225,6 +221,47 @@ class WeylElem:
             if e:
                 base = base * base
         return result
+
+    def pderiv(self, i: int):
+        """Formal partial derivative in variable i (0-based), in characteristic p.
+
+        For a Weyl element this is the commutator with a conjugate generator:
+        [z_{n+l}, f] = df/dz_l and [z_l, f] = -df/dz_{n+l}.
+        """
+        alg, ring = self.alg, self.ring
+        out = {}
+        for e, c in self.terms.items():
+            if e[i] == 0:
+                continue
+            w = c * alg.ring_from_int(ring, e[i])
+            if w:
+                out[tuple(x - 1 if j == i else x for j, x in enumerate(e))] = w
+        return self._like(out)
+
+
+class WeylElem(SparseElem):
+    """A sparse element of A_n over k ("k") or over W_2(k) ("w2")."""
+
+    __slots__ = ("ring",)
+    var = "z"
+
+    def __init__(self, alg: AlgebraParams, ring: str, terms: dict):
+        if ring not in ("k", "w2"):
+            raise WeyliftError(f"unknown coefficient ring {ring!r}")
+        self.alg = alg
+        self.ring = ring
+        self.terms = terms
+
+    def _like(self, terms: dict) -> WeylElem:
+        return WeylElem(self.alg, self.ring, terms)
+
+    # -- multiplication ------------------------------------------------------
+
+    def __mul__(self, other: WeylElem) -> WeylElem:
+        self._require_compatible(other)
+        if not self.terms or not other.terms:
+            return WeylElem(self.alg, self.ring, {})
+        return _mul_generic(self, other)
 
     def times_central_monomial(self, exps, coeff=None) -> WeylElem:
         """Multiply by the central monomial z^exps (all exponents divisible by p).

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +84,35 @@ def test_w2_iso_sampled_at_largest_p():
         assert _iso(field, u * v) == (_iso(field, u) * _iso(field, v)) % (p * p)
         t = rng.randrange(-p * p, 2 * p * p)
         assert _iso(field, field.w2_from_int(t)) == t % (p * p)
+
+
+def _quadratic_modulus(p: int) -> tuple:
+    """An irreducible monic quadratic over F_p: t^2 + t + 1 at p = 2, else t^2 + c."""
+    if p == 2:
+        return (1, 1, 1)
+    c = next(c for c in range(1, p) if pow(-c % p, (p - 1) // 2, p) == p - 1)
+    return (c, 0, 1)
+
+
+def test_carry_table_matches_binomial_definition():
+    """The closed form (-1)^k / k mod p is -(binom(p,k)/p) mod p, every prime <= 101."""
+    primes = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
+    for p in primes:
+        field = FieldParams(p, 2, _quadratic_modulus(p))
+        assert field._cache["carry"] == tuple((-(comb(p, k) // p)) % p for k in range(p + 1))
+
+
+def test_extension_field_at_largest_p():
+    """FieldParams(32749, 2, t^2 + c) builds in well under the binomial table's minutes."""
+    p = 32749
+    start = time.perf_counter()
+    field = FieldParams(p, 2, _quadratic_modulus(p))
+    assert time.perf_counter() - start < 5.0
+    rng = random.Random(p)
+    for _ in range(3):
+        a, b = rng.randrange(p), rng.randrange(p)
+        want = (pow(a, p, p * p) + pow(b, p, p * p) - pow(a + b, p, p * p)) % (p * p) // p
+        assert field.carry(field.from_int(a), field.from_int(b)) == field.from_int(want)
 
 
 def test_teichmuller_is_multiplicative():

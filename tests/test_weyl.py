@@ -112,6 +112,23 @@ def test_product_ring_axioms(p, n):
             assert f * alg.one_elem(ring) == f
 
 
+@pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (5, 1), (5, 2), (9, 1), (9, 2)])
+def test_pderiv_is_bracket_with_conjugate_generator(q, n):
+    """[z_{n+l}, f] = df/dz_l and [z_l, f] = -df/dz_{n+l} over F_3, F_5, F_9."""
+    field = FieldParams(3, 2, (1, 0, 1)) if q == 9 else FieldParams(q)
+    alg = AlgebraParams(n, field)
+    rng = random.Random(("pderiv", q, n).__repr__())
+    for _ in range(10):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(0, 4) for _ in range(alg.nvars))
+            terms[exps] = field.element(rng.randrange(field.p) for _ in range(field.m))
+        f = alg.from_terms(terms)
+        for l in range(n):
+            assert commutator(alg.gen(n + l), f) == f.pderiv(l)
+            assert commutator(alg.gen(l), f) == -f.pderiv(n + l)
+
+
 def test_defining_relations():
     alg = AlgebraParams(2, FieldParams(5))
     for i in range(4):
