@@ -8,11 +8,16 @@ correspondence
 
     psi( f(x) u^^m ) = f(y^p) y^m      (S = k[y_1..y_2n])
 
-intertwines ad(u_i) with d/dy_i.  The obstruction terms u_ij assemble into
-a closed 2-form F = sum_{i<j} psi(u_ij) dy_i dy_j; splitting F into an
-exact part d(h) plus a harmonic part supported on k[y^p] y_i^{p-1} y_j^{p-1}
-dy_i dy_j recovers the obstruction matrix, and when the harmonic part is
-zero the 1-form h pulls back to correction terms v_i making
+intertwines ad(u_i) with d/dy_i.  The same intertwining computes the
+expansion itself: basis_expand peels the coefficients off with exact ad
+chains, one generator at a time, and solves no linear system (the
+bounded-degree solve survives only as basis_expand_oracle, for tests).
+
+The obstruction terms u_ij assemble into a closed 2-form
+F = sum_{i<j} psi(u_ij) dy_i dy_j; splitting F into an exact part d(h)
+plus a harmonic part supported on k[y^p] y_i^{p-1} y_j^{p-1} dy_i dy_j
+recovers the obstruction matrix, and when the harmonic part is zero the
+1-form h pulls back to correction terms v_i making
 Phi(z_i) = [u_i] + p [v_i] a lift to W_2(k).
 
 The splitting processes variables in increasing order; each stage first
@@ -25,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from math import factorial
 
 from . import center as C
-from . import linsolve
 from .endo import Endo
 from .errors import InternalInconsistency, NotClosed, SolveFailure, WeyliftError
 from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, teich_lift, times_p_elem
@@ -66,6 +71,62 @@ def _ordered_monomial(e: Endo, which: str, m: tuple) -> WeylElem:
     return res
 
 
+def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
+    """Write f as sum_m g_m(x) * (ordered monomial m); returns {m: Poly(x)}.
+
+    Exact ad-chain peel, no linear algebra.  The duals d_i of the basis
+    generators g_i (d_i = u_i for g = u^, d_i = -u^_i for g = u) satisfy
+    [d_i, g_j] = delta_ij, so ad(d_i) acts on ordered monomials as d/dg_i.
+    Writing h = sum_j g_i^j F_j with F_j free of g_1 .. g_i,
+
+        ad(d_i)^k h = sum_{j >= k} j!/(j-k)! g_i^{j-k} F_j      (j < p),
+
+    so the F_k come out top-down, divided by k! (a unit since k < p), and
+    each nonzero F_k is peeled in the next generator.  What is left after
+    all 2n generators is the central coefficient.  A non-central leaf or
+    ad(d_i)^p h != 0 would put f outside the span, which freeness rules out.
+    """
+    alg = e.alg
+    field = alg.field
+    p = field.p
+    n2 = alg.nvars
+    duals = [e.u(i) if which == "uhat" else -e.u_hat(i) for i in range(n2)]
+    inv_fact = [field.from_int(factorial(k)).inverse() for k in range(p)]
+    out: dict = {}
+
+    def peel(h: WeylElem, i: int, m: tuple) -> None:
+        if i == n2:
+            if not h.is_central():
+                raise InternalInconsistency(f"expansion coefficient of {m} is not central")
+            out[m] = h.to_center_poly()
+            return
+        chain = [h]
+        for _ in range(p):
+            nxt = commutator(duals[i], chain[-1])
+            if nxt.is_zero():
+                break
+            chain.append(nxt)
+        if len(chain) > p:
+            raise InternalInconsistency(f"ad(d_{i + 1})^p does not kill the element")
+        unit = [0] * n2
+        F: dict = {}
+        for k in range(len(chain) - 1, -1, -1):
+            acc = chain[k]
+            for j, Fj in F.items():
+                unit[i] = j - k
+                g_pow = _ordered_monomial(e, which, tuple(unit))
+                acc = acc - (g_pow * Fj).scale(field.from_int(factorial(j) // factorial(j - k)))
+            Fk = acc.scale(inv_fact[k])
+            if Fk:
+                F[k] = Fk
+        for k in sorted(F):
+            peel(F[k], i + 1, m + (k,))
+
+    if f:
+        peel(f, 0, ())
+    return out
+
+
 def _exps_bounded(nvars: int, total: int):
     """All exponent vectors with given coordinate count and sum <= total."""
     if nvars == 0:
@@ -76,13 +137,16 @@ def _exps_bounded(nvars: int, total: int):
             yield (head,) + tail
 
 
-def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
-    """Write f as sum_m g_m(x) * (ordered monomial m); returns {m: Poly(x)}.
+def basis_expand_oracle(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
+    """Test oracle for basis_expand by linear algebra instead of ad chains.
 
     Solves a bounded-degree linear system over k against the free-module
     basis; the degree bound starts at deg f and grows by p until the system
     is consistent (freeness guarantees termination for elements of A_n(k)).
+    The candidates are distinct basis elements, so the solution is unique.
     """
+    from . import linsolve
+
     alg = e.alg
     p = alg.field.p
     n2 = alg.nvars
@@ -93,7 +157,7 @@ def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
     cap = int(f.degree()) + (p - 1) * sum(gens_deg) + 2 * p
     while True:
         cands = []
-        elems = []
+        cols = []
         for m in iter_product(range(p), repeat=n2):
             base_deg = sum(mi * di for mi, di in zip(m, gens_deg))
             if base_deg > D:
@@ -101,14 +165,8 @@ def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
             mono = _ordered_monomial(e, which, m)
             for a in _exps_bounded(n2, (D - base_deg) // p):
                 cands.append((m, a))
-                elems.append(mono.times_central_monomial(tuple(p * x for x in a)))
-        support = set(f.terms)
-        for el in elems:
-            support.update(el.terms)
-        support = sorted(support)
-        rows = [[el.terms.get(s, alg.field.zero) for el in elems] for s in support]
-        rhs = [f.terms.get(s, alg.field.zero) for s in support]
-        sol = linsolve.solve(alg.field, rows, rhs)
+                cols.append(mono.times_central_monomial(tuple(p * x for x in a)).terms)
+        sol = linsolve.solve(alg.field, cols, f.terms)
         if sol is not None:
             out: dict = {}
             for (m, a), c in zip(cands, sol):

@@ -1,8 +1,10 @@
-"""Exact linear solving over F_{p^m}.
+"""Exact linear solving over F_{p^m}, for the basis-expansion test oracle.
 
-Used for basis expansions in the twisted generator bases (psi and the trace
-cross-check).  Prime fields go through a vectorized numpy elimination mod p;
-extension fields use the same elimination over FieldElem entries.
+The library expands by exact ad chains (cohomology.basis_expand); only
+cohomology.basis_expand_oracle solves linear systems, as an independent
+route.  Systems arrive as sparse columns.  Prime fields go through a
+vectorized numpy elimination mod p; extension fields through a sparse
+Gauss-Jordan elimination over FieldElem entries.
 """
 
 from __future__ import annotations
@@ -12,23 +14,36 @@ import numpy as np
 from .scalars import FieldParams
 
 
-def solve(params: FieldParams, rows: list[list], rhs: list):
-    """Solve A x = b over the field; returns a particular solution or None.
+def solve(params: FieldParams, cols: list[dict], rhs: dict):
+    """Solve sum_c x_c cols[c] = rhs over the field; a solution or None.
 
-    rows is a list of coefficient lists (FieldElem), rhs a list of FieldElem.
-    Free variables are set to zero.  None means the system is inconsistent.
+    Each column and the right side map row keys to FieldElem; the rows are
+    the union of their keys, in no particular order.  Free variables are
+    set to zero.  None means the system is inconsistent.
     """
+    index: dict = {}
+    for col in cols:
+        for key in col:
+            index.setdefault(key, len(index))
+    for key in rhs:
+        index.setdefault(key, len(index))
+    ncols = len(cols)
+    entries = [(index[key], c, v) for c, col in enumerate(cols) for key, v in col.items()]
+    entries += [(index[key], ncols, v) for key, v in rhs.items()]
     if params.m == 1:
-        a = np.array(
-            [[c.coeffs[0] for c in row] + [b.coeffs[0]] for row, b in zip(rows, rhs)],
-            dtype=np.int64,
-        )
-        sol = _solve_mod_p(a, params.p)
+        aug = np.zeros((len(index), ncols + 1), dtype=np.int64)
+        if entries:
+            r, c, v = zip(*entries)
+            aug[list(r), list(c)] = [x.coeffs[0] for x in v]
+        sol = _solve_mod_p(aug, params.p)
         if sol is None:
             return None
         elems = params._cache["elems"]
         return [elems[v] for v in sol]
-    return _solve_generic(params, rows, rhs)
+    rows: list[dict] = [{} for _ in index]
+    for r, c, v in entries:
+        rows[r][c] = v
+    return _solve_generic(params, rows, ncols)
 
 
 def _solve_mod_p(aug: np.ndarray, p: int):
@@ -68,32 +83,44 @@ def _solve_mod_p(aug: np.ndarray, p: int):
     return sol
 
 
-def _solve_generic(params: FieldParams, rows: list[list], rhs: list):
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
+def _solve_generic(params: FieldParams, rows: list[dict], ncols: int):
+    """Sparse Gauss-Jordan over FieldElem entries; rows are modified in place.
+
+    Each row maps a column to its nonzero entry, column ncols being the
+    right side.  The pivot for a column is the shortest row still free, which
+    keeps fill-in low on the very sparse expansion systems.
+    """
+    where: dict = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            where.setdefault(c, set()).add(r)
+    free = set(range(len(rows)))
+    pivots = {}
     for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if pr is None:
+        cands = [r for r in where.get(c, ()) if r in free]
+        if not cands:
             continue
-        if pr != r:
-            aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    sol = [params.zero] * ncols
-    for rr, cc in pivots:
-        sol[cc] = aug[rr][ncols]
-    return sol
+        pr = min(cands, key=lambda r: (len(rows[r]), r))
+        free.discard(pr)
+        inv = rows[pr][c].inverse()
+        prow = {k: v * inv for k, v in rows[pr].items()}
+        rows[pr] = prow
+        for r in where[c] - {pr}:
+            row = rows[r]
+            f = row[c]
+            for k, v in prow.items():
+                s = row.get(k)
+                s = -(f * v) if s is None else s - f * v
+                if s:
+                    if k not in row:
+                        where.setdefault(k, set()).add(r)
+                    row[k] = s
+                elif k in row:
+                    del row[k]
+                    where[k].discard(r)
+        pivots[c] = pr
+    # a free row is zero in every column, so it only constrains the right side
+    if any(rows[r].get(ncols) for r in free):
+        return None
+    return [rows[pivots[c]].get(ncols, params.zero) if c in pivots else params.zero
+            for c in range(ncols)]

@@ -2,8 +2,7 @@
 
 A FieldParams object fixes (p, m, modulus) and interns the small amount of
 precomputed data everything else relies on: for m = 1 the table of field
-elements so arithmetic does not allocate, and for m > 1 the carry
-coefficients binom(p,k)/p mod p used by Witt addition.
+elements, so arithmetic does not allocate.
 
 Witt vectors are pairs (a1, a2) with the standard length-2 laws:
 
@@ -12,10 +11,11 @@ Witt vectors are pairs (a1, a2) with the standard length-2 laws:
     p * (a1,a2)       = (0, a1^p)
 
 The carry c is the integral polynomial -sum_{0<k<p} (binom(p,k)/p) a^k b^{p-k}
-reduced mod p, evaluated inside k; over F_p it is read off integers mod p^2
-directly, as is the image of an integer in W_2(F_p).  W_2(k) has
-characteristic p^2 and every element decomposes uniquely as
-[a1] + p*[a2^{1/p}] with [.] the Teichmuller lift.
+reduced mod p, evaluated inside k.  It is read off p-th powers of lifts in
+the Galois ring W_2(k) = (Z/p^2)[t]/(F~) (the integers mod p^2 over F_p),
+as is the image of an integer in W_2(F_p).  W_2(k) has characteristic p^2
+and every element decomposes uniquely as [a1] + p*[a2^{1/p}] with [.] the
+Teichmuller lift.
 """
 
 from __future__ import annotations
@@ -177,13 +177,6 @@ class FieldParams:
             self._cache["elems"] = tuple(
                 FieldElem(self, (r,), _checked=True) for r in range(p)
             )
-        else:
-            # Carry coefficients -(binom(p,k)/p) mod p, indexed by k: since
-            # binom(p,k)/p = (p-1)...(p-k+1)/k! = (-1)^(k-1)/k mod p, they are
-            # (-1)^k/k for 0 < k < p and 0 at k = 0 and k = p.
-            self._cache["carry"] = (
-                (0,) + tuple((-1) ** k * pow(k, -1, p) % p for k in range(1, p)) + (0,)
-            )
 
     # -- element constructors ------------------------------------------------
 
@@ -225,27 +218,29 @@ class FieldParams:
             yield self.element(coeffs)
 
     def carry(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        """Witt addition carry: (a^p + b^p - (a+b)^p)/p as an element of k."""
+        """Witt addition carry: (a^p + b^p - (a+b)^p)/p as an element of k.
+
+        Computed in the Galois ring W_2(k) = (Z/p^2)[t]/(F~), with F~ the
+        modulus read over the integers (the integers mod p^2 when m = 1):
+        for any lifts A, B of a, b the numerator is divisible by p and its
+        quotient reduces to the carry mod p.  Square and multiply, O(log p).
+        """
         p = self.p
+        pp = p * p
         if self.m == 1:
             av, bv = a.coeffs[0], b.coeffs[0]
-            pp = p * p
             x = (pow(av, p, pp) + pow(bv, p, pp) - pow(av + bv, p, pp)) % pp
             return self._cache["elems"][x // p]
         if a.is_zero() or b.is_zero():
             return self.zero
-        coeffs = self._cache["carry"]
-        total = self.zero
-        apow = self.one
-        bpows = [self.one]
-        for _ in range(p):
-            bpows.append(bpows[-1] * b)
-        for k in range(1, p):
-            apow = apow * a
-            ck = coeffs[k]
-            if ck:
-                total = total + self.from_int(ck) * apow * bpows[p - k]
-        return total
+        mod = list(self.modulus)
+        A, B = list(a.coeffs), list(b.coeffs)
+        powers = [_uni_powmod(x, p, mod, pp) for x in (A, B, [u + v for u, v in zip(A, B)])]
+        num = [0] * self.m
+        for sign, poly in zip((1, 1, -1), powers):
+            for i, c in enumerate(poly):
+                num[i] += sign * c
+        return FieldElem(self, tuple(c % pp // p for c in num), _checked=True)
 
     # -- Witt constructors ---------------------------------------------------
 

@@ -5,7 +5,7 @@ Over S = k[y] with x_i = y_i^p, sending z_l to (multiplication by T_l)
 p^n by p^n matrix algebra over S acting on k[T]/(T_1^p, .., T_n^p).  The
 matrix trace recovers the coefficient of z^(p-1,..,p-1) in any basis
 expansion (times (-1)^n), giving a route to expansion coefficients that
-is independent of linear solving.
+never looks at the images, independent of the ad-chain expansion.
 
 For an endomorphism with images u_i the same recipe applied to
 rep(u_l) - ybar_l turns the standard matrix units into their twisted
@@ -125,7 +125,7 @@ def trace_top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
     top monomial u_1^{p-1} .. u_2n^{p-1} in the expansion of f over the
     basis twisted by the endomorphism, for any valid endomorphism; the
     matrix side never looks at the images, which is the point of the
-    cross-check against the linear-solve expansion.
+    cross-check against the ad-chain expansion (cohomology.basis_expand).
     """
     t = trace(rep(e.alg, f))
     if e.alg.n % 2:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,26 @@ def test_lift_on_liftable_input(capsys):
     for img in rep["lift"]["Phi"]:
         for exps, coeff in img:
             assert len(coeff) == 2
+
+
+def test_bkk_p5_trace_check_finishes(capsys):
+    """The largest shipped trace-check; its expansions are ad-chain peels."""
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["trace-check", "--input", str(SPEC_DIR / "bkk_p5.spec")])
+    assert time.perf_counter() - start < 30
+    assert code == 0
+    assert json.loads(out)["trace_check"] == {"samples": 8, "agree": True}
+
+
+def test_lift_of_degree_13_etale_map(capsys, tmp_path):
+    """z2 -> z2 + z2^13 at p = 13: a degree-13 lift through the CLI."""
+    spec = _write(tmp_path, "e13.spec", "p = 13\nn = 1\nphi.1 = z1\nphi.2 = z2 + z2^13\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["lift", "--input", spec])
+    assert time.perf_counter() - start < 30
+    assert code == 0
+    lift = json.loads(out)["lift"]
+    assert lift["liftable"] is True and lift["verified"] is True
 
 
 def test_invalid_endomorphism_exits_2(capsys, tmp_path):

@@ -8,13 +8,15 @@ recover the planted harmonic coefficients exactly.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from weylift import center as C
+from weylift import cli
 from weylift import cohomology as coh
 from weylift import diffeq
-from weylift.endo import bkk_family, etale_family, generate_corpus, identity_endo
+from weylift.endo import Endo, bkk_family, etale_family, generate_corpus, identity_endo
 from weylift.errors import NotClosed
 from weylift.scalars import FieldParams
 from weylift.weyl import AlgebraParams, ad_pow, commutator, teich_lift, times_p_elem
@@ -185,6 +187,34 @@ def test_basis_expand_reconstructs(corpus):
         assert rebuilt == f
 
 
+def _expansion_inputs(e):
+    """The obstruction terms u_ij and the trace-check samples of one map."""
+    n2 = e.alg.nvars
+    return [e.u_ij(i, j) for i in range(n2) for j in range(i + 1, n2)] + cli._trace_samples(e, 0)
+
+
+def _f9_family_maps():
+    field = FieldParams(3, 2)
+    t = field.element((0, 1))
+    return [
+        family(AlgebraParams(n, field), i, t)
+        for family, n in ((etale_family, 1), (bkk_family, 2))
+        for i in range(field.p)
+    ]
+
+
+def test_basis_expand_matches_oracle(corpus):
+    """The ad-chain peel and the linear-system oracle give the same expansion."""
+    seeded = [e for e in corpus if (e.alg.field.p, e.alg.n) in {(3, 1), (3, 2), (5, 1)}]
+    checked = 0
+    for e in seeded[::4] + _f9_family_maps():
+        for f in _expansion_inputs(e):
+            for which in ("uhat", "u"):
+                assert coh.basis_expand(e, f, which) == coh.basis_expand_oracle(e, f, which)
+                checked += 1
+    assert checked >= 200
+
+
 def test_psi_properties(a1_f3, corpus):
     ident = identity_endo(a1_f3)
     # z1 = u-hat_2 at the identity, so psi(z1) = y2
@@ -304,6 +334,17 @@ def test_families_over_f9_with_non_prime_coefficient(family, n):
         assert rep.etale
         assert C.mat_eq(e.obstruction_C, e.obstruction_C_oracle)
         assert isinstance(coh.construct_lift(e), coh.Lift) == rep.liftable
+
+
+def test_construct_lift_at_p61():
+    """z2 -> z2 + z2^61 lifts and the lift verifies, in bounded time."""
+    alg = AlgebraParams(1, FieldParams(61))
+    e = Endo(alg, [alg.gen(0), alg.gen(1) + alg.monomial((0, 61))])
+    start = time.perf_counter()
+    out = coh.construct_lift(e)
+    assert time.perf_counter() - start < 30
+    assert isinstance(out, coh.Lift)
+    assert coh.verify_lift(alg, out.Phi)
 
 
 def test_verify_lift_rejects_wrong_images(a1_f3):

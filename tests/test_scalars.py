@@ -95,11 +95,19 @@ def _quadratic_modulus(p: int) -> tuple:
 
 
 def test_carry_table_matches_binomial_definition():
-    """The closed form (-1)^k / k mod p is -(binom(p,k)/p) mod p, every prime <= 101."""
+    """field.carry is -sum_k (binom(p,k)/p) a^k b^(p-k) over F_{p^2}, every prime <= 101."""
     primes = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
+    rng = random.Random(101)
     for p in primes:
         field = FieldParams(p, 2, _quadratic_modulus(p))
-        assert field._cache["carry"] == tuple((-(comb(p, k) // p)) % p for k in range(p + 1))
+        weights = [field.from_int(-(comb(p, k) // p)) for k in range(p)]
+        for _ in range(4):
+            a = field.element((rng.randrange(p), rng.randrange(p)))
+            b = field.element((rng.randrange(p), rng.randrange(p)))
+            want = field.zero
+            for k in range(1, p):
+                want = want + weights[k] * a**k * b ** (p - k)
+            assert field.carry(a, b) == want
 
 
 def test_extension_field_at_largest_p():
@@ -113,6 +121,21 @@ def test_extension_field_at_largest_p():
         a, b = rng.randrange(p), rng.randrange(p)
         want = (pow(a, p, p * p) + pow(b, p, p * p) - pow(a + b, p, p * p)) % (p * p) // p
         assert field.carry(field.from_int(a), field.from_int(b)) == field.from_int(want)
+
+
+def test_w2_addition_at_largest_p_extension_field():
+    """One W_2 addition over F_{32749^2}: its carry is O(log p), not O(p)."""
+    p = 32749
+    field = FieldParams(p, 2, _quadratic_modulus(p))
+    rng = random.Random(p + 1)
+    x, y = (
+        field.witt(*(field.element((rng.randrange(p), rng.randrange(p))) for _ in range(2)))
+        for _ in range(2)
+    )
+    start = time.perf_counter()
+    total = x + y
+    assert time.perf_counter() - start < 0.1
+    assert total - y == x
 
 
 def test_teichmuller_is_multiplicative():
