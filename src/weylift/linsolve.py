@@ -2,14 +2,11 @@
 
 The library expands by exact ad chains (cohomology.basis_expand); only
 cohomology.basis_expand_oracle solves linear systems, as an independent
-route.  Systems arrive as sparse columns.  Prime fields go through a
-vectorized numpy elimination mod p; extension fields through a sparse
-Gauss-Jordan elimination over FieldElem entries.
+route.  Systems arrive as sparse columns and go, for every field, through
+one sparse Gauss-Jordan elimination over FieldElem entries.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .scalars import FieldParams
 
@@ -27,60 +24,14 @@ def solve(params: FieldParams, cols: list[dict], rhs: dict):
             index.setdefault(key, len(index))
     for key in rhs:
         index.setdefault(key, len(index))
-    ncols = len(cols)
-    entries = [(index[key], c, v) for c, col in enumerate(cols) for key, v in col.items()]
-    entries += [(index[key], ncols, v) for key, v in rhs.items()]
-    if params.m == 1:
-        aug = np.zeros((len(index), ncols + 1), dtype=np.int64)
-        if entries:
-            r, c, v = zip(*entries)
-            aug[list(r), list(c)] = [x.coeffs[0] for x in v]
-        sol = _solve_mod_p(aug, params.p)
-        if sol is None:
-            return None
-        elems = params._cache["elems"]
-        return [elems[v] for v in sol]
     rows: list[dict] = [{} for _ in index]
-    for r, c, v in entries:
-        rows[r][c] = v
+    for c, col in enumerate(cols):
+        for key, v in col.items():
+            rows[index[key]][c] = v
+    ncols = len(cols)
+    for key, v in rhs.items():
+        rows[index[key]][ncols] = v
     return _solve_generic(params, rows, ncols)
-
-
-def _solve_mod_p(aug: np.ndarray, p: int):
-    """Gauss-Jordan elimination of an augmented int64 matrix mod p."""
-    nrows, ncols1 = aug.shape
-    ncols = ncols1 - 1
-    aug = aug % p
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if aug[i, c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            aug[[r, pr]] = aug[[pr, r]]
-        inv = pow(int(aug[r, c]), p - 2, p)
-        aug[r] = aug[r] * inv % p
-        mask = aug[:, c].copy()
-        mask[r] = 0
-        nz = np.nonzero(mask)[0]
-        if nz.size:
-            aug[nz] = (aug[nz] - np.outer(mask[nz], aug[r])) % p
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, nrows):
-        if aug[i, ncols]:
-            return None
-    sol = [0] * ncols
-    for rr, cc in pivots:
-        sol[cc] = int(aug[rr, ncols])
-    return sol
 
 
 def _solve_generic(params: FieldParams, rows: list[dict], ncols: int):
