@@ -13,7 +13,8 @@ Witt vectors are pairs (a1, a2) with the standard length-2 laws:
 The carry c is the integral polynomial -sum_{0<k<p} (binom(p,k)/p) a^k b^{p-k}
 reduced mod p, evaluated inside k.  It is read off p-th powers of lifts in
 the Galois ring W_2(k) = (Z/p^2)[t]/(F~) (the integers mod p^2 over F_p),
-as is the image of an integer in W_2(F_p).  W_2(k) has characteristic p^2
+as is the image of an integer in W_2(F_p); w2_from_int and w2_to_int are
+the two directions of W_2(F_p) = Z/p^2.  W_2(k) has characteristic p^2
 and every element decomposes uniquely as [a1] + p*[a2^{1/p}] with [.] the
 Teichmuller lift.
 """
@@ -264,6 +265,18 @@ class FieldParams:
         r = t % p
         return Witt2(self.from_int(r), self.from_int((t - pow(r, p, pp)) % pp // p))
 
+    def w2_to_int(self, x: Witt2) -> int:
+        """The integer in [0, p^2) that w2_from_int maps to x; m = 1 only.
+
+        The inverse of w2_from_int: (a1, a2) -> a1^p + p a2 mod p^2, which
+        is a ring isomorphism W_2(F_p) -> Z/p^2.
+        """
+        if self.m != 1:
+            raise WeyliftError("w2_to_int needs m = 1: only W_2(F_p) is Z/p^2")
+        p = self.p
+        pp = p * p
+        return (pow(x.a1.coeffs[0], p, pp) + p * x.a2.coeffs[0]) % pp
+
 
 class FieldElem:
     """An element of F_{p^m}: a canonical coefficient vector over F_p."""
@@ -455,6 +468,8 @@ class Witt2:
         )
 
     def __pow__(self, e: int) -> Witt2:
+        if e < 0:
+            raise WeyliftError("negative powers are not defined")
         result = self.params.w2_one()
         base = self
         while e:

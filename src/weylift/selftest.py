@@ -23,13 +23,10 @@ def _f3() -> FieldParams:
 
 
 def fixture_witt_ring() -> None:
-    """W_2(F_p) is Z/p^2 under (a1, a2) -> a1^p + p a2^p, for p = 2, 3."""
+    """W_2(F_p) is Z/p^2 under w2_to_int, (a1, a2) -> a1^p + p a2, for p = 2, 3."""
     for p in (2, 3):
         field = FieldParams(p)
-
-        def enc(w: Witt2) -> int:
-            return (w.a1.coeffs[0] ** p + p * w.a2.coeffs[0] ** p) % (p * p)
-
+        enc = field.w2_to_int
         elems = [Witt2(field.element((a,)), field.element((b,))) for a in range(p) for b in range(p)]
         assert len({enc(w) for w in elems}) == p * p
         for x in elems:

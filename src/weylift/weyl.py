@@ -10,6 +10,13 @@ because the brackets are central):
 
     z_{n+l}^a z_l^b = sum_k binom(a,k) binom(b,k) k! z_l^{b-k} z_{n+l}^{a-k}
 
+Coefficients are stored as FieldElem / Witt2 objects.  Over F_p (m = 1)
+the product converts them at its boundary: F_p is Z/p by the residue and
+W_2(F_p) is Z/p^2 by FieldParams.w2_to_int, so the contraction runs on
+plain integers with weights cached mod p or p^2, and each output
+coefficient is reduced once and converted back.  For m > 1 the same loop
+runs on the objects.
+
 The naive single-swap rewriter mono_mul_naive is retained as a slow oracle;
 it fixes the sign conventions and the contraction product is tested against
 it.
@@ -18,7 +25,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from functools import partial
 from math import comb, factorial
 
 from .errors import NotCentral, ParamsMismatch, WeyliftError
@@ -63,21 +70,6 @@ class AlgebraParams:
         if ring == "k":
             return self.field.from_int(t)
         return self.field.w2_from_int(t)
-
-    def contraction_ring(self, ring: str, a: int, b: int, k: int):
-        """binom(a,k) binom(b,k) k! as a ring element (image of the integer).
-
-        The weight of k contractions between z_{n+l}^a and z_l^b.  The map
-        from the integers is a ring homomorphism, so the integer product is
-        mapped once and each contracted pair costs one ring multiplication.
-        """
-        cache = self._cache.setdefault("contraction", {})
-        key = (ring, a, b, k)
-        v = cache.get(key)
-        if v is None:
-            v = self.ring_from_int(ring, comb(a, k) * comb(b, k) * factorial(k))
-            cache[key] = v
-        return v
 
     # -- element constructors ------------------------------------------------
 
@@ -306,31 +298,79 @@ class WeylElem(SparseElem):
 
 
 def _mul_generic(A: WeylElem, B: WeylElem) -> WeylElem:
-    """Dictionary contraction product, valid over any coefficient ring."""
-    alg, ring = A.alg, A.ring
+    """Dictionary contraction product, valid over any coefficient ring.
+
+    For m = 1 the coefficients travel as ints mod q (module docstring); for
+    m > 1 the same loop runs on the FieldElem / Witt2 objects.
+    """
+    alg, ring, field = A.alg, A.ring, A.alg.field
     n = alg.n
+    if field.m == 1:
+        if ring == "k":
+            q, encode, decode = field.p, _residue, field.from_int
+        else:
+            q, encode, decode = field.p * field.p, field.w2_to_int, field.w2_from_int
+        a_terms = [(e, encode(c)) for e, c in A.terms.items()]
+        b_terms = [(e, encode(c)) for e, c in B.terms.items()]
+        rows = alg._cache.setdefault(("contraction", q), {})
+        image = q.__rmod__  # t -> t mod q
+
+        def finish(c):
+            c %= q
+            return decode(c) if c else None
+
+    else:
+        a_terms, b_terms = A.terms.items(), B.terms.items()
+        rows = alg._cache.setdefault(("contraction", ring), {})
+        image = partial(alg.ring_from_int, ring)
+
+        def finish(c):
+            return c
+
     out: dict = {}
-    for ea, ca in A.terms.items():
-        for eb, cb in B.terms.items():
+    for ea, ca in a_terms:
+        for eb, cb in b_terms:
             base = ca * cb
-            caps = [min(ea[n + l], eb[l]) for l in range(n)]
-            for kvec in iter_product(*(range(c + 1) for c in caps)):
-                coeff = base
-                for l, k in enumerate(kvec):
-                    if k:
-                        coeff = coeff * alg.contraction_ring(ring, ea[n + l], eb[l], k)
-                if not coeff:
-                    continue
-                exps = tuple(
-                    ea[i] + eb[i] - kvec[i if i < n else i - n] for i in range(2 * n)
-                )
+            if not base:  # over W_2 a product of two multiples of p
+                continue
+            # (low exponents, high exponents, coefficient), one pair l at a time
+            parts = [((), (), base)]
+            for l in range(n):
+                a, b = ea[n + l], eb[l]
+                lo, hi = ea[l] + b, a + eb[n + l]
+                row = rows.get((a, b))
+                if row is None:
+                    row = rows[(a, b)] = _contraction_row(a, b, image)
+                parts = [
+                    (x + (lo - k,), y + (hi - k,), c if w is None else c * w)
+                    for x, y, c in parts
+                    for k, w in row
+                ]
+            for x, y, c in parts:
+                exps = x + y
                 s = out.get(exps)
-                s = coeff if s is None else s + coeff
-                if s:
-                    out[exps] = s
-                elif exps in out:
-                    del out[exps]
-    return WeylElem(alg, ring, out)
+                out[exps] = c if s is None else s + c
+    return WeylElem(alg, ring, {e: v for e, c in out.items() if (v := finish(c))})
+
+
+def _residue(c) -> int:
+    """An element of F_p as its residue in [0, p)."""
+    return c.coeffs[0]
+
+
+def _contraction_row(a: int, b: int, image) -> tuple:
+    """The contractions between z_{n+l}^a and z_l^b with a nonzero weight.
+
+    (k, weight) for the k in 0..min(a, b) whose weight binom(a,k) binom(b,k)
+    k! has a nonzero image under ``image`` (ints mod q, or ring elements);
+    k = 0 carries None for the unit weight.
+    """
+    row = [(0, None)]
+    for k in range(1, min(a, b) + 1):
+        w = image(comb(a, k) * comb(b, k) * factorial(k))
+        if w:
+            row.append((k, w))
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,52 @@ def test_w2_iso_sampled_at_largest_p():
         assert _iso(field, field.w2_from_int(t)) == t % (p * p)
 
 
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_w2_to_int_is_inverse_ring_isomorphism(p):
+    """w2_to_int inverts w2_from_int and carries the Witt laws to Z/p^2."""
+    field = FieldParams(p)
+    pp = p * p
+    assert [field.w2_to_int(field.w2_from_int(t)) for t in range(pp)] == list(range(pp))
+    elems = [field.witt(a, b) for a in field.all_elements() for b in field.all_elements()]
+    for u in elems:
+        t = field.w2_to_int(u)
+        assert field.w2_from_int(t) == u
+        assert field.w2_to_int(-u) == -t % pp
+        assert field.w2_to_int(u.times_p()) == p * t % pp
+        for v in elems:
+            s = field.w2_to_int(v)
+            assert field.w2_to_int(u + v) == (t + s) % pp
+            assert field.w2_to_int(u * v) == t * s % pp
+
+
+def test_w2_to_int_sampled_at_largest_p():
+    field = FieldParams(32749)
+    p = field.p
+    pp = p * p
+    rng = random.Random(-32749)
+
+    def draw():
+        return field.witt(field.from_int(rng.randrange(p)), field.from_int(rng.randrange(p)))
+
+    for _ in range(200):
+        u, v = draw(), draw()
+        t, s = field.w2_to_int(u), field.w2_to_int(v)
+        assert 0 <= t < pp and field.w2_from_int(t) == u
+        assert field.w2_to_int(u + v) == (t + s) % pp
+        assert field.w2_to_int(u * v) == t * s % pp
+        assert field.w2_to_int(-u) == -t % pp
+        assert field.w2_to_int(u.times_p()) == p * t % pp
+        r = rng.randrange(pp)
+        assert field.w2_to_int(field.w2_from_int(r)) == r
+
+
+def test_w2_to_int_rejects_extension_field():
+    field = FieldParams(3, 2, (1, 0, 1))
+    with pytest.raises(WeyliftError):
+        field.w2_to_int(field.w2_one())
+
+
 def _quadratic_modulus(p: int) -> tuple:
     """An irreducible monic quadratic over F_p: t^2 + t + 1 at p = 2, else t^2 + c."""
     if p == 2:
@@ -214,3 +260,10 @@ def test_w2_powers():
     assert two**0 == field.w2_one()
     # the Teichmuller lift of 2 is (2, 0), which is 8 = -1 mod 9, not 2
     assert teichmuller(field.from_int(2)) == field.w2_from_int(8)
+
+
+def test_w2_negative_power_raises():
+    """A negative exponent raises; the square-and-multiply loop never ends on one."""
+    field = FieldParams(5)
+    with pytest.raises(WeyliftError):
+        field.w2_from_int(2) ** -1

@@ -2,7 +2,10 @@
 
 Two independent references keep the product honest: the in-module adjacent
 swap oracle, and a test-local recursion that commutes one generator at a
-time across power blocks.  The power-commutator identities
+time across power blocks.  Random elements carry arbitrary coefficients
+(over W_2 with independent Witt components) over F_p, F_9 (the object loop
+of m > 1) and F_32749 (coefficients mod p^2 near 2^30).  The
+power-commutator identities
 
     [u^t, v] = t k u^{t-1} + p sum_i u^i w u^{t-1-i}
     [u^p, v] = p (k u^{p-1} + ad(u)^{p-1} w)
@@ -75,19 +78,37 @@ def _ref_mul(f: WeylElem, g: WeylElem) -> WeylElem:
     return acc
 
 
+def _field(q: int) -> FieldParams:
+    """F_q for a prime q, or F_9 = F_3[t]/(t^2 + 1)."""
+    return FieldParams(3, 2, (1, 0, 1)) if q == 9 else FieldParams(q)
+
+
+def _random_coeff(field: FieldParams, rng: random.Random, ring: str):
+    """A nonzero coefficient; over W_2 the two Witt components are independent."""
+
+    def draw():
+        return field.element(rng.randrange(field.p) for _ in range(field.m))
+
+    while True:
+        c = draw() if ring == "k" else Witt2(draw(), draw())
+        if c:
+            return c
+
+
 def _random_elem(alg: AlgebraParams, rng: random.Random, max_deg: int, ring: str = "k"):
     terms = {}
     for _ in range(rng.randint(1, 3)):
         exps = tuple(rng.randint(0, max_deg) for _ in range(alg.nvars))
-        c = rng.randint(1, alg.field.p - 1)
-        terms[exps] = alg.ring_from_int(ring, c)
+        terms[exps] = _random_coeff(alg.field, rng, ring)
     return alg.from_terms(terms, ring)
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 2), (5, 2)])
-def test_product_against_two_references(p, n):
-    alg = AlgebraParams(n, FieldParams(p))
-    rng = random.Random(("refmul", p, n).__repr__())
+@pytest.mark.parametrize(
+    "q,n", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 2), (5, 2), (9, 1), (9, 2), (32749, 1), (32749, 2)]
+)
+def test_product_against_two_references(q, n):
+    alg = AlgebraParams(n, _field(q))
+    rng = random.Random(("refmul", q, n).__repr__())
     for ring in ("k", "w2"):
         for _ in range(12):
             ea = tuple(rng.randint(0, 4) for _ in range(alg.nvars))
@@ -95,12 +116,15 @@ def test_product_against_two_references(p, n):
             fast = mono_mul(alg, ea, eb, ring)
             assert fast == mono_mul_naive(alg, ea, eb, ring)
             assert fast == _ref_mul(alg.monomial(ea, ring=ring), alg.monomial(eb, ring=ring))
+            f = _random_elem(alg, rng, 4, ring)
+            g = _random_elem(alg, rng, 4, ring)
+            assert f * g == _ref_mul(f, g)
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (2, 2)])
-def test_product_ring_axioms(p, n):
-    alg = AlgebraParams(n, FieldParams(p))
-    rng = random.Random(("axioms", p, n).__repr__())
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (2, 2), (9, 1), (9, 2), (32749, 1), (32749, 2)])
+def test_product_ring_axioms(q, n):
+    alg = AlgebraParams(n, _field(q))
+    rng = random.Random(("axioms", q, n).__repr__())
     for ring in ("k", "w2"):
         for _ in range(8):
             f = _random_elem(alg, rng, 3, ring)
@@ -115,7 +139,7 @@ def test_product_ring_axioms(p, n):
 @pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (5, 1), (5, 2), (9, 1), (9, 2)])
 def test_pderiv_is_bracket_with_conjugate_generator(q, n):
     """[z_{n+l}, f] = df/dz_l and [z_l, f] = -df/dz_{n+l} over F_3, F_5, F_9."""
-    field = FieldParams(3, 2, (1, 0, 1)) if q == 9 else FieldParams(q)
+    field = _field(q)
     alg = AlgebraParams(n, field)
     rng = random.Random(("pderiv", q, n).__repr__())
     for _ in range(10):
