@@ -296,10 +296,10 @@ class FieldElem:
             raise ParamsMismatch(f"{self.params} vs {other.params}")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElem):
@@ -459,7 +459,9 @@ class Witt2:
         return Witt2(-self.a1, -self.a2 - carry)
 
     def __sub__(self, other: Witt2) -> Witt2:
-        return self + (-other)
+        # (d, x) + (b1, b2) = (a1, a2) with d = a1 - b1 forces x = a2 - b2 - carry(d, b1).
+        d = self.a1 - other.a1
+        return Witt2(d, self.a2 - other.a2 - self.params.carry(d, other.a1))
 
     def __mul__(self, other: Witt2) -> Witt2:
         return Witt2(

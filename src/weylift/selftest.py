@@ -107,12 +107,14 @@ def fixture_obstruction_witness() -> None:
 
 
 def fixture_trace() -> None:
-    """Trace identities of the trivialization."""
+    """Trace identities of the trivialization; closed form vs matrix trace."""
     field = _f3()
     alg = AlgebraParams(1, field)
     ide = identity_endo(alg)
     f = alg.monomial((2, 2), field.one, "k")
-    assert TV.trace(TV.rep(alg, f)) == C.poly_const(alg, "y", -field.one)
+    via_matrix = TV.trace(TV.rep(alg, f))
+    assert via_matrix == C.poly_const(alg, "y", -field.one)
+    assert TV.trace_top_coefficient(ide, f) == -via_matrix
     assert TV.trace_top_coefficient(ide, f) == C.poly_one(alg, "y")
     alg2 = AlgebraParams(2, field)
     e = bkk_family(alg2, 2, field.one)

@@ -189,7 +189,16 @@ class SparseElem:
         return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._require_compatible(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e)
+            s = -c if s is None else s - c
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+        return self._like(out)
 
     def scale(self, c):
         if not c:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -85,6 +86,16 @@ def test_bkk_p5_trace_check_finishes(capsys):
     start = time.perf_counter()
     code, out, err = _run(capsys, ["trace-check", "--input", str(SPEC_DIR / "bkk_p5.spec")])
     assert time.perf_counter() - start < 30
+    assert code == 0
+    assert json.loads(out)["trace_check"] == {"samples": 8, "agree": True}
+
+
+def test_trace_check_at_p101(capsys, tmp_path):
+    """z2 -> z2 + z2^101: the trace side reads the monomials, no 101 x 101 matrices."""
+    spec = _write(tmp_path, "e101.spec", "p = 101\nn = 1\nphi.1 = z1\nphi.2 = z2 + z2^101\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["trace-check", "--input", spec])
+    assert time.perf_counter() - start < 10
     assert code == 0
     assert json.loads(out)["trace_check"] == {"samples": 8, "agree": True}
 
@@ -195,4 +206,17 @@ def test_console_script_entry():
         text=True,
     )
     assert r.returncode == 0
+    assert json.loads(r.stdout)["validate"]["valid"] is True
+
+
+def test_module_entry_from_source_tree():
+    """python -m weylift runs the CLI with only the source tree on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    r = subprocess.run(
+        [sys.executable, "-m", "weylift", "validate", "--input", str(SPEC_DIR / "identity_p3.spec")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["validate"]["valid"] is True

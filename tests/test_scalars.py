@@ -102,6 +102,7 @@ def test_w2_to_int_is_inverse_ring_isomorphism(p):
         for v in elems:
             s = field.w2_to_int(v)
             assert field.w2_to_int(u + v) == (t + s) % pp
+            assert field.w2_to_int(u - v) == (t - s) % pp
             assert field.w2_to_int(u * v) == t * s % pp
 
 
@@ -250,6 +251,7 @@ def test_w2_ring_axioms_f9(ai, bi, ci):
         assert x + y == y + x
         assert x * y == y * x
         assert (x - y) + y == x
+        assert x - y == x + (-y)
         assert times_p(x) * times_p(y) == field.w2_zero()  # p^2 = 0
 
 

@@ -88,6 +88,38 @@ def test_trace_identity_exhaustive(p, n):
             assert t.is_zero()
 
 
+@pytest.mark.parametrize(
+    "q,n", [(2, 1), (3, 1), (5, 1), (7, 1), (9, 1), (2, 2), (3, 2), (5, 2), (9, 2)]
+)
+def test_trace_closed_form_matches_matrix_trace(q, n):
+    """The monomial read-off equals (-1)^n Tr(rep(f)) on seeded random f.
+
+    Exponents run to 2p and are drawn often at p-1 and 2p-1, so the
+    y-powers and the binom(a, p-1) weights of exponents >= p are exercised;
+    over F_9 the coefficients range over the whole field.
+    """
+    field = FieldParams(3, 2, (1, 0, 1)) if q == 9 else FieldParams(q)
+    p = field.p
+    alg = AlgebraParams(n, field)
+    e = identity_endo(alg)
+    coeffs = [c for c in field.all_elements() if c]
+    rng = random.Random(("closed-trace", q, n).__repr__())
+    sign = field.from_int((-1) ** n)
+    nonzero = 0
+    for _ in range(15):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(
+                rng.choice((rng.randint(0, 2 * p), p - 1, 2 * p - 1)) for _ in range(alg.nvars)
+            )
+            terms[exps] = rng.choice(coeffs)
+        f = alg.from_terms(terms)
+        want = TV.trace(TV.rep(alg, f)).scale(sign)
+        assert TV.trace_top_coefficient(e, f) == want
+        nonzero += not want.is_zero()
+    assert nonzero >= 3
+
+
 def test_trace_top_coefficient_three_routes(corpus):
     """Matrix trace route vs the twisted-basis coefficient route."""
     from weylift import cohomology as coh

@@ -136,6 +136,20 @@ def test_product_ring_axioms(q, n):
             assert f * alg.one_elem(ring) == f
 
 
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 2), (9, 1), (9, 2), (32749, 1)])
+def test_subtraction_is_adding_the_negation(q, n):
+    """f - g == f + (-g) over k and W_2(k); small exponents make terms collide."""
+    alg = AlgebraParams(n, _field(q))
+    rng = random.Random(("sub", q, n).__repr__())
+    for ring in ("k", "w2"):
+        for _ in range(20):
+            f = _random_elem(alg, rng, 2, ring)
+            g = _random_elem(alg, rng, 2, ring)
+            assert f - g == f + (-g)
+            assert (f - g) + g == f
+            assert (f - f).is_zero()
+
+
 @pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (5, 1), (5, 2), (9, 1), (9, 2)])
 def test_pderiv_is_bracket_with_conjugate_generator(q, n):
     """[z_{n+l}, f] = df/dz_l and [z_l, f] = -df/dz_{n+l} over F_3, F_5, F_9."""
