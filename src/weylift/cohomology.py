@@ -115,7 +115,7 @@ def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
             for j, Fj in F.items():
                 unit[i] = j - k
                 g_pow = _ordered_monomial(e, which, tuple(unit))
-                acc = acc - (g_pow * Fj).scale(field.from_int(factorial(j) // factorial(j - k)))
+                acc = acc - g_pow * Fj.scale(field.from_int(factorial(j) // factorial(j - k)))
             Fk = acc.scale(inv_fact[k])
             if Fk:
                 F[k] = Fk
@@ -535,9 +535,6 @@ def verify_lift(alg: AlgebraParams, Phi: list[WeylElem]) -> bool:
             return False
     for i in range(alg.nvars):
         for j in range(i + 1, alg.nvars):
-            om = alg.from_terms(
-                {(0,) * alg.nvars: alg.field.w2_from_int(alg.omega_int(i, j))}, "w2"
-            )
-            if commutator(Phi[i], Phi[j]) != om:
+            if commutator(Phi[i], Phi[j]) != alg.const(alg.omega_int(i, j), "w2"):
                 return False
     return True

@@ -60,9 +60,7 @@ class Endo:
         alg = self.alg
         for i in range(alg.nvars):
             for j in range(i + 1, alg.nvars):
-                want = alg.from_terms(
-                    {(0,) * alg.nvars: alg.field.from_int(alg.omega_int(i, j))}
-                )
+                want = alg.const(alg.omega_int(i, j))
                 residual = commutator(self.images[i], self.images[j]) - want
                 if not residual.is_zero():
                     raise RelationViolation(i, j, residual)
@@ -98,9 +96,7 @@ class Endo:
         out = {}
         for i in range(alg.nvars):
             for j in range(i + 1, alg.nvars):
-                om = alg.from_terms(
-                    {(0,) * alg.nvars: alg.field.w2_from_int(alg.omega_int(i, j))}, "w2"
-                )
+                om = alg.const(alg.omega_int(i, j), "w2")
                 diff = commutator(self._teich[i], self._teich[j]) - om
                 d1, d2 = w2_decompose_elem(diff)
                 if not d1.is_zero():
@@ -143,15 +139,13 @@ class Endo:
     def obstruction_C_oracle(self) -> list[list[C.Poly]]:
         """c_ij via p c_ij = [U_i^p, U_j^p] + p omega_{ij} over W_2(k)."""
         alg = self.alg
+        p = alg.field.p
         size = alg.nvars
         pows = [u.p_power() for u in self._teich]
         mat = [[C.poly_zero(alg, "x") for _ in range(size)] for _ in range(size)]
         for i in range(size):
             for j in range(i + 1, size):
-                om_p = alg.field.w2_from_int(alg.omega_int(i, j)).times_p()
-                D = commutator(pows[i], pows[j]) + alg.from_terms(
-                    {(0,) * alg.nvars: om_p}, "w2"
-                )
+                D = commutator(pows[i], pows[j]) + alg.const(p * alg.omega_int(i, j), "w2")
                 d1, d2 = w2_decompose_elem(D)
                 if not d1.is_zero():
                     raise NotDivisibleByP("[U_i^p, U_j^p] + p omega not in p*W_2")

@@ -146,9 +146,7 @@ class _Parser:
                 )
             return self.alg.gen(t.value - 1, self.ring)
         if t.kind == "INT":
-            field = self.alg.field
-            c = field.w2_from_int(t.value) if self.ring == "w2" else field.from_int(t.value)
-            return self.alg.from_terms({(0,) * self.alg.nvars: c}, self.ring)
+            return self.alg.const(t.value, self.ring)
         if t.kind == "LP":
             v = self.expr()
             self.expect("RP", "a closing parenthesis")

@@ -345,57 +345,25 @@ class FieldElem:
     def __pow__(self, e: int) -> FieldElem:
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.params.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        pa = self.params
+        if pa.m == 1:
+            return pa._cache["elems"][pow(self.coeffs[0], e, pa.p)]
+        res = _uni_powmod(list(self.coeffs), e, list(pa.modulus), pa.p)
+        return FieldElem(pa, tuple(res + [0] * (pa.m - len(res))), _checked=True)
 
     def inverse(self) -> FieldElem:
+        """The multiplicative inverse, by Fermat; DivisionByZero at zero.
+
+        An element c of the prime subfield (every element when m = 1) has
+        inverse c^(p-2), taken on its residue; any other element a of
+        F_q has inverse a^(q-2), since a^(q-1) = 1.
+        """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         pa = self.params
-        if pa.m == 1:
-            return pa._cache["elems"][pow(self.coeffs[0], pa.p - 2, pa.p)]
-        # extended Euclid in F_p[t] against the modulus
-        p = pa.p
-        r0, r1 = list(pa.modulus), _uni_trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q = [0] * (max(len(r0) - len(r1), 0) + 1)
-            rem = list(r0)
-            inv_lead = pow(r1[-1], p - 2, p)
-            while len(rem) >= len(r1) and _uni_trim(rem):
-                if rem[-1] == 0:
-                    rem.pop()
-                    continue
-                shift = len(rem) - len(r1)
-                c = rem[-1] * inv_lead % p
-                q[shift] = c
-                for i, mi in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - c * mi) % p
-                _uni_trim(rem)
-            # s2 = s0 - q*s1
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] = (qs1[i + j] + qi * sj) % p
-            s2 = [
-                ((s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
-                for i in range(max(len(s0), len(qs1)))
-            ]
-            r0, r1 = r1, _uni_trim(rem)
-            s0, s1 = s1, _uni_trim(s2)
-        # r0 = gcd (a nonzero constant since modulus is irreducible)
-        c = pow(r0[0], p - 2, p)
-        inv = [x * c % p for x in s0]
-        inv += [0] * (pa.m - len(inv))
-        return FieldElem(pa, tuple(inv[: pa.m]), _checked=True)
+        if not any(self.coeffs[1:]):
+            return pa.from_int(pow(self.coeffs[0], pa.p - 2, pa.p))
+        return self ** (pa.q - 2)
 
     def frobenius(self) -> FieldElem:
         """a -> a^p."""

@@ -88,8 +88,7 @@ def fixture_etale_family() -> None:
     z2 = alg.gen(1, "w2")
     Phi1 = z1 - times_p_elem(alg.monomial((1, 2), field.one, "k"))
     Phi2 = z2 + alg.monomial((0, 3), field.w2_one(), "w2")
-    om = alg.from_terms({(0, 0): field.w2_from_int(-1)}, "w2")
-    assert commutator(Phi1, Phi2) == om
+    assert commutator(Phi1, Phi2) == alg.const(-1, "w2")
     assert coh.verify_lift(alg, [Phi1, Phi2])
     assert coh.verify_lift(alg, lift.Phi)
 

@@ -24,12 +24,15 @@ and by Lucas binom(a, p-1) is 1 mod p when a = -1 mod p and 0 otherwise.
 Tr is linear, so one pass over the terms gives trace_top_coefficient.  The
 matrix route, trace(rep(f)), is kept as its test oracle.
 
-For an endomorphism with images u_i the same recipe applied to
-rep(u_l) - ybar_l turns the standard matrix units into their twisted
-images F_ij; a rank-one column of the twisted vacuum projector generates
-a conjugator G with F_ij G = G E_ij, recovered and verified without
-inverting anything.  G also pins down the twisted scalars: rep(u_i) G =
-G (nu_i + ybar_i), so ybar_i falls out by exact division.
+For an endomorphism with images u_i, A_l = rep(u_l) - ybar_l and B_l =
+rep(u_{n+l}) - ybar_{n+l} are twisted creation and annihilation operators,
+and their vacuum projector is the twisted image of the matrix unit E_00.
+A primitive column r0 of the projector generates a conjugator G, with
+columns A^m r0, such that F_ij G = G E_ij for the twisted matrix units
+F_ij = A^(m_i) proj B^(m_j) / m_j!.  The relations are checked in column
+form, without forming any F_ij and without inverting anything.  G also
+pins down the twisted scalars: rep(u_i) G = G (nu_i + ybar_i), so ybar_i
+falls out by exact division.
 """
 
 from __future__ import annotations
@@ -304,7 +307,7 @@ def _twisted_generators(e: Endo):
 
     A_l = rep(u_l) - ybar_l, B_l = rep(u_{n+l}) - ybar_{n+l}; the projector
     is the product over l of sum_t (-1)^t/t! A_l^t B_l^t, the twisted image
-    of the matrix unit E_11.
+    of the matrix unit E_00.
     """
     alg = e.alg
     p = alg.field.p
@@ -337,72 +340,51 @@ def _inv_factorial(alg: AlgebraParams, m: tuple):
     return inv
 
 
-def twisted_matrix_units(e: Endo) -> dict:
-    """The map (i, j) -> image of E_ij under the endomorphism-twisted hom.
+def _chain(mats: list, memo: dict, m: tuple) -> list:
+    """mats_1^(m_1) .. mats_n^(m_n) applied to memo[(0,..,0)], memoised.
 
-    F_ij = A^(m_i) proj B^(m_j) / m_j! with m_i the basis exponents of
-    index i; feeding this to recover_conjugator reproduces the conjugator.
+    Built by first-index recursion, so every prefix is one matrix-vector
+    product away from a cached vector.
     """
-    alg = e.alg
-    N = mat_size(alg)
-    A, B, proj, _ = _twisted_generators(e)
-
-    def a_power(m: tuple) -> C.Mat:
-        out = C.mat_identity(alg, "y", N)
-        for l, x in enumerate(m):
-            for _ in range(x):
-                out = C.mat_mul(out, A[l])
-        return out
-
-    def b_power(m: tuple) -> C.Mat:
-        out = C.mat_identity(alg, "y", N)
-        for l, x in enumerate(m):
-            for _ in range(x):
-                out = C.mat_mul(out, B[l])
-        return out
-
-    lefts = {i: C.mat_mul(a_power(mi), proj) for i, mi in _exps_iter(alg)}
-    rights = {
-        j: C.mat_scale(b_power(mj), C.poly_const(alg, "y", _inv_factorial(alg, mj)))
-        for j, mj in _exps_iter(alg)
-    }
-    return {(i, j): C.mat_mul(lefts[i], rights[j]) for i in range(N) for j in range(N)}
+    got = memo.get(m)
+    if got is None:
+        l = next(i for i, x in enumerate(m) if x)
+        got = C.mat_vec(mats[l], _chain(mats, memo, m[:l] + (m[l] - 1,) + m[l + 1 :]))
+        memo[m] = got
+    return got
 
 
-def _unit_matrix(alg: AlgebraParams, N: int, i: int, j: int) -> C.Mat:
-    one = C.poly_one(alg, "y")
-    z = C.poly_zero(alg, "y")
-    return tuple(
-        tuple(one if (r, c) == (i, j) else z for c in range(N)) for r in range(N)
-    )
+def recover_conjugator(A: list, B: list, proj: C.Mat) -> C.Mat:
+    """Rebuild G with F_ij G = G E_ij from twisted generators and projector.
 
-
-def _primitive_first_column(M: C.Mat, what: str) -> list:
-    """The first nonzero column of M divided by its content."""
-    for col in zip(*M):
-        if any(col):
-            cont = column_content(col)
-            return [C.divexact(entry, cont) if entry else entry for entry in col]
-    raise NotAHomomorphism(f"{what} vanishes")
-
-
-def recover_conjugator(F: dict) -> C.Mat:
-    """Rebuild G with F_ij G = G E_ij from the images of the matrix units.
-
-    Constructive and inverse-free: a primitive column r of F_00 generates
-    the rank-one image, the columns are v_i = F_i0 r, and the defining
-    relation is then verified for every pair.  Raises NotAHomomorphism if
-    F_00 vanishes or any relation fails.
+    F_ij = A^(m_i) proj B^(m_j) / m_j! is the image of the matrix unit
+    E_ij, m_i the basis exponents of index i.  A primitive column r0 of
+    proj generates its rank-one image and the columns of G are v_m = A^m r0.
+    The relations are verified in column form, proj B^(m_j) v_k / m_j! =
+    delta_jk r0 for all j, k: that is F_0j G = G E_0j column by column, and
+    applying A^(m_i) on the left gives every F_ij G = G E_ij.  Constructive
+    and inverse-free; raises NotAHomomorphism if proj vanishes or any
+    relation fails.
     """
-    F00 = F[(0, 0)]
-    N = len(F00)
-    alg = F00[0][0].alg
-    r0 = _primitive_first_column(F00, "image of E_11")
-    cols = [C.mat_vec(F[(i, 0)], r0) for i in range(N)]
-    G = tuple(tuple(cols[c][r] for c in range(N)) for r in range(N))
-    for (i, j), Fij in F.items():
-        if not C.mat_eq(C.mat_mul(Fij, G), C.mat_mul(G, _unit_matrix(alg, N, i, j))):
-            raise NotAHomomorphism(f"relation F_{i}{j} G = G E_{i}{j} fails")
+    alg = proj[0][0].alg
+    N = len(proj)
+    origin = (0,) * alg.n
+    col = next((col for col in zip(*proj) if any(col)), None)
+    if col is None:
+        raise NotAHomomorphism("twisted vacuum projector vanishes")
+    cont = column_content(col)
+    r0 = [C.divexact(entry, cont) if entry else entry for entry in col]
+    vmemo = {origin: r0}
+    cols = [_chain(A, vmemo, m) for _, m in _exps_iter(alg)]
+    G = tuple(tuple(v[r] for v in cols) for r in range(N))
+    zero = [C.poly_zero(alg, "y")] * N
+    for k, mk in _exps_iter(alg):
+        bmemo = {origin: cols[k]}
+        for j, mj in _exps_iter(alg):
+            inv = _inv_factorial(alg, mj)
+            w = [entry.scale(inv) for entry in C.mat_vec(proj, _chain(B, bmemo, mj))]
+            if w != (r0 if j == k else zero):
+                raise NotAHomomorphism(f"matrix-unit relation fails at (j={mj}, k={mk})")
     return G
 
 
@@ -426,61 +408,19 @@ def extract_twisted_scalar(G: C.Mat, M: C.Mat) -> C.Poly:
 def conjugator_for_endo(e: Endo) -> Conjugator:
     """Build and verify the conjugator of the twisted trivialization.
 
-    Equivalent to recover_conjugator(twisted_matrix_units(e)) but with the
-    pair verification reduced to column form (proj B^j v_k / j! must be
-    delta_jk r), which keeps the p^(2n) checks at matrix-vector cost.
-    Also extracts the twisted scalars and checks them against the p-power
-    route.  Any failure raises NotAHomomorphism.
+    recover_conjugator on the twisted generators, then a determinant check
+    and the twisted scalars, checked against the p-power route.  Any
+    failure raises NotAHomomorphism.
     """
     alg = e.alg
-    n = alg.n
-    N = mat_size(alg)
     A, B, proj, ybar = _twisted_generators(e)
-    r0 = _primitive_first_column(proj, "twisted vacuum projector")
-    # columns v_i = A^i r0, filled by first-index recursion
-    vcols: dict = {(0,) * n: r0}
-
-    def vcol(m: tuple) -> list:
-        got = vcols.get(m)
-        if got is None:
-            l = next(i for i, x in enumerate(m) if x)
-            prev = vcol(tuple(x - (1 if i == l else 0) for i, x in enumerate(m)))
-            got = C.mat_vec(A[l], prev)
-            vcols[m] = got
-        return got
-
-    G = tuple(
-        tuple(vcol(_basis_exps(alg, c))[r] for c in range(N)) for r in range(N)
-    )
-    for k, mk in _exps_iter(alg):
-        cur = {(0,) * n: vcol(mk)}
-
-        def bcol(m: tuple) -> list:
-            got = cur.get(m)
-            if got is None:
-                l = next(i for i, x in enumerate(m) if x)
-                prev = bcol(tuple(x - (1 if i == l else 0) for i, x in enumerate(m)))
-                got = C.mat_vec(B[l], prev)
-                cur[m] = got
-            return got
-
-        for j, mj in _exps_iter(alg):
-            w = C.mat_vec(proj, bcol(mj))
-            inv = _inv_factorial(alg, mj)
-            w = [entry.scale(inv) for entry in w]
-            want = r0 if j == k else None
-            for t in range(N):
-                target = want[t] if want is not None else C.poly_zero(alg, "y")
-                if w[t] != target:
-                    raise NotAHomomorphism(
-                        f"matrix-unit relation fails at (j={mj}, k={mk})"
-                    )
+    G = recover_conjugator(A, B, proj)
     detG = C.det(G)
     if detG.is_zero() or not detG.is_constant():
         raise NotAHomomorphism("conjugator determinant is not a nonzero constant")
     # twisted-scalar extraction: rep(u_i) G - G nu_i = ybar_i G
     extracted = []
-    for i in range(2 * n):
+    for i in range(alg.nvars):
         M = C.mat_sub(C.mat_mul(rep(alg, e.u(i)), G), C.mat_mul(G, nu(alg, i)))
         try:
             s = extract_twisted_scalar(G, M)

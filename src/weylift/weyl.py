@@ -79,6 +79,10 @@ class AlgebraParams:
     def one_elem(self, ring: str = "k") -> WeylElem:
         return WeylElem(self, ring, {(0,) * self.nvars: self.ring_one(ring)})
 
+    def const(self, t: int, ring: str = "k") -> WeylElem:
+        """The integer t as a constant of A_n(k) or A_n(W_2(k)); 0 is the empty element."""
+        return self.monomial((0,) * self.nvars, self.ring_from_int(ring, t), ring)
+
     def gen(self, i: int, ring: str = "k") -> WeylElem:
         """The generator z_{i+1} (0-based index i)."""
         if not 0 <= i < self.nvars:

@@ -220,3 +220,27 @@ def test_module_entry_from_source_tree():
     )
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["validate"]["valid"] is True
+
+
+_IMPORT_PROBE = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import weylift
+for info in pkgutil.iter_modules(weylift.__path__):
+    importlib.import_module("weylift." + info.name)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"weylift"}))
+"""
+
+
+def test_library_imports_only_the_standard_library():
+    """Every weylift module imports under python -S, pulling in no third-party module."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

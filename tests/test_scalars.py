@@ -224,6 +224,30 @@ def test_division_by_zero():
         field.zero.inverse()
 
 
+def test_inverse_in_extension_fields():
+    """Fermat inversion for m > 1: every nonzero element of F_4 and F_25 and
+    50 sampled elements of F_{32749^2}; prime-subfield elements invert as
+    their residues do mod p."""
+    big = FieldParams(32749, 2, _quadratic_modulus(32749))
+    rng = random.Random(32749 * 2)
+    sampled = [big.element((rng.randrange(big.p), rng.randrange(1, big.p))) for _ in range(50)]
+    f4, f25 = FieldParams(2, 2), FieldParams(5, 2)
+    for field, elems in (
+        (f4, [a for a in f4.all_elements() if a]),
+        (f25, [a for a in f25.all_elements() if a]),
+        (big, sampled),
+    ):
+        for a in elems:
+            inv = a.inverse()
+            assert a * inv == field.one
+            assert a**-1 == inv
+        p = field.p
+        for t in [1, p - 1] + [rng.randrange(1, p) for _ in range(5)]:
+            assert field.from_int(t).inverse() == field.from_int(pow(t, -1, p))
+    with pytest.raises(DivisionByZero):
+        FieldParams(3, 2, (1, 0, 1)).zero.inverse()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 24))
 def test_w2_ring_axioms_f5(a, b, c):

@@ -1,9 +1,11 @@
 """The rank-p^n matrix representation over k[y], the reduced trace, and
-recovery of the conjugating matrix from twisted matrix units.
+recovery of the conjugating matrix from the twisted generators and their
+vacuum projector.
 
 The conjugator round trip plants G as a product of elementary matrices
-with small polynomial entries, feeds F_ij = G E_ij G^{-1} to the recovery,
-and accepts equality up to a scalar unit (checked by cross-multiplication).
+with small polynomial entries, feeds A_l = G nu_l G^{-1}, B_l =
+G nu_{n+l} G^{-1} and proj = G E_00 G^{-1} to the recovery, and accepts
+equality up to a scalar unit (checked by cross-multiplication).
 """
 
 from __future__ import annotations
@@ -270,6 +272,13 @@ def _proportional(A, B) -> bool:
     return True
 
 
+def _e00(alg, N):
+    """The matrix unit E_00, the vacuum projector of the untwisted nu_l."""
+    E = [list(row) for row in C.mat_zero(alg, "y", N)]
+    E[0][0] = C.poly_one(alg, "y")
+    return tuple(tuple(row) for row in E)
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
 def test_recover_conjugator_round_trip(p, n):
     alg = AlgebraParams(n, FieldParams(p))
@@ -278,22 +287,28 @@ def test_recover_conjugator_round_trip(p, n):
     rounds = {(2, 1): 20, (3, 1): 20, (2, 2): 10}[(p, n)]
     for _ in range(rounds):
         G0, G0inv = _random_unimodular(alg, rng, N)
-        F = {}
-        for i in range(N):
-            for j in range(N):
-                F[(i, j)] = C.mat_mul(C.mat_mul(G0, TV._unit_matrix(alg, N, i, j)), G0inv)
-        G = TV.recover_conjugator(F)
+
+        def conj(M):
+            return C.mat_mul(C.mat_mul(G0, M), G0inv)
+
+        A = [conj(TV.nu(alg, l)) for l in range(n)]
+        B = [conj(TV.nu(alg, n + l)) for l in range(n)]
+        G = TV.recover_conjugator(A, B, conj(_e00(alg, N)))
         assert _proportional(G, G0)
 
 
 def test_recover_conjugator_rejects_non_units():
     alg = AlgebraParams(1, FieldParams(2))
     N = 2
-    # F maps that are not conjugation by anything: swap that breaks products
-    Z = C.mat_zero(alg, "y", N)
-    F = {(i, j): Z for i in range(N) for j in range(N)}
+    nu1, nu2 = TV.nu(alg, 0), TV.nu(alg, 1)
     with pytest.raises(NotAHomomorphism):
-        TV.recover_conjugator(F)
+        TV.recover_conjugator([nu1], [nu2], C.mat_zero(alg, "y", N))
+    # A = Id creates nothing: v_1 = A r0 = r0, so proj v_1 = r0 where 0 is wanted
+    with pytest.raises(NotAHomomorphism):
+        TV.recover_conjugator([C.mat_identity(alg, "y", N)], [nu2], _e00(alg, N))
+    # B = 1 + nu_2 keeps [B, A] = 1, but E_00 is not its vacuum: proj B r0 = r0 where 0 is wanted
+    with pytest.raises(NotAHomomorphism):
+        TV.recover_conjugator([nu1], [C.mat_add(C.mat_identity(alg, "y", N), nu2)], _e00(alg, N))
 
 
 def test_conjugator_for_endo_identity(a1_f3):
@@ -332,7 +347,5 @@ def test_conjugator_rejects_invalid_images(a1_f3):
 
     z2 = a1_f3.gen(1)
     bad = Endo(a1_f3, [a1_f3.gen(0), z2 + z2])  # [z1, 2 z2] = -2 != -1
-    with pytest.raises(NotAHomomorphism):
-        TV.recover_conjugator(TV.twisted_matrix_units(bad))
     with pytest.raises(NotAHomomorphism):
         TV.conjugator_for_endo(bad)
