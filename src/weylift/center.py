@@ -13,8 +13,7 @@ commutator oracle poisson_witt_oracle recomputes the bracket upstairs as
 from __future__ import annotations
 
 from .errors import DivisionByZero, NotCentral, NotDivisibleByP, WeyliftError
-from .scalars import teichmuller
-from .weyl import AlgebraParams, SparseElem, WeylElem, commutator, w2_decompose_elem
+from .weyl import AlgebraParams, SparseElem, WeylElem, commutator, teich_lift, w2_decompose_elem
 
 
 class Poly(SparseElem):
@@ -139,11 +138,8 @@ def embed_center(f: Poly, ring: str = "w2") -> WeylElem:
     if f.tag != "x":
         raise WeyliftError("expected an x-polynomial")
     p = f.alg.field.p
-    if ring == "k":
-        terms = {tuple(p * a for a in e): c for e, c in f.terms.items()}
-    else:
-        terms = {tuple(p * a for a in e): teichmuller(c) for e, c in f.terms.items()}
-    return WeylElem(f.alg, ring, terms)
+    F = WeylElem(f.alg, "k", {tuple(p * a for a in e): c for e, c in f.terms.items()})
+    return F if ring == "k" else teich_lift(F)
 
 
 # -- Poisson structure -------------------------------------------------------

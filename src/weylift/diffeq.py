@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from . import center as C
 from .endo import Endo
 from .errors import InternalInconsistency, NoSolution
-from .weyl import AlgebraParams
 
 
 def phi_S(e: Endo, i: int) -> C.Poly:
@@ -36,14 +35,23 @@ def phi_S_all(e: Endo) -> list[C.Poly]:
     return [phi_S(e, i) for i in range(e.alg.nvars)]
 
 
+def _rhs(images: list[C.Poly], i: int) -> C.Poly:
+    """(d/dv_i)^{p-1} sum_{l<n} (d g_l/dv_i) g_{n+l} for the images g.
+
+    The images are ybar (y-level, the gamma equation) or the center images
+    (x-level, the f equation); the result keeps their tag.
+    """
+    alg = images[0].alg
+    n = alg.n
+    acc = C.poly_zero(alg, images[0].tag)
+    for l in range(n):
+        acc = acc + images[l].pderiv(i) * images[n + l]
+    return acc.pderiv_iter(i, alg.field.p - 1)
+
+
 def rhs_gamma(e: Endo, i: int) -> C.Poly:
     """Right side of the gamma equation in coordinate i (0-based)."""
-    ybar = phi_S_all(e)
-    n = e.alg.n
-    acc = C.poly_zero(e.alg, "y")
-    for l in range(n):
-        acc = acc + ybar[l].pderiv(i) * ybar[n + l]
-    return acc.pderiv_iter(i, e.alg.field.p - 1)
+    return _rhs(phi_S_all(e), i)
 
 
 def _pth_root_termwise(f: C.Poly) -> C.Poly:
@@ -106,12 +114,9 @@ class GammaSolution:
 
 def gamma_solution(e: Endo) -> GammaSolution:
     """Solve every coordinate equation; f_i is the x-level counterpart."""
-    gammas = []
-    rhss = []
-    for i in range(e.alg.nvars):
-        r = rhs_gamma(e, i)
-        rhss.append(r)
-        gammas.append(solve_gamma(r, i))
+    ybar = phi_S_all(e)
+    rhss = [_rhs(ybar, i) for i in range(e.alg.nvars)]
+    gammas = [solve_gamma(r, i) for i, r in enumerate(rhss)]
     fs = [C.pth_power_retag(g) for g in gammas]
     Jf = C.jacobian(fs)
     return GammaSolution(
@@ -131,13 +136,7 @@ def solve_f(e: Endo, i: int) -> C.Poly:
     equivariance of the equation its solution equals pth_power_retag of
     gamma_i, which the tests cross-check.
     """
-    F = e.center_images
-    n = e.alg.n
-    acc = C.poly_zero(e.alg, "x")
-    for l in range(n):
-        acc = acc + F[l].pderiv(i) * F[n + l]
-    rhs = acc.pderiv_iter(i, e.alg.field.p - 1)
-    return solve_gamma(rhs, i)
+    return solve_gamma(_rhs(e.center_images, i), i)
 
 
 def symmetry_criterion(e: Endo) -> bool:

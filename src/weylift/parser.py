@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .endo import Endo
 from .errors import ParseError, UnknownVariable, WeyliftError
-from .scalars import FieldParams
+from .scalars import FieldElem, FieldParams
 from .weyl import AlgebraParams, WeylElem
 
 
@@ -165,9 +165,9 @@ def parse_expr(alg: AlgebraParams, src: str, ring: str = "k") -> WeylElem:
 
 def format_coeff(c) -> str:
     """Render a field element as an in-grammar integer literal."""
-    vals = getattr(c, "coeffs", None)
-    if vals is None:
+    if not isinstance(c, FieldElem):
         raise WeyliftError(f"cannot format {c!r}")
+    vals = c.coeffs
     if any(vals[1:]):
         raise WeyliftError("extension-field coefficient has no in-grammar rendering")
     return str(vals[0])

@@ -10,13 +10,14 @@ Witt vectors are pairs (a1, a2) with the standard length-2 laws:
     (a1,a2) * (b1,b2) = (a1*b1, a1^p*b2 + b1^p*a2)
     p * (a1,a2)       = (0, a1^p)
 
-The carry c is the integral polynomial -sum_{0<k<p} (binom(p,k)/p) a^k b^{p-k}
-reduced mod p, evaluated inside k.  It is read off p-th powers of lifts in
-the Galois ring W_2(k) = (Z/p^2)[t]/(F~) (the integers mod p^2 over F_p),
-as is the image of an integer in W_2(F_p); w2_from_int and w2_to_int are
-the two directions of W_2(F_p) = Z/p^2.  W_2(k) has characteristic p^2
-and every element decomposes uniquely as [a1] + p*[a2^{1/p}] with [.] the
-Teichmuller lift.
+These laws define W_2(k); the tests check them.  The arithmetic runs in
+the isomorphic Galois ring (Z/p^2)[t]/(F~), F~ the modulus read over the
+integers (Serre, Local Fields, II 5-6), where (a1, a2) is the residue
+[a1] + p*[a2^{1/p}] with [.] the Teichmuller lift: [a] = A^q mod p^2 for
+any lift A of a.  A Witt2 holds that residue as m integers mod p^2, so
++, - and p* are coefficientwise and * is a polynomial product; a1 and a2
+are read off only where the components are asked for.  The integer t is
+the constant residue t mod p^2, and W_2(F_p) is Z/p^2 itself.
 """
 
 from __future__ import annotations
@@ -48,8 +49,10 @@ def _is_prime(p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate arithmetic over F_p, used only for modulus validation and
-# extension-field element operations.  Polynomials are tuples, ascending.
+# Dense univariate arithmetic over F_p, used for modulus validation and
+# extension-field element operations, and over Z/p^2 for the Galois ring
+# (its modulus is monic, so no division mod p^2 is needed).  Polynomials
+# are lists, ascending.
 
 
 def _uni_trim(a: list[int]) -> list[int]:
@@ -218,80 +221,45 @@ class FieldParams:
         for coeffs in product(range(self.p), repeat=self.m):
             yield self.element(coeffs)
 
-    def carry(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        """Witt addition carry: (a^p + b^p - (a+b)^p)/p as an element of k.
-
-        Computed in the Galois ring W_2(k) = (Z/p^2)[t]/(F~), with F~ the
-        modulus read over the integers (the integers mod p^2 when m = 1):
-        for any lifts A, B of a, b the numerator is divisible by p and its
-        quotient reduces to the carry mod p.  Square and multiply, O(log p).
-        """
-        p = self.p
-        pp = p * p
-        if self.m == 1:
-            av, bv = a.coeffs[0], b.coeffs[0]
-            x = (pow(av, p, pp) + pow(bv, p, pp) - pow(av + bv, p, pp)) % pp
-            return self._cache["elems"][x // p]
-        if a.is_zero() or b.is_zero():
-            return self.zero
-        mod = list(self.modulus)
-        A, B = list(a.coeffs), list(b.coeffs)
-        powers = [_uni_powmod(x, p, mod, pp) for x in (A, B, [u + v for u, v in zip(A, B)])]
-        num = [0] * self.m
-        for sign, poly in zip((1, 1, -1), powers):
-            for i, c in enumerate(poly):
-                num[i] += sign * c
-        return FieldElem(self, tuple(c % pp // p for c in num), _checked=True)
-
     # -- Witt constructors ---------------------------------------------------
 
     def witt(self, a1: FieldElem, a2: FieldElem) -> Witt2:
         return Witt2(a1, a2)
 
     def w2_zero(self) -> Witt2:
-        return Witt2(self.zero, self.zero)
+        return self.w2_from_int(0)
 
     def w2_one(self) -> Witt2:
-        return Witt2(self.one, self.zero)
+        return self.w2_from_int(1)
 
     def w2_from_int(self, t: int) -> Witt2:
-        """Image of the integer t in W_2(k); depends only on t mod p^2.
-
-        W_2(F_p) = Z/p^2 through (a1, a2) -> a1^p + p a2, so t maps to
-        (r, (t - r^p)/p) with r = t mod p, all read mod p^2.
-        """
-        p = self.p
-        pp = p * p
-        r = t % p
-        return Witt2(self.from_int(r), self.from_int((t - pow(r, p, pp)) % pp // p))
-
-    def w2_to_int(self, x: Witt2) -> int:
-        """The integer in [0, p^2) that w2_from_int maps to x; m = 1 only.
-
-        The inverse of w2_from_int: (a1, a2) -> a1^p + p a2 mod p^2, which
-        is a ring isomorphism W_2(F_p) -> Z/p^2.
-        """
-        if self.m != 1:
-            raise WeyliftError("w2_to_int needs m = 1: only W_2(F_p) is Z/p^2")
-        p = self.p
-        pp = p * p
-        return (pow(x.a1.coeffs[0], p, pp) + p * x.a2.coeffs[0]) % pp
+        """Image of the integer t in W_2(k): the constant residue t mod p^2."""
+        return _w2(self, (t % (self.p * self.p),) + (0,) * (self.m - 1))
 
 
-class FieldElem:
-    """An element of F_{p^m}: a canonical coefficient vector over F_p."""
+def _ext_mul(pa: FieldParams, N: int, x: tuple, y: tuple) -> tuple:
+    """x * y in (Z/N)[t]/(F~), N = p or p^2; m-tuples of residues mod N."""
+    if pa.m == 1:
+        return (x[0] * y[0] % N,)
+    prod = _uni_mulmod(list(x), list(y), list(pa.modulus), N)
+    return tuple(prod + [0] * (pa.m - len(prod)))
+
+
+def _ext_pow(pa: FieldParams, N: int, x: tuple, e: int) -> tuple:
+    """x^e (e >= 0) in (Z/N)[t]/(F~), N = p or p^2."""
+    if pa.m == 1:
+        return (pow(x[0], e, N),)
+    res = _uni_powmod(list(x), e, list(pa.modulus), N)
+    return tuple(res + [0] * (pa.m - len(res)))
+
+
+class _Residues:
+    """An element of (Z/N)[t]/(F~), N = p (FieldElem) or p^2 (Witt2): m
+    residues mod N in ``coeffs``, ascending powers of t."""
 
     __slots__ = ("params", "coeffs")
 
-    def __init__(self, params: FieldParams, coeffs: tuple[int, ...], _checked: bool = False):
-        if not _checked:
-            coeffs = tuple(int(c) % params.p for c in coeffs)
-            if len(coeffs) != params.m:
-                raise WeyliftError("coefficient vector has wrong length")
-        self.params = params
-        self.coeffs = coeffs
-
-    def _require_same(self, other: FieldElem) -> None:
+    def _require_same(self, other) -> None:
         if self.params is not other.params and self.params != other.params:
             raise ParamsMismatch(f"{self.params} vs {other.params}")
 
@@ -302,12 +270,26 @@ class FieldElem:
         return any(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldElem):
+        if type(other) is not type(self):
             return NotImplemented
         return self.params == other.params and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.params.p, self.params.m, self.coeffs))
+
+
+class FieldElem(_Residues):
+    """An element of F_{p^m}: a canonical coefficient vector over F_p."""
+
+    __slots__ = ()
+
+    def __init__(self, params: FieldParams, coeffs: tuple[int, ...], _checked: bool = False):
+        if not _checked:
+            coeffs = tuple(int(c) % params.p for c in coeffs)
+            if len(coeffs) != params.m:
+                raise WeyliftError("coefficient vector has wrong length")
+        self.params = params
+        self.coeffs = coeffs
 
     def __add__(self, other: FieldElem) -> FieldElem:
         self._require_same(other)
@@ -338,9 +320,7 @@ class FieldElem:
         pa = self.params
         if pa.m == 1:
             return pa._cache["elems"][(self.coeffs[0] * other.coeffs[0]) % pa.p]
-        prod = _uni_mulmod(list(self.coeffs), list(other.coeffs), list(pa.modulus), pa.p)
-        prod += [0] * (pa.m - len(prod))
-        return FieldElem(pa, tuple(prod), _checked=True)
+        return FieldElem(pa, _ext_mul(pa, pa.p, self.coeffs, other.coeffs), _checked=True)
 
     def __pow__(self, e: int) -> FieldElem:
         if e < 0:
@@ -348,8 +328,7 @@ class FieldElem:
         pa = self.params
         if pa.m == 1:
             return pa._cache["elems"][pow(self.coeffs[0], e, pa.p)]
-        res = _uni_powmod(list(self.coeffs), e, list(pa.modulus), pa.p)
-        return FieldElem(pa, tuple(res + [0] * (pa.m - len(res))), _checked=True)
+        return FieldElem(pa, _ext_pow(pa, pa.p, self.coeffs, e), _checked=True)
 
     def inverse(self) -> FieldElem:
         """The multiplicative inverse, by Fermat; DivisionByZero at zero.
@@ -388,82 +367,90 @@ class FieldElem:
         ) + ")" if any(self.coeffs) else "0"
 
 
-class Witt2:
-    """A length-2 Witt vector (a1, a2) over F_{p^m}."""
+class Witt2(_Residues):
+    """A length-2 Witt vector (a1, a2) over F_{p^m}.
 
-    __slots__ = ("a1", "a2")
+    Held as the Galois-ring residue [a1] + p*[a2^{1/p}] (m integers mod
+    p^2); a1 and a2 are computed on demand.
+    """
+
+    __slots__ = ()
 
     def __init__(self, a1: FieldElem, a2: FieldElem):
         if a1.params != a2.params:
             raise ParamsMismatch("Witt components from different fields")
-        self.a1 = a1
-        self.a2 = a2
+        pa = a1.params
+        p = pa.p
+        low = teichmuller(a1).coeffs
+        high = a2.pth_root().coeffs
+        self.params = pa
+        self.coeffs = tuple((x + p * y) % (p * p) for x, y in zip(low, high))
 
     @property
-    def params(self) -> FieldParams:
-        return self.a1.params
+    def a1(self) -> FieldElem:
+        return self.params.element(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return self.a1.is_zero() and self.a2.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Witt2):
-            return NotImplemented
-        return self.a1 == other.a1 and self.a2 == other.a2
-
-    def __hash__(self) -> int:
-        return hash((self.a1, self.a2))
+    @property
+    def a2(self) -> FieldElem:
+        return self.decompose()[1].frobenius()
 
     def __add__(self, other: Witt2) -> Witt2:
-        carry = self.params.carry(self.a1, other.a1)
-        return Witt2(self.a1 + other.a1, self.a2 + other.a2 + carry)
-
-    def __neg__(self) -> Witt2:
-        # (a1,a2) + (-a1, x) = 0 forces x = -a2 - carry(a1, -a1).
-        carry = self.params.carry(self.a1, -self.a1)
-        return Witt2(-self.a1, -self.a2 - carry)
+        self._require_same(other)
+        pp = self.params.p**2
+        return _w2(self.params, tuple((a + b) % pp for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: Witt2) -> Witt2:
-        # (d, x) + (b1, b2) = (a1, a2) with d = a1 - b1 forces x = a2 - b2 - carry(d, b1).
-        d = self.a1 - other.a1
-        return Witt2(d, self.a2 - other.a2 - self.params.carry(d, other.a1))
+        self._require_same(other)
+        pp = self.params.p**2
+        return _w2(self.params, tuple((a - b) % pp for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self) -> Witt2:
+        pp = self.params.p**2
+        return _w2(self.params, tuple(-a % pp for a in self.coeffs))
 
     def __mul__(self, other: Witt2) -> Witt2:
-        return Witt2(
-            self.a1 * other.a1,
-            self.a1.frobenius() * other.a2 + other.a1.frobenius() * self.a2,
-        )
+        self._require_same(other)
+        pa = self.params
+        return _w2(pa, _ext_mul(pa, pa.p**2, self.coeffs, other.coeffs))
 
     def __pow__(self, e: int) -> Witt2:
         if e < 0:
             raise WeyliftError("negative powers are not defined")
-        result = self.params.w2_one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        pa = self.params
+        return _w2(pa, _ext_pow(pa, pa.p**2, self.coeffs, e))
 
     def times_p(self) -> Witt2:
         """Multiplication by p: (a1, a2) -> (0, a1^p)."""
-        return Witt2(self.params.zero, self.a1.frobenius())
+        p = self.params.p
+        return _w2(self.params, tuple(p * a % (p * p) for a in self.coeffs))
 
     def decompose(self) -> tuple[FieldElem, FieldElem]:
-        """The unique (b1, b2) with self = [b1] + p*[b2]."""
-        return (self.a1, self.a2.pth_root())
+        """The unique (b1, b2) with self = [b1] + p*[b2].
+
+        self lifts b1, so [b1] = self^q and b2 = (self - self^q)/p mod p.
+        """
+        pa = self.params
+        p = pa.p
+        pp = p * p
+        teich = _ext_pow(pa, pp, self.coeffs, pa.q)
+        return self.a1, pa.element((x - t) % pp // p for x, t in zip(self.coeffs, teich))
 
     def __repr__(self) -> str:
         return f"({self.a1!r},{self.a2!r})"
 
 
+def _w2(params: FieldParams, coeffs: tuple) -> Witt2:
+    """The Witt vector with Galois-ring residues ``coeffs`` (already reduced)."""
+    x = object.__new__(Witt2)
+    x.params = params
+    x.coeffs = coeffs
+    return x
+
+
 def teichmuller(a: FieldElem) -> Witt2:
-    """Multiplicative lift a -> (a, 0)."""
-    return Witt2(a, a.params.zero)
+    """Multiplicative lift a -> (a, 0), the residue A^q mod p^2 for a lift A."""
+    pa = a.params
+    return _w2(pa, _ext_pow(pa, pa.p**2, a.coeffs, pa.q))
 
 
 def times_p(x: Witt2) -> Witt2:

@@ -7,6 +7,7 @@ and never stops early, so a broken install shows everything that is wrong.
 from __future__ import annotations
 
 import sys
+from math import comb
 
 from . import center as C
 from . import cohomology as coh
@@ -23,17 +24,26 @@ def _f3() -> FieldParams:
 
 
 def fixture_witt_ring() -> None:
-    """W_2(F_p) is Z/p^2 under w2_to_int, (a1, a2) -> a1^p + p a2, for p = 2, 3."""
-    for p in (2, 3):
-        field = FieldParams(p)
-        enc = field.w2_to_int
-        elems = [Witt2(field.element((a,)), field.element((b,))) for a in range(p) for b in range(p)]
-        assert len({enc(w) for w in elems}) == p * p
-        for x in elems:
-            for y in elems:
-                assert enc(x + y) == (enc(x) + enc(y)) % (p * p)
-                assert enc(x * y) == (enc(x) * enc(y)) % (p * p)
-            assert x.times_p() == field.w2_from_int(p * enc(x))
+    """The Witt laws on components over F_2, F_3 and F_4: sum with the carry
+    c(a, b) = -sum_{0<k<p} (binom(p,k)/p) a^k b^(p-k), product, p*, and the
+    (a1, a2) round trip."""
+    for field in (FieldParams(2), FieldParams(3), FieldParams(2, 2)):
+        p = field.p
+        ks = list(field.all_elements())
+        weights = [field.from_int(-(comb(p, k) // p)) for k in range(p)]
+
+        def carry(a, b):
+            return sum((weights[k] * a**k * b ** (p - k) for k in range(1, p)), field.zero)
+
+        pairs = [(a1, a2) for a1 in ks for a2 in ks]
+        for a1, a2 in pairs:
+            x = Witt2(a1, a2)
+            assert (x.a1, x.a2) == (a1, a2)
+            assert x.times_p() == Witt2(field.zero, a1**p)
+            for b1, b2 in pairs:
+                y = Witt2(b1, b2)
+                assert x + y == Witt2(a1 + b1, a2 + b2 + carry(a1, b1))
+                assert x * y == Witt2(a1 * b1, a1**p * b2 + b1**p * a2)
 
 
 def fixture_normal_order() -> None:

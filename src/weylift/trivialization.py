@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import center as C
+from . import diffeq as DQ
 from .endo import Endo
 from .errors import NotAHomomorphism, WeyliftError
 from .weyl import AlgebraParams, WeylElem
@@ -313,7 +314,7 @@ def _twisted_generators(e: Endo):
     p = alg.field.p
     n = alg.n
     N = mat_size(alg)
-    ybar = [C.pth_root_retag(f) for f in e.center_images]
+    ybar = DQ.phi_S_all(e)
     A = [C.mat_sub(rep(alg, e.u(l)), C.mat_scalar(ybar[l], N)) for l in range(n)]
     B = [C.mat_sub(rep(alg, e.u(n + l)), C.mat_scalar(ybar[n + l], N)) for l in range(n)]
     proj = C.mat_identity(alg, "y", N)

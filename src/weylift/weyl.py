@@ -11,11 +11,11 @@ because the brackets are central):
     z_{n+l}^a z_l^b = sum_k binom(a,k) binom(b,k) k! z_l^{b-k} z_{n+l}^{a-k}
 
 Coefficients are stored as FieldElem / Witt2 objects.  Over F_p (m = 1)
-the product converts them at its boundary: F_p is Z/p by the residue and
-W_2(F_p) is Z/p^2 by FieldParams.w2_to_int, so the contraction runs on
-plain integers with weights cached mod p or p^2, and each output
-coefficient is reduced once and converted back.  For m > 1 the same loop
-runs on the objects.
+the product reads them at its boundary: F_p is Z/p and W_2(F_p) is Z/p^2,
+and either object holds its residue in coeffs[0], so the contraction runs
+on plain integers with weights cached mod p or p^2, and each output
+coefficient is reduced once and converted back by ring_from_int.  For
+m > 1 the same loop runs on the objects.
 
 The naive single-swap rewriter mono_mul_naive is retained as a slow oracle;
 it fixes the sign conventions and the contraction product is tested against
@@ -29,7 +29,7 @@ from functools import partial
 from math import comb, factorial
 
 from .errors import NotCentral, ParamsMismatch, WeyliftError
-from .scalars import FieldParams, Witt2
+from .scalars import FieldParams, teichmuller
 
 NEG_INF = float("-inf")
 
@@ -318,24 +318,21 @@ def _mul_generic(A: WeylElem, B: WeylElem) -> WeylElem:
     """
     alg, ring, field = A.alg, A.ring, A.alg.field
     n = alg.n
+    from_int = partial(alg.ring_from_int, ring)
+    rows = alg._cache.setdefault(("contraction", ring), {})
     if field.m == 1:
-        if ring == "k":
-            q, encode, decode = field.p, _residue, field.from_int
-        else:
-            q, encode, decode = field.p * field.p, field.w2_to_int, field.w2_from_int
-        a_terms = [(e, encode(c)) for e, c in A.terms.items()]
-        b_terms = [(e, encode(c)) for e, c in B.terms.items()]
-        rows = alg._cache.setdefault(("contraction", q), {})
+        q = field.p if ring == "k" else field.p**2
+        a_terms = [(e, c.coeffs[0]) for e, c in A.terms.items()]
+        b_terms = [(e, c.coeffs[0]) for e, c in B.terms.items()]
         image = q.__rmod__  # t -> t mod q
 
         def finish(c):
             c %= q
-            return decode(c) if c else None
+            return from_int(c) if c else None
 
     else:
         a_terms, b_terms = A.terms.items(), B.terms.items()
-        rows = alg._cache.setdefault(("contraction", ring), {})
-        image = partial(alg.ring_from_int, ring)
+        image = from_int
 
         def finish(c):
             return c
@@ -364,11 +361,6 @@ def _mul_generic(A: WeylElem, B: WeylElem) -> WeylElem:
                 s = out.get(exps)
                 out[exps] = c if s is None else s + c
     return WeylElem(alg, ring, {e: v for e, c in out.items() if (v := finish(c))})
-
-
-def _residue(c) -> int:
-    """An element of F_p as its residue in [0, p)."""
-    return c.coeffs[0]
 
 
 def _contraction_row(a: int, b: int, image) -> tuple:
@@ -456,8 +448,7 @@ def teich_lift(f: WeylElem) -> WeylElem:
     """
     if f.ring != "k":
         raise WeyliftError("teich_lift expects an element over k")
-    zero = f.alg.field.zero
-    return WeylElem(f.alg, "w2", {e: Witt2(c, zero) for e, c in f.terms.items()})
+    return WeylElem(f.alg, "w2", {e: teichmuller(c) for e, c in f.terms.items()})
 
 
 def times_p_elem(F: WeylElem) -> WeylElem:
@@ -466,15 +457,9 @@ def times_p_elem(F: WeylElem) -> WeylElem:
     A mod-p element is read through its Teichmuller lift; the result only
     depends on the class mod p, so this is well defined on either ring.
     """
-    out = {}
-    for e, c in F.terms.items():
-        if F.ring == "k":
-            pc = Witt2(F.alg.field.zero, c.frobenius())
-        else:
-            pc = c.times_p()
-        if pc:
-            out[e] = pc
-    return WeylElem(F.alg, "w2", out)
+    if F.ring == "k":
+        F = teich_lift(F)
+    return WeylElem(F.alg, "w2", {e: pc for e, c in F.terms.items() if (pc := c.times_p())})
 
 
 def w2_decompose_elem(F: WeylElem) -> tuple[WeylElem, WeylElem]:
@@ -484,9 +469,9 @@ def w2_decompose_elem(F: WeylElem) -> tuple[WeylElem, WeylElem]:
     t1 = {}
     t2 = {}
     for e, c in F.terms.items():
-        if c.a1:
-            t1[e] = c.a1
-        r = c.a2.pth_root()
-        if r:
-            t2[e] = r
+        b1, b2 = c.decompose()
+        if b1:
+            t1[e] = b1
+        if b2:
+            t2[e] = b2
     return WeylElem(F.alg, "k", t1), WeylElem(F.alg, "k", t2)

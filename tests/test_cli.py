@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -188,6 +189,66 @@ def test_corpus_subcommand_deterministic(capsys):
     assert rep["all_consistent"] is True
     for entry in rep["entries"]:
         assert entry["liftable"] == entry["poisson"] == entry["symmetric"]
+
+
+# SHA-256 of each stdout report.  Reports are byte-stable across commits, so
+# a change to these bytes must be deliberate and re-recorded here.
+GOLDEN_SPEC_DIGESTS = {
+    "bkk_p3": {
+        ("analyze", "gamma", "lift"): "7af37f925c3a83754666f4029acf21d96f1668484cbd5c060c5f1789873bbfd5",
+        ("trace-check",): "94726357ff900a4ae63f4e447eb02f331bca71ef9c263bc29d045cea9a56d564",
+    },
+    "bkk_p5": {
+        ("analyze", "gamma"): "982549f967f2b28a6a7d3d4bce2f771ab4701121683c0eb5b924c43a3c455180",
+        ("lift",): "aab91bccaeec12606ac9dcb5beba96e9def42254329f70a39434b3f33d6f3cc4",
+        ("trace-check",): "48253ebff12e94b266bb6af204ff30fdeae3664e181bb4f94b4c0ecea3e7dadd",
+    },
+    "etale_i0": {
+        ("analyze", "gamma", "lift"): "07f9c9160c7cf6d5e477b04679d830ddb28753ca12dda042f4bbf3c5bfdfbd1e",
+        ("trace-check",): "4187a46d126653f4fe21cfc5da7f323e0f7548aeb169e055605cd9a9e620dd88",
+    },
+    "etale_i1": {
+        ("analyze", "gamma", "lift"): "11d4e851ddc3ff95fb4687ad457934d0e71498509324704656809e620337e3cb",
+        ("trace-check",): "5817257519bbdc8879547505c6181078fbaf4cba39da1d31849ed52319accf74",
+    },
+    "etale_i2": {
+        ("analyze", "gamma", "lift"): "c7aa3192a9741f5ec9905842713e074cb9057ee9260d32245fa5a2c186c1061f",
+        ("trace-check",): "1779d8a6054e0e4317ceecce28d42e024102ac08850cc0d95bd19504e5ac8793",
+    },
+    "fourier_p3": {
+        ("analyze", "gamma", "lift"): "810a1cc56048bcd2ba3de196aa315f975c402dc2c89cbbf857c4dfeb4a2e98cf",
+        ("trace-check",): "63f80640484944c39d2fc78f8749826f9c8dd1a7817c0b4cb3873a926dde461c",
+    },
+    "identity_p3": {
+        ("analyze", "gamma", "lift", "trace-check"): (
+            "839ca9117883d16632d841774b1919f9f0ff14df1c8a08d6fe3ecf1c6acf6605"
+        ),
+    },
+}
+GOLDEN_CORPUS_DIGESTS = {
+    3: "d19336d7bfab931a398361510f5dea27599282b97f1c99c4ca39747bd4215180",
+    5: "8e7a1b53563ccf3d2af37f126cf2fb09c308c6876a01813a1805b0ee1b6c2036",
+}
+
+
+def _digest(capsys, argv) -> str:
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_golden_report_digests(capsys):
+    """Every shipped spec under every subcommand, and two fixed corpora, report
+    byte for byte what they did when the digests were recorded."""
+    assert sorted(GOLDEN_SPEC_DIGESTS) == sorted(p.stem for p in SPEC_DIR.glob("*.spec"))
+    for name, by_command in GOLDEN_SPEC_DIGESTS.items():
+        for commands, want in by_command.items():
+            for command in commands:
+                argv = [command, "--input", str(SPEC_DIR / f"{name}.spec")]
+                assert _digest(capsys, argv) == want, argv
+    for p, want in GOLDEN_CORPUS_DIGESTS.items():
+        argv = ["corpus", "--p", str(p), "--n", "1", "--count", "15", "--seed", "7"]
+        assert _digest(capsys, argv) == want, argv
 
 
 def test_selftest_subcommand(capsys):

@@ -9,9 +9,10 @@ import pytest
 
 from weylift import center as C
 from weylift.endo import bkk_family, etale_family, fourier, identity_endo
-from weylift.errors import ParseError, UnknownVariable
+from weylift.errors import ParseError, UnknownVariable, WeyliftError
 from weylift.parser import (
     SpecFile,
+    format_coeff,
     format_elem,
     format_poly,
     load_spec,
@@ -110,6 +111,15 @@ def test_format_poly(a2_f3):
     s = format_poly(g)
     assert "x2^3" in s and "x3^2" in s and "2*x1" in s
     assert format_poly(C.poly_zero(a2_f3, "x")) == "0"
+
+
+def test_format_coeff_accepts_only_field_elements():
+    """A Witt vector also stores residues in coeffs; it has no literal and raises."""
+    field = FieldParams(3)
+    assert format_coeff(field.from_int(2)) == "2"
+    for c in (field.w2_from_int(2), field.witt(field.one, field.one), 2):
+        with pytest.raises(WeyliftError):
+            format_coeff(c)
 
 
 def test_spec_files_parse_to_intended_images():

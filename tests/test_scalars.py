@@ -1,8 +1,11 @@
 """Finite field and length-2 Witt vector arithmetic.
 
-The load-bearing check is the exhaustive ring isomorphism W_2(F_p) = Z/p^2
+The load-bearing checks are the exhaustive ring isomorphism W_2(F_p) = Z/p^2
 via h(a1, a2) = a1^p + p a2^p mod p^2, for p in {2, 3, 5, 7}, both
-operations and every pair of elements.
+operations and every pair of elements, and the Witt component laws over
+W_2(F_4) and W_2(F_9) (exhaustive) and W_2(F_{32749^2}) (sampled).  Both
+read a Witt vector only through its components a1, a2, never through the
+Galois-ring residues it is stored as.
 """
 
 from __future__ import annotations
@@ -89,21 +92,22 @@ def test_w2_iso_sampled_at_largest_p():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_w2_to_int_is_inverse_ring_isomorphism(p):
-    """w2_to_int inverts w2_from_int and carries the Witt laws to Z/p^2."""
+    """The map to Z/p^2 (the _iso oracle) inverts w2_from_int and carries
+    +, -, *, negation and times_p to Z/p^2."""
     field = FieldParams(p)
     pp = p * p
-    assert [field.w2_to_int(field.w2_from_int(t)) for t in range(pp)] == list(range(pp))
+    assert [_iso(field, field.w2_from_int(t)) for t in range(pp)] == list(range(pp))
     elems = [field.witt(a, b) for a in field.all_elements() for b in field.all_elements()]
     for u in elems:
-        t = field.w2_to_int(u)
+        t = _iso(field, u)
         assert field.w2_from_int(t) == u
-        assert field.w2_to_int(-u) == -t % pp
-        assert field.w2_to_int(u.times_p()) == p * t % pp
+        assert _iso(field, -u) == -t % pp
+        assert _iso(field, u.times_p()) == p * t % pp
         for v in elems:
-            s = field.w2_to_int(v)
-            assert field.w2_to_int(u + v) == (t + s) % pp
-            assert field.w2_to_int(u - v) == (t - s) % pp
-            assert field.w2_to_int(u * v) == t * s % pp
+            s = _iso(field, v)
+            assert _iso(field, u + v) == (t + s) % pp
+            assert _iso(field, u - v) == (t - s) % pp
+            assert _iso(field, u * v) == t * s % pp
 
 
 def test_w2_to_int_sampled_at_largest_p():
@@ -117,20 +121,14 @@ def test_w2_to_int_sampled_at_largest_p():
 
     for _ in range(200):
         u, v = draw(), draw()
-        t, s = field.w2_to_int(u), field.w2_to_int(v)
+        t, s = _iso(field, u), _iso(field, v)
         assert 0 <= t < pp and field.w2_from_int(t) == u
-        assert field.w2_to_int(u + v) == (t + s) % pp
-        assert field.w2_to_int(u * v) == t * s % pp
-        assert field.w2_to_int(-u) == -t % pp
-        assert field.w2_to_int(u.times_p()) == p * t % pp
+        assert _iso(field, u + v) == (t + s) % pp
+        assert _iso(field, u * v) == t * s % pp
+        assert _iso(field, -u) == -t % pp
+        assert _iso(field, u.times_p()) == p * t % pp
         r = rng.randrange(pp)
-        assert field.w2_to_int(field.w2_from_int(r)) == r
-
-
-def test_w2_to_int_rejects_extension_field():
-    field = FieldParams(3, 2, (1, 0, 1))
-    with pytest.raises(WeyliftError):
-        field.w2_to_int(field.w2_one())
+        assert _iso(field, field.w2_from_int(r)) == r
 
 
 def _quadratic_modulus(p: int) -> tuple:
@@ -141,8 +139,18 @@ def _quadratic_modulus(p: int) -> tuple:
     return (c, 0, 1)
 
 
+def _binomial_carry(field: FieldParams, a, b):
+    """c(a, b) = -sum_{0<k<p} (binom(p,k)/p) a^k b^(p-k), evaluated in k."""
+    p = field.p
+    want = field.zero
+    for k in range(1, p):
+        want = want + field.from_int(-(comb(p, k) // p)) * a**k * b ** (p - k)
+    return want
+
+
 def test_carry_table_matches_binomial_definition():
-    """field.carry is -sum_k (binom(p,k)/p) a^k b^(p-k) over F_{p^2}, every prime <= 101."""
+    """[a] + [b] has second component -sum_k (binom(p,k)/p) a^k b^(p-k)
+    over F_{p^2}, every prime <= 101."""
     primes = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
     rng = random.Random(101)
     for p in primes:
@@ -154,7 +162,9 @@ def test_carry_table_matches_binomial_definition():
             want = field.zero
             for k in range(1, p):
                 want = want + weights[k] * a**k * b ** (p - k)
-            assert field.carry(a, b) == want
+            total = field.witt(a, field.zero) + field.witt(b, field.zero)
+            assert total.a1 == a + b
+            assert total.a2 == want
 
 
 def test_extension_field_at_largest_p():
@@ -167,11 +177,12 @@ def test_extension_field_at_largest_p():
     for _ in range(3):
         a, b = rng.randrange(p), rng.randrange(p)
         want = (pow(a, p, p * p) + pow(b, p, p * p) - pow(a + b, p, p * p)) % (p * p) // p
-        assert field.carry(field.from_int(a), field.from_int(b)) == field.from_int(want)
+        total = field.witt(field.from_int(a), field.zero) + field.witt(field.from_int(b), field.zero)
+        assert total.a2 == field.from_int(want)
 
 
 def test_w2_addition_at_largest_p_extension_field():
-    """One W_2 addition over F_{32749^2}: its carry is O(log p), not O(p)."""
+    """One W_2 addition over F_{32749^2} is coefficientwise: no O(p) carry."""
     p = 32749
     field = FieldParams(p, 2, _quadratic_modulus(p))
     rng = random.Random(p + 1)
@@ -183,6 +194,72 @@ def test_w2_addition_at_largest_p_extension_field():
     total = x + y
     assert time.perf_counter() - start < 0.1
     assert total - y == x
+
+
+def _check_witt_laws(field: FieldParams, pairs, carry) -> None:
+    """The component laws on every pair ((a1, a2), (b1, b2)) in ``pairs``."""
+    p = field.p
+    witt = {}
+    for (a1, a2), (b1, b2) in pairs:
+        for comp in ((a1, a2), (b1, b2)):
+            if comp not in witt:
+                x = witt[comp] = field.witt(*comp)
+                assert (x.a1, x.a2) == comp
+                assert x.times_p() == field.witt(field.zero, comp[0] ** p)
+                assert teichmuller(comp[0]) == field.witt(comp[0], field.zero)
+        x, y = witt[a1, a2], witt[b1, b2]
+        assert x + y == field.witt(a1 + b1, a2 + b2 + carry(a1, b1))
+        assert x * y == field.witt(a1 * b1, a1**p * b2 + b1**p * a2)
+        assert teichmuller(a1 * b1) == teichmuller(a1) * teichmuller(b1)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_witt_component_laws_exhaustive_quadratic(p):
+    """Every pair of W_2(F_4) or W_2(F_9) elements obeys the Witt laws."""
+    field = FieldParams(p, 2, _quadratic_modulus(p))
+    elems = list(field.all_elements())
+    comps = [(a1, a2) for a1 in elems for a2 in elems]
+    carries = {(a, b): _binomial_carry(field, a, b) for a in elems for b in elems}
+    pairs = itertools.product(comps, repeat=2)
+    _check_witt_laws(field, pairs, lambda a, b: carries[a, b])
+
+
+def test_witt_component_laws_sampled_at_largest_p():
+    """200 sampled pairs over W_2(F_{32749^2}), t^2 = -c.
+
+    The carry is its integral definition (A^p + B^p - (A+B)^p)/p, read in
+    (Z/p^2)[t]/(t^2 + c) by a local square-and-multiply: the binomial sum
+    has p terms, too many to evaluate 200 times at this p.
+    """
+    p = 32749
+    modulus = _quadratic_modulus(p)
+    field = FieldParams(p, 2, modulus)
+    pp, c = p * p, modulus[0]
+
+    def mul(x, y):
+        return ((x[0] * y[0] - c * x[1] * y[1]) % pp, (x[0] * y[1] + x[1] * y[0]) % pp)
+
+    def power(x, e):
+        out = (1, 0)
+        while e:
+            if e & 1:
+                out = mul(out, x)
+            x = mul(x, x)
+            e >>= 1
+        return out
+
+    def carry(a, b):
+        s = tuple(u + v for u, v in zip(a.coeffs, b.coeffs))
+        num = [u + v - w for u, v, w in zip(power(a.coeffs, p), power(b.coeffs, p), power(s, p))]
+        return field.element(x % pp // p for x in num)
+
+    rng = random.Random(32749 * 3)
+
+    def draw():
+        return field.element((rng.randrange(p), rng.randrange(p)))
+
+    pairs = [((draw(), draw()), (draw(), draw())) for _ in range(200)]
+    _check_witt_laws(field, pairs, carry)
 
 
 def test_teichmuller_is_multiplicative():
