@@ -312,6 +312,14 @@ def _summary(report: dict) -> str:
     return "; ".join(bits) if bits else "done"
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts and budgets: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="weylift",
@@ -326,7 +334,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                 "--task",
                 help="comma-separated extra tasks to run alongside the subcommand",
             )
-        sp.add_argument("--budget", type=int, help="term-count guardrail override")
+        sp.add_argument("--budget", type=positive_int, help="term-count guardrail override")
         sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         sp.add_argument("--json-out", help="write the JSON report to this file")
         sp.add_argument(
@@ -341,7 +349,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(cp, needs_input=False)
     cp.add_argument("--p", type=int, required=True, help="field characteristic")
     cp.add_argument("--n", type=int, required=True, help="number of symplectic pairs")
-    cp.add_argument("--count", type=int, default=10, help="number of endomorphisms")
+    cp.add_argument("--count", type=positive_int, default=10, help="number of endomorphisms")
     stp = sub.add_parser("selftest", help="run the built-in worked examples")
     common(stp, needs_input=False)
     return ap

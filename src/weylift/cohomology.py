@@ -20,22 +20,25 @@ recovers the obstruction matrix, and when the harmonic part is zero the
 1-form h pulls back to correction terms v_i making
 Phi(z_i) = [u_i] + p [v_i] a lift to W_2(k).
 
-The splitting processes variables in increasing order; each stage first
-integrates every slot monomial whose exponent in the stage variable is not
-p-1 mod p, then strips the residual (which closedness forces into the
-harmonic pattern).  This is deterministic, so h is reproducible.
+One recursive routine splits a closed q-form (the constructive half of the
+Cartier isomorphism H^q(Omega_S) = Omega^q over k[y^p]).  It processes the
+variables in increasing order; the stage at y_v first integrates in y_v
+every monomial of a dy_v slot whose y_v exponent is not p-1 mod p.  The
+residual, grouped by its exact y_v exponent c, is y_v^c dy_v times a closed
+(q-1)-form in the later variables, which the routine splits by calling
+itself; at q = 1 that residual already lies in k[y^p] and is harmonic.
+This is deterministic, so h is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from math import factorial
 
 from . import center as C
 from .endo import Endo
 from .errors import InternalInconsistency, NotClosed, SolveFailure, WeyliftError
-from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, teich_lift, times_p_elem
+from .weyl import AlgebraParams, WeylElem, commutator, teich_lift, times_p_elem
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +94,8 @@ def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
     p = field.p
     n2 = alg.nvars
     duals = [e.u(i) if which == "uhat" else -e.u_hat(i) for i in range(n2)]
-    inv_fact = [field.from_int(factorial(k)).inverse() for k in range(p)]
+    fact = [field.one]  # k! and 1/k! mod p, extended as far as the chains reach
+    inv_fact = [field.one]
     out: dict = {}
 
     def peel(h: WeylElem, i: int, m: tuple) -> None:
@@ -108,6 +112,9 @@ def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
             chain.append(nxt)
         if len(chain) > p:
             raise InternalInconsistency(f"ad(d_{i + 1})^p does not kill the element")
+        while len(fact) < len(chain):
+            fact.append(fact[-1] * field.from_int(len(fact)))
+            inv_fact.append(fact[-1].inverse())
         unit = [0] * n2
         F: dict = {}
         for k in range(len(chain) - 1, -1, -1):
@@ -115,7 +122,7 @@ def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
             for j, Fj in F.items():
                 unit[i] = j - k
                 g_pow = _ordered_monomial(e, which, tuple(unit))
-                acc = acc - g_pow * Fj.scale(field.from_int(factorial(j) // factorial(j - k)))
+                acc = acc - g_pow * Fj.scale(fact[j] * inv_fact[j - k])
             Fk = acc.scale(inv_fact[k])
             if Fk:
                 F[k] = Fk
@@ -182,7 +189,6 @@ def basis_expand_oracle(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
 def psi_forward(e: Endo, f: WeylElem) -> C.Poly:
     """psi(f) in S = k[y]: each basis term g(x) u^^m maps to g(y^p) y^m."""
     out = C.poly_zero(e.alg, "y")
-    p = e.alg.field.p
     for m, g in basis_expand(e, f, "uhat").items():
         shift = C.Poly(e.alg, "y", {m: e.alg.field.one})
         out = out + C.x_to_y(g) * shift
@@ -305,67 +311,69 @@ def d(F: Form) -> Form:
 # splitting closed forms
 
 
-def _split_poly_by_class(f: C.Poly, v: int, p: int) -> tuple[C.Poly, C.Poly]:
-    """(monomials with e_v % p != p-1, monomials with e_v % p == p-1)."""
-    a: dict = {}
-    b: dict = {}
-    for e, c in f.terms.items():
-        (b if e[v] % p == p - 1 else a)[e] = c
-    return C.Poly(f.alg, "y", a), C.Poly(f.alg, "y", b)
-
-
 def _integrate(f: C.Poly, v: int) -> C.Poly:
-    """Antiderivative in y_v; every exponent must satisfy e_v != p-1 mod p."""
-    alg = f.alg
-    p = alg.field.p
+    """Antiderivative in y_v of the monomials of f whose y_v exponent is not
+    p-1 mod p (the others have no antiderivative in y_v)."""
+    field = f.alg.field
+    p = field.p
     out = {}
     for e, c in f.terms.items():
-        inv = alg.field.from_int(e[v] + 1).inverse()
-        out[tuple(x + 1 if i == v else x for i, x in enumerate(e))] = c * inv
-    return C.Poly(alg, "y", out)
+        if e[v] % p != p - 1:
+            out[tuple(x + 1 if i == v else x for i, x in enumerate(e))] = (
+                c * field.from_int(e[v] + 1).inverse()
+            )
+    return C.Poly(f.alg, "y", out)
 
 
-def _split_closed_1form(W: dict, vs: list[int], alg: AlgebraParams):
-    """Split a closed 1-form sum_{t in vs} W[t] dy_t into d(g) + harmonic.
+def _wedge(c: int, v: int, G: Form) -> Form:
+    """y_v^c dy_v ^ G for a form G in the variables after y_v."""
+    alg = G.alg
+    yc = C.Poly(alg, "y", {tuple(c if i == v else 0 for i in range(alg.nvars)): alg.field.one})
+    return Form(alg, G.degree + 1, {(v,) + J: yc * g for J, g in G.coeffs.items()})
 
-    Returns (g, harm) with harm[t] a polynomial whose y_t exponents are p-1
-    mod p and all other exponents are 0 mod p.  The input must be closed
-    with respect to the variables vs (guaranteed by the callers).
+
+def _split_closed(F: Form):
+    """Split a closed q-form, q >= 1, as F = d(h) + harm with harm harmonic.
+
+    Variables go in increasing order.  At y_v, each slot dy_v dy_J (in
+    increasing J) first loses its monomials whose y_v exponent is not p-1
+    mod p: h gains their antiderivative in y_v times dy_J.  The rest of the
+    dy_v slots, grouped by the exact y_v exponent c, is y_v^c dy_v W_c with
+    W_c a closed (q-1)-form in the later variables.  At q = 1, W_c is a
+    function of y^p and joins harm as it is; otherwise W_c = d(g) + harm_c
+    by recursion, h gains -y_v^c dy_v g and harm gains y_v^c dy_v harm_c.
     """
+    alg = F.alg
     p = alg.field.p
-    W = {t: f for t, f in W.items() if f}
-    g_total = C.poly_zero(alg, "y")
-    harm: dict = {}
-    for v in vs:
-        Wv = W.get(v)
-        if Wv is None or Wv.is_zero():
-            continue
-        integ, res = _split_poly_by_class(Wv, v, p)
-        if integ:
-            g = _integrate(integ, v)
-            g_total = g_total + g
-            for w in vs:
-                dg = g.pderiv(w)
-                if dg.is_zero():
-                    continue
-                s = W.get(w, C.poly_zero(alg, "y")) - dg
-                if s:
-                    W[w] = s
-                elif w in W:
-                    del W[w]
-        res = W.get(v, C.poly_zero(alg, "y"))
-        if res:
-            for e in res.terms:
-                ok = all(
-                    (x % p == p - 1 if i == v else x % p == 0) for i, x in enumerate(e) if x
-                )
-                if not ok:
+    q = F.degree
+    work = Form(alg, q, dict(F.coeffs))
+    h = form_zero(alg, q - 1)
+    harm = form_zero(alg, q)
+    for v in range(alg.nvars):
+        for I in sorted(I for I in work.coeffs if I[0] == v):
+            g = _integrate(work.coeffs[I], v)
+            if g:
+                piece = Form(alg, q - 1, {I[1:]: g})
+                h = h + piece
+                work = work - piece.d()
+        groups: dict = {}
+        for I in sorted(I for I in work.coeffs if I[0] == v):
+            for e, c in work.coeffs.pop(I).terms.items():
+                stripped = tuple(0 if i == v else x for i, x in enumerate(e))
+                groups.setdefault(e[v], {}).setdefault(I[1:], {})[stripped] = c
+        for cv, slots in sorted(groups.items()):
+            W = Form(alg, q - 1, {J: C.Poly(alg, "y", terms) for J, terms in slots.items()})
+            if q == 1:
+                if any(x % p for e in W.slot(()).terms for x in e):
                     raise InternalInconsistency("1-form residual escapes the harmonic pattern")
-            harm[v] = res
-            del W[v]
-    if any(f for f in W.values()):
-        raise InternalInconsistency("1-form splitting left an unprocessed slot")
-    return g_total, harm
+                harm = harm + _wedge(cv, v, W)
+            else:
+                g_b, harm_b = _split_closed(W)
+                h = h - _wedge(cv, v, g_b)
+                harm = harm + _wedge(cv, v, harm_b)
+    if h.d() + harm != F:
+        raise InternalInconsistency(f"the splitting does not reconstruct the closed {q}-form")
+    return h, harm
 
 
 def split_closed_2form(F: Form):
@@ -380,66 +388,16 @@ def split_closed_2form(F: Form):
     dF = F.d()
     if not dF.is_zero():
         raise NotClosed(dF)
-    alg = F.alg
-    p = alg.field.p
-    n2 = alg.nvars
-    work = Form(alg, 2, dict(F.coeffs))
-    h = form_zero(alg, 1)
-    harmonic: dict = {}
-    for v in range(n2):
-        # 1) integrate in y_v whatever can be integrated
-        for t in range(v + 1, n2):
-            slot = work.slot((v, t))
-            if slot.is_zero():
-                continue
-            integ, _ = _split_poly_by_class(slot, v, p)
-            if integ:
-                g = _integrate(integ, v)
-                piece = form_from_coeffs(alg, 1, {(t,): g})
-                h = h + piece
-                work = work - piece.d()
-        # 2) the residual of each dy_v slot now has y_v exponents p-1 mod p;
-        #    group by the exact y_v exponent and split the proxy 1-forms
-        groups: dict = {}
-        for t in range(v + 1, n2):
-            slot = work.slot((v, t))
-            for e, c in slot.terms.items():
-                if e[v] % p != p - 1:
-                    raise InternalInconsistency("unintegrated monomial in stage residual")
-                stripped = tuple(0 if i == v else x for i, x in enumerate(e))
-                groups.setdefault(e[v], {}).setdefault(t, {})[stripped] = c
-        for cv, slots in sorted(groups.items()):
-            W = {t: C.Poly(alg, "y", terms) for t, terms in slots.items()}
-            g_b, harm_b = _split_closed_1form(W, list(range(v + 1, n2)), alg)
-            yv_pow = C.Poly(alg, "y", {tuple(cv if i == v else 0 for i in range(n2)): alg.field.one})
-            if g_b:
-                eta = form_from_coeffs(alg, 1, {(v,): -(yv_pow * g_b)})
-                h = h + eta
-                work = work - eta.d()
-            for t, Ct in harm_b.items():
-                slotpoly = yv_pow * Ct
-                cur = work.slot((v, t))
-                new = cur - slotpoly
-                if new:
-                    work.coeffs[(v, t)] = new
-                elif (v, t) in work.coeffs:
-                    del work.coeffs[(v, t)]
-                # strip y_v^{p-1} y_t^{p-1} to leave the k[y^p] coefficient
-                kpart = {}
-                for e, c in slotpoly.terms.items():
-                    kpart[tuple(x - (p - 1) if i in (v, t) else x for i, x in enumerate(e))] = c
-                add = C.Poly(alg, "y", kpart)
-                prev = harmonic.get((v, t))
-                tot = add if prev is None else prev + add
-                if tot:
-                    harmonic[(v, t)] = tot
-                elif (v, t) in harmonic:
-                    del harmonic[(v, t)]
-        for t in range(v + 1, n2):
-            if not work.slot((v, t)).is_zero():
-                raise InternalInconsistency("stage left a nonzero slot behind")
-    if not work.is_zero():
-        raise InternalInconsistency("splitting left unprocessed slots")
+    h, harm = _split_closed(F)
+    p = F.alg.field.p
+    harmonic = {}
+    for I, f in harm.coeffs.items():
+        # strip y_i^{p-1} y_j^{p-1} to leave the k[y^p] coefficient
+        kpart = {
+            tuple(x - (p - 1) if i in I else x for i, x in enumerate(e)): c
+            for e, c in f.terms.items()
+        }
+        harmonic[I] = C.Poly(F.alg, "y", kpart)
     return h, harmonic
 
 

@@ -249,7 +249,6 @@ def _primitive(f: C.Poly, v: int) -> C.Poly:
 def _prem(f: C.Poly, g: C.Poly, v: int) -> C.Poly:
     """Pseudo-remainder of f by g as univariate polynomials in y_v."""
     uf, ug = _as_uni(f, v), _as_uni(g, v)
-    df = max(uf) if uf else -1
     dg = max(ug)
     lg = ug[dg]
     while uf and max(uf) >= dg:

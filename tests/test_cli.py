@@ -112,6 +112,26 @@ def test_lift_of_degree_13_etale_map(capsys, tmp_path):
     assert lift["liftable"] is True and lift["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "images", [["z1", "z2"], ["32748*z3", "32748*z4", "z1", "z2"]], ids=["identity", "swap"]
+)
+def test_lift_at_p32749_finishes(capsys, tmp_path, images):
+    """The identity (n = 1) and the swap z_l -> -z_{n+l}, z_{n+l} -> z_l
+    (n = 2) at p = 32749: exit 3 under the default budget, a verified lift
+    under a raised one, both within 10 s."""
+    text = f"p = 32749\nn = {len(images) // 2}\n"
+    text += "".join(f"phi.{i} = {u}\n" for i, u in enumerate(images, 1))
+    spec = _write(tmp_path, "big.spec", text)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["lift", "--input", spec])
+    assert code == 3 and "budget" in err
+    code, out, err = _run(capsys, ["lift", "--input", spec, "--budget", "1" + "0" * 40])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    lift = json.loads(out)["lift"]
+    assert lift["liftable"] is True and lift["verified"] is True
+
+
 def test_invalid_endomorphism_exits_2(capsys, tmp_path):
     bad = _write(tmp_path, "bad.spec", "p = 3\nn = 1\nphi.1 = z1\nphi.2 = z1\n")
     code, out, err = _run(capsys, ["validate", "--input", bad])
@@ -140,6 +160,22 @@ def test_budget_exits_3(capsys):
         capsys, ["analyze", "--input", str(SPEC_DIR / "bkk_p3.spec"), "--budget", "10"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", str(SPEC_DIR / "etale_i0.spec"), "--budget", "-5"],
+        ["analyze", "--input", str(SPEC_DIR / "etale_i0.spec"), "--budget", "0"],
+        ["corpus", "--p", "3", "--n", "1", "--count", "-3"],
+        ["corpus", "--p", "3", "--n", "1", "--count", "0"],
+    ],
+)
+def test_nonpositive_budget_or_count_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_unknown_task_exits_2(capsys):

@@ -7,8 +7,11 @@ recover the planted harmonic coefficients exactly.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
+from itertools import combinations
+from itertools import product as iter_product
 
 import pytest
 
@@ -22,11 +25,19 @@ from weylift.scalars import FieldParams
 from weylift.weyl import AlgebraParams, ad_pow, commutator, teich_lift, times_p_elem
 
 
+def _rand_coeff(field, rng):
+    """A nonzero scalar; over F_{p^m} with m > 1 any of its q - 1 units."""
+    if field.m == 1:
+        return field.from_int(rng.randint(1, field.p - 1))
+    units = [c for c in iter_product(range(field.p), repeat=field.m) if any(c)]
+    return field.element(rng.choice(units))
+
+
 def _rand_poly(alg, rng, max_deg=4, nterms=3, tag="y"):
     terms = {}
     for _ in range(rng.randint(1, nterms)):
         exps = tuple(rng.randint(0, max_deg) for _ in range(alg.nvars))
-        terms[exps] = alg.field.from_int(rng.randint(1, alg.field.p - 1))
+        terms[exps] = _rand_coeff(alg.field, rng)
     return C.poly_from_terms(alg, tag, terms)
 
 
@@ -102,6 +113,59 @@ def test_split_reconstructs_200_random_closed_2forms():
             assert harmonic == planted
             count += 1
     assert count == 200
+
+
+# SHA-256 of the sorted (h, harmonic) terms over SPLIT_PIN_FIELDS x n in
+# {1, 2, 3}, recorded when the splitting had separate 1-form and 2-form
+# stages.  Any other valid h passes the reconstruction tests but changes
+# every lift report's v and Phi, so the exact split is pinned here.
+SPLIT_PIN_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
+SPLIT_PIN_DIGEST = "19b293e5c634a44a589e53781fad14cc58e5ac098e9ea31a14be27952f863ded"
+
+
+def test_split_is_pinned_on_seeded_closed_2forms():
+    rows = []
+    for (p, m), n in iter_product(SPLIT_PIN_FIELDS, (1, 2, 3)):
+        alg = AlgebraParams(n, FieldParams(p, m))
+        rng = random.Random(repr(("split-pin", p, m, n)))
+        for k in range(16):
+            exact = coh.d(_rand_1form(alg, rng, max_deg=2 * p))
+            harm_form, planted = _rand_harmonic(alg, rng)
+            h, harmonic = coh.split_closed_2form(exact + harm_form)
+            assert harmonic == planted
+            for name, part in (("h", h.coeffs), ("harmonic", harmonic)):
+                for I, f in part.items():
+                    for e, c in f.terms.items():
+                        rows.append((p, m, n, k, name, I, e, c.coeffs))
+    digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+    assert digest == SPLIT_PIN_DIGEST
+
+
+def test_recursive_split_recovers_planted_closed_3forms():
+    """The splitter recurses through every degree: d(random 2-form) plus
+    planted y_I^{p-1} k[y^p] dy_I terms comes back with the planted part."""
+    count = 0
+    for p, m, n in ((2, 1, 2), (3, 1, 2), (5, 1, 2), (3, 2, 2), (2, 1, 3), (3, 1, 3)):
+        alg = AlgebraParams(n, FieldParams(p, m))
+        rng = random.Random(repr(("split3", p, m, n)))
+        triples = list(combinations(range(alg.nvars), 3))
+        for _ in range(8):
+            slots = [I for I in combinations(range(alg.nvars), 2) if rng.random() < 0.5]
+            G = coh.form_from_coeffs(
+                alg, 2, {I: _rand_poly(alg, rng, max_deg=2 * p) for I in slots}
+            )
+            planted = {}
+            for I in rng.sample(triples, rng.randint(0, len(triples))):
+                e = tuple(
+                    (p - 1 if t in I else 0) + p * rng.randint(0, 1) for t in range(alg.nvars)
+                )
+                planted[I] = C.poly_from_terms(alg, "y", {e: _rand_coeff(alg.field, rng)})
+            harm_form = coh.form_from_coeffs(alg, 3, planted)
+            h, harm = coh._split_closed(coh.d(G) + harm_form)
+            assert coh.d(h) + harm == coh.d(G) + harm_form
+            assert harm == harm_form
+            count += 1
+    assert count == 48
 
 
 def _assemble_harmonic(alg, harmonic):
