@@ -10,12 +10,22 @@ because the brackets are central):
 
     z_{n+l}^a z_l^b = sum_k binom(a,k) binom(b,k) k! z_l^{b-k} z_{n+l}^{a-k}
 
+Inside the product every exponent vector is one int: a fixed-width field
+per variable (8, 16, 32 or 64 bits, picked from the sum of the operands'
+largest exponents; larger sums raise WeyliftError), after the packed
+exponent vectors of Monagan and Pearce (CASC 2007).  A monomial product is
+one addition, a k-fold contraction of pair l subtracts
+k * pack(e_l + e_{n+l}), the output terms merge in a dict keyed by ints, and
+each is unpacked to its tuple once.  Terms keep tuple keys everywhere else.
+
 Coefficients are stored as FieldElem / Witt2 objects.  Over F_p (m = 1)
 the product reads them at its boundary: F_p is Z/p and W_2(F_p) is Z/p^2,
 and either object holds its residue in coeffs[0], so the contraction runs
-on plain integers with weights cached mod p or p^2, and each output
-coefficient is reduced once and converted back by ring_from_int.  For
-m > 1 the same loop runs on the objects.
+on plain integers with weights mod p or p^2, and each output coefficient
+is reduced once and converted back by ring_from_int.  For m > 1 the same
+loop runs on the objects.  The packing routines, the pair steps, the
+contraction weights and the modulus are built once per algebra, ring and
+width and cached on the algebra, since most products are tiny.
 
 The naive single-swap rewriter mono_mul_naive is retained as a slow oracle;
 it fixes the sign conventions and the contraction product is tested against
@@ -24,9 +34,8 @@ it.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from functools import partial
-from math import comb, factorial
 
 from .errors import NotCentral, ParamsMismatch, WeyliftError
 from .scalars import FieldParams, teichmuller
@@ -217,15 +226,17 @@ class SparseElem:
     def __pow__(self, e: int):
         if e < 0:
             raise WeyliftError("negative powers are not defined")
-        result = self._like({(0,) * self.alg.nvars: self.alg.ring_one(self.ring)})
+        if not e:
+            return self._like({(0,) * self.alg.nvars: self.alg.ring_one(self.ring)})
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def pderiv(self, i: int):
         """Formal partial derivative in variable i (0-based), in characteristic p.
@@ -272,11 +283,12 @@ class WeylElem(SparseElem):
         """Multiply by the central monomial z^exps (all exponents divisible by p).
 
         Central monomials contract with nothing, so this is an exponent shift.
+        Over W_2(k) no nonconstant monomial is central ([z_2, z_1^p] = p z_1^(p-1)).
         """
         p = self.alg.field.p
         exps = tuple(int(e) for e in exps)
-        if any(e % p for e in exps):
-            raise NotCentral(f"monomial {exps} is not central")
+        if self.ring != "k" or any(e % p for e in exps):
+            raise NotCentral(f"monomial {exps} is not central over {self.ring}")
         out = {}
         for e, c in self.terms.items():
             shifted = tuple(a + b for a, b in zip(e, exps))
@@ -311,70 +323,136 @@ class WeylElem(SparseElem):
 
 
 def _mul_generic(A: WeylElem, B: WeylElem) -> WeylElem:
-    """Dictionary contraction product, valid over any coefficient ring.
+    """Dictionary contraction product on packed exponents, valid over any ring.
 
     For m = 1 the coefficients travel as ints mod q (module docstring); for
     m > 1 the same loop runs on the FieldElem / Witt2 objects.
     """
-    alg, ring, field = A.alg, A.ring, A.alg.field
-    n = alg.n
-    from_int = partial(alg.ring_from_int, ring)
-    rows = alg._cache.setdefault(("contraction", ring), {})
-    if field.m == 1:
-        q = field.p if ring == "k" else field.p**2
-        a_terms = [(e, c.coeffs[0]) for e, c in A.terms.items()]
-        b_terms = [(e, c.coeffs[0]) for e, c in B.terms.items()]
-        image = q.__rmod__  # t -> t mod q
-
-        def finish(c):
-            c %= q
-            return from_int(c) if c else None
-
-    else:
-        a_terms, b_terms = A.terms.items(), B.terms.items()
-        image = from_int
-
-        def finish(c):
-            return c
-
+    alg, ring, n = A.alg, A.ring, A.alg.n
+    top = max(map(max, A.terms)) + max(map(max, B.terms))
+    ctx = alg._cache.get(("mul", ring, top.bit_length()))
+    if ctx is None:
+        ctx = _context(alg, ring, top)
+    pack, unpack, size, rows, new_row, q, from_int = ctx
+    # A term: packed exponents, coefficient, and (l, a) for each pair l with
+    # a = e[n+l] > 0.  B term: packed exponents, coefficient, e.
+    a_terms = [
+        (
+            int.from_bytes(pack(*e), "little"),
+            c.coeffs[0] if q else c,
+            [(l, a) for l, a in enumerate(e[n:]) if a],
+        )
+        for e, c in A.terms.items()
+    ]
+    b_terms = [
+        (int.from_bytes(pack(*e), "little"), c.coeffs[0] if q else c, e)
+        for e, c in B.terms.items()
+    ]
     out: dict = {}
-    for ea, ca in a_terms:
-        for eb, cb in b_terms:
-            base = ca * cb
-            if not base:  # over W_2 a product of two multiples of p
+    get = out.get
+    for pa, ca, a_pairs in a_terms:
+        for pb, cb, eb in b_terms:
+            c = ca * cb
+            if not c:  # over W_2 a product of two multiples of p
                 continue
-            # (low exponents, high exponents, coefficient), one pair l at a time
-            parts = [((), (), base)]
-            for l in range(n):
-                a, b = ea[n + l], eb[l]
-                lo, hi = ea[l] + b, a + eb[n + l]
-                row = rows.get((a, b))
-                if row is None:
-                    row = rows[(a, b)] = _contraction_row(a, b, image)
-                parts = [
-                    (x + (lo - k,), y + (hi - k,), c if w is None else c * w)
-                    for x, y, c in parts
-                    for k, w in row
-                ]
-            for x, y, c in parts:
-                exps = x + y
-                s = out.get(exps)
-                out[exps] = c if s is None else s + c
-    return WeylElem(alg, ring, {e: v for e, c in out.items() if (v := finish(c))})
+            parts = None
+            for l, a in a_pairs:
+                if b := eb[l]:
+                    row = rows.get((l, a, b))
+                    if row is None:
+                        row = rows[(l, a, b)] = new_row(l, a, b)
+                    if row:
+                        parts = [
+                            (x - d, y if w is None else y * w)
+                            for x, y in (parts or ((pa + pb, c),))
+                            for d, w in row
+                        ]
+            if parts is None:
+                key = pa + pb
+                s = get(key)
+                out[key] = c if s is None else s + c
+            else:
+                for key, y in parts:
+                    s = get(key)
+                    out[key] = y if s is None else s + y
+    if q:
+        terms = {
+            unpack(x.to_bytes(size, "little")): from_int(r) for x, c in out.items() if (r := c % q)
+        }
+    else:
+        terms = {unpack(x.to_bytes(size, "little")): c for x, c in out.items() if c}
+    return WeylElem(alg, ring, terms)
 
 
-def _contraction_row(a: int, b: int, image) -> tuple:
-    """The contractions between z_{n+l}^a and z_l^b with a nonzero weight.
+_FORMATS = ((1 << 8, "B"), (1 << 16, "H"), (1 << 32, "I"), (1 << 64, "Q"))
 
-    (k, weight) for the k in 0..min(a, b) whose weight binom(a,k) binom(b,k)
-    k! has a nonzero image under ``image`` (ints mod q, or ring elements);
-    k = 0 carries None for the unit weight.
+
+def _context(alg: AlgebraParams, ring: str, top: int) -> tuple:
+    """The product's static set-up for exponent sums up to ``top``.
+
+    An exponent vector is packed into one int with a fixed-width unsigned
+    field per variable (8, 16, 32 or 64 bits, the narrowest that holds
+    ``top``), variable 0 lowest, so a monomial product is one addition and a
+    k-fold contraction of pair l subtracts k * (pack(e_l) + pack(e_{n+l})).
+    Returns (pack, unpack, size, rows, new_row, q, from_int): the struct
+    routines between exponent tuples and little-endian bytes of ``size``
+    bytes; the table (l, a, b) -> row that new_row(l, a, b) fills, a row
+    being () when no contraction survives, else (k * step_l, weight) from
+    k = 0 (weight None); the modulus q of the int coefficients (None for
+    m > 1); and the decoder of a residue.  It is built once per width and
+    cached on the algebra under ("mul", ring, top.bit_length()).
     """
-    row = [(0, None)]
-    for k in range(1, min(a, b) + 1):
-        w = image(comb(a, k) * comb(b, k) * factorial(k))
-        if w:
-            row.append((k, w))
+    for limit, fmt in _FORMATS:
+        if top < limit:
+            break
+    else:
+        raise WeyliftError(f"exponents summing to {top} >= 2^64 are not supported")
+    cache = alg._cache
+    ctx = cache.get(("mul", ring, fmt))
+    if ctx is None:
+        field, n = alg.field, alg.n
+        st = struct.Struct(f"<{2 * n}{fmt}")
+        width = 8 * st.size // (2 * n)
+        from_int = field.from_int if ring == "k" else field.w2_from_int
+        q = None if field.m > 1 else field.p if ring == "k" else field.p**2
+        image = from_int if q is None else q.__rmod__  # t -> t mod q
+
+        def new_row(l: int, a: int, b: int) -> tuple:
+            step = (1 << (width * l)) + (1 << (width * (n + l)))
+            row = _contraction_row(a, b, field.p, image)
+            return ((0, None),) + tuple((k * step, w) for k, w in row) if row else ()
+
+        ctx = cache[("mul", ring, fmt)] = (st.pack, st.unpack, st.size, {}, new_row, q, from_int)
+    cache[("mul", ring, top.bit_length())] = ctx
+    return ctx
+
+
+def _contraction_row(a: int, b: int, p: int, image) -> tuple:
+    """The contractions k >= 1 between z_{n+l}^a and z_l^b with a nonzero weight.
+
+    (k, image(w_k)) for the k in 1..min(a, b) whose weight w_k = binom(a,k)
+    binom(b,k) k! has a nonzero image; ``image`` reads an integer mod p^2
+    (ints mod q | p^2, or ring elements).  The weights come from one running
+    product w_k = w_{k-1} (a-k+1)(b-k+1) / k, carried as a p-adic valuation
+    v and units mod p^2, in place of three big binomials and a factorial
+    per k.  From k = 2p on, p^2 divides k! and every weight vanishes.
+    """
+    N = p * p
+    row = []
+    v, num, den = 0, 1, 1  # w_k = p^v * num / den with num, den units mod p^2
+    for k in range(1, min(a, b, 2 * p - 1) + 1):
+        x, y = (a - k + 1) * (b - k + 1), k
+        while x % p == 0:
+            x //= p
+            v += 1
+        while y % p == 0:
+            y //= p
+            v -= 1
+        num, den = num * x % N, den * y % N
+        if v < 2:
+            w = image(num * pow(den, -1, N) * p**v % N)
+            if w:
+                row.append((k, w))
     return tuple(row)
 
 

@@ -13,20 +13,28 @@ power-commutator identities
 
 for [u, v] = k + p w with scalar k are checked on 100 random admissible
 pairs over W_2, p in {2, 3}.
+
+Products whose exponent sums sit on either side of each packing width are
+checked against the contraction formula computed here and, over k, against
+the exponent shift by a central monomial; the term order of seeded products
+is pinned by digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+from math import comb, factorial
 
 import pytest
 
 from weylift.endo import generate_corpus
-from weylift.errors import WeyliftError
+from weylift.errors import NotCentral, WeyliftError
 from weylift.scalars import FieldParams, Witt2, teichmuller
 from weylift.weyl import (
     AlgebraParams,
     WeylElem,
+    _contraction_row,
     ad_pow,
     commutator,
     mono_mul,
@@ -202,6 +210,26 @@ def test_p_power_and_center_poly_round_trip():
         alg.gen(0).to_center_poly()
 
 
+def test_power_by_squaring_makes_no_product_with_one(monkeypatch):
+    """f**e equals the repeated product and costs (bits - 1) + (ones - 1) products."""
+    from weylift import weyl
+
+    alg = AlgebraParams(2, FieldParams(3))
+    rng = random.Random(5)
+    calls = []
+    mul = weyl._mul_generic
+    monkeypatch.setattr(weyl, "_mul_generic", lambda A, B: calls.append(1) or mul(A, B))
+    for ring in ("k", "w2"):
+        f = _random_elem(alg, rng, 2, ring)
+        want = alg.one_elem(ring)
+        for e in range(10):
+            calls.clear()
+            got = f**e
+            assert len(calls) == max(e.bit_length() - 1, 0) + max(bin(e).count("1") - 1, 0)
+            assert got == want
+            want = want * f
+
+
 def test_teich_lift_carries_on_addition():
     alg = AlgebraParams(1, FieldParams(3))
     f = alg.gen(0)
@@ -306,3 +334,123 @@ def test_split_ambiguity_does_not_matter():
     r1 = times_p_elem((u ** (p - 1)).scale(kappa) + ad_pow(u, p - 1, w))
     r2 = times_p_elem((u ** (p - 1)).scale(kappa2) + ad_pow(u, p - 1, w_shift))
     assert r1 == r2
+
+
+# -- packed exponents at the field-width boundaries --------------------------
+
+# Largest exponent sums on either side of each packing width (8, 16, 32 and
+# 64 bits per variable), and one well inside the 32-bit width.
+WIDTH_TOPS = [255, 256, 65535, 65536, 3 * 2**17, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _closed_pair_product(alg, ring, l, x, a, b, y, other):
+    """(z^other z_l^x z_{n+l}^a) * (z_l^b z_{n+l}^y) by the contraction formula.
+
+    ``other`` holds the exponents of the pairs other than l, which commute
+    with the right factor.
+    """
+    n = alg.n
+    terms = {}
+    for k in range(min(a, b) + 1):
+        c = alg.ring_from_int(ring, comb(a, k) * comb(b, k) * factorial(k))
+        if c:
+            e = list(other)
+            e[l], e[n + l] = x + b - k, a + y - k
+            terms[tuple(e)] = c
+    return WeylElem(alg, ring, terms)
+
+
+@pytest.mark.parametrize("top", WIDTH_TOPS)
+@pytest.mark.parametrize("q", [5, 32749, 9])
+def test_product_at_packing_widths_matches_closed_formula(q, top):
+    """The top exponent x + b (or a + y) of the product sits exactly at ``top``."""
+    alg = AlgebraParams(2, _field(q))
+    for ring in ("k", "w2"):
+        for l in range(2):
+            other = [0] * 4
+            o = 1 - l
+            big, half = top - top // 2, top // 2
+            # the largest exponent in the z_l slot, then in the z_{n+l} slot
+            for x, a, b, y in ((big, 3, half, 1), (1, big, 2, half)):
+                other[o], other[2 + o] = max(x, a), 1
+                ea = list(other)
+                ea[l], ea[2 + l] = x, a
+                eb = [0] * 4
+                eb[l], eb[2 + l] = b, y
+                got = alg.monomial(ea, ring=ring) * alg.monomial(eb, ring=ring)
+                assert got == _closed_pair_product(alg, ring, l, x, a, b, y, other)
+                assert max(map(max, got.terms)) == top
+
+
+@pytest.mark.parametrize("top", WIDTH_TOPS)
+@pytest.mark.parametrize("q", [32749, 9])
+def test_product_at_packing_widths_matches_central_shift(q, top):
+    """Over k, f * z^(p c) and z^(p c) * f are the shift of f by p c."""
+    alg = AlgebraParams(2, _field(q))
+    p = alg.field.p
+    rng = random.Random(("central", q, top).__repr__())
+    cs = ((top - 2) // p, rng.randrange(top // p + 1), 0, rng.randrange(top // p + 1))
+    d = top - p * cs[0]
+    center = alg.monomial([p * c for c in cs])
+    for _ in range(4):
+        f = _random_elem(alg, rng, min(d, 40)) + alg.monomial((d, 0, 1, 2))
+        shifted = f.times_central_monomial([p * c for c in cs])
+        assert f * center == shifted
+        assert center * f == shifted
+        assert max(map(max, shifted.terms)) == top
+    # over W_2(k), z_1^p is not central: [z_2, z_1^p] = p z_1^(p-1)
+    with pytest.raises(NotCentral):
+        teich_lift(f).times_central_monomial([p * c for c in cs])
+
+
+def test_product_past_64_bit_exponents_is_refused():
+    alg = AlgebraParams(1, FieldParams(3))
+    z1 = alg.gen(0)
+    half = alg.monomial((2**63, 0))
+    assert half * alg.monomial((2**63 - 1, 0)) == alg.monomial((2**64 - 1, 0))
+    with pytest.raises(WeyliftError):
+        half * half
+    with pytest.raises(WeyliftError):
+        alg.monomial((2**70, 0)) * z1
+
+
+def test_contraction_row_matches_the_direct_weights():
+    """The running p-adic product against binom(a,k) binom(b,k) k! mod q."""
+    for p in (2, 3, 5, 7):
+        for q in (p, p * p):
+            image = q.__rmod__
+            for a in range(30):
+                for b in range(30):
+                    ks = range(1, min(a, b) + 1)
+                    direct = ((k, comb(a, k) * comb(b, k) * factorial(k) % q) for k in ks)
+                    assert _contraction_row(a, b, p, image) == tuple((k, w) for k, w in direct if w)
+    # at a = b = p only k = p survives mod p^2, with weight p!
+    p = 32749
+    assert _contraction_row(p, p, p, (p * p).__rmod__) == ((p, factorial(p) % (p * p)),)
+
+
+# -- term order of the product ----------------------------------------------
+
+# SHA-256 of repr([(exps, coeffs), ...]) over the seeded products below, in
+# dict order.  Downstream peels and the golden report digests depend on the
+# order in which the product inserts its output terms, not only on its value.
+PRODUCT_ORDER_DIGESTS = {
+    2: "c4bf0e205fe63e2c21937b8db2ad3b22950a6954f406452346ae2f1b06aac9f9",
+    3: "ba2ad8a39e5aa1bf232383209897462dfa79b9b9c40a79a8c6e86f9f4e893748",
+    5: "e85e1da7ba6da5c84e9f060278459681ee66770fdfa1e642710534dfeb710877",
+    9: "67883d8c8b177323e892282085500a400252108c4a0a1ce6988d99baeba72a81",
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 9])
+def test_product_term_order_is_pinned(q):
+    h = hashlib.sha256()
+    for n in (1, 2):
+        alg = AlgebraParams(n, _field(q))
+        rng = random.Random(("order", q, n).__repr__())
+        for ring in ("k", "w2"):
+            for _ in range(15):
+                f = _random_elem(alg, rng, 5, ring) + _random_elem(alg, rng, 3, ring)
+                g = _random_elem(alg, rng, 5, ring) + _random_elem(alg, rng, 3, ring)
+                h.update(repr([(e, c.coeffs) for e, c in (f * g).terms.items()]).encode())
+    assert h.hexdigest() == PRODUCT_ORDER_DIGESTS[q]
