@@ -21,11 +21,17 @@ each is unpacked to its tuple once.  Terms keep tuple keys everywhere else.
 Coefficients are stored as FieldElem / Witt2 objects.  Over F_p (m = 1)
 the product reads them at its boundary: F_p is Z/p and W_2(F_p) is Z/p^2,
 and either object holds its residue in coeffs[0], so the contraction runs
-on plain integers with weights mod p or p^2, and each output coefficient
-is reduced once and converted back by ring_from_int.  For m > 1 the same
-loop runs on the objects.  The packing routines, the pair steps, the
-contraction weights and the modulus are built once per algebra, ring and
-width and cached on the algebra, since most products are tiny.
+on plain integers mod p or p^2, and each output coefficient is reduced once
+and converted back by ring_from_int.  For m > 1 the same loop runs on the
+objects.  Over W_2 two multiples of p (all residues divisible by p, as most
+terms of the W_2 p-th powers are) multiply to 0, so an A term divisible by
+p meets only the unit terms of B.  The packing routines, the pair steps,
+the contraction weights and the modulus are built once per algebra, ring
+and width and cached on the algebra, since most products are tiny.
+
+Output terms come in first-insertion order over the visited pairs, A-major.
+No value or report depends on that order (reports sort terms); a test pins
+it so that a change to it is deliberate.
 
 The naive single-swap rewriter mono_mul_naive is retained as a slow oracle;
 it fixes the sign conventions and the contraction product is tested against
@@ -326,7 +332,9 @@ def _mul_generic(A: WeylElem, B: WeylElem) -> WeylElem:
     """Dictionary contraction product on packed exponents, valid over any ring.
 
     For m = 1 the coefficients travel as ints mod q (module docstring); for
-    m > 1 the same loop runs on the FieldElem / Witt2 objects.
+    m > 1 the same loop runs on the FieldElem / Witt2 objects.  Pairs of two
+    multiples of p are never visited over W_2, so every visited pair has a
+    nonzero coefficient; output terms keep first-insertion order, A-major.
     """
     alg, ring, n = A.alg, A.ring, A.alg.n
     top = max(map(max, A.terms)) + max(map(max, B.terms))
@@ -334,27 +342,32 @@ def _mul_generic(A: WeylElem, B: WeylElem) -> WeylElem:
     if ctx is None:
         ctx = _context(alg, ring, top)
     pack, unpack, size, rows, new_row, q, from_int = ctx
-    # A term: packed exponents, coefficient, and (l, a) for each pair l with
-    # a = e[n+l] > 0.  B term: packed exponents, coefficient, e.
+    # B term: packed exponents, coefficient, e.  Over W_2 a pair of two
+    # multiples of p vanishes mod p^2, so an A term divisible by p meets only
+    # the unit terms of B.
+    b_terms = [
+        (int.from_bytes(pack(*e), "little"), c.coeffs[0] if q else c, e)
+        for e, c in B.terms.items()
+    ]
+    p, b_units = alg.field.p, b_terms
+    if ring == "w2":
+        b_units = [t for t, c in zip(b_terms, B.terms.values()) if any(r % p for r in c.coeffs)]
+    # A term: packed exponents, coefficient, (l, a) for each pair l with
+    # a = e[n+l] > 0, and the B terms it meets.
     a_terms = [
         (
             int.from_bytes(pack(*e), "little"),
             c.coeffs[0] if q else c,
             [(l, a) for l, a in enumerate(e[n:]) if a],
+            b_terms if ring == "k" or any(r % p for r in c.coeffs) else b_units,
         )
         for e, c in A.terms.items()
     ]
-    b_terms = [
-        (int.from_bytes(pack(*e), "little"), c.coeffs[0] if q else c, e)
-        for e, c in B.terms.items()
-    ]
     out: dict = {}
     get = out.get
-    for pa, ca, a_pairs in a_terms:
-        for pb, cb, eb in b_terms:
-            c = ca * cb
-            if not c:  # over W_2 a product of two multiples of p
-                continue
+    for pa, ca, a_pairs, b_meet in a_terms:
+        for pb, cb, eb in b_meet:
+            c = ca * cb % q if q else ca * cb
             parts = None
             for l, a in a_pairs:
                 if b := eb[l]:
