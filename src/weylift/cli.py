@@ -82,9 +82,9 @@ def _trace_samples(e: Endo, seed: int) -> list[WeylElem]:
     p = alg.field.p
     rng = random.Random(("trace", seed, p, alg.n).__repr__())
     # Only take the product of image powers while its degree bound stays
-    # small; otherwise the plain top monomial stands in.  The ad-chain
-    # expansion does not need the bound; it stays so that the sample set,
-    # and with it the work a trace-check does, is fixed per map.
+    # small; otherwise the plain top monomial stands in.  The ad chain of
+    # the expansion side does not need the bound; it stays so that the
+    # sample set, and with it the work a trace-check does, is fixed per map.
     if e.deg * (p - 1) * alg.nvars <= 10:
         top = alg.one_elem()
         for i in range(alg.nvars):
@@ -190,18 +190,14 @@ def run(spec: SpecFile, tasks: list[str], budget: int | None = None, seed: int =
             raise InternalInconsistency("lift construction disagrees with the obstruction matrix")
     if "trace-check" in order:
         t0 = time.monotonic()
-        agree = 0
         samples = _trace_samples(endo, seed)
         for f in samples:
             via_trace = TV.trace_top_coefficient(endo, f)
-            exp = coh.basis_expand(endo, f, "u")
-            top = tuple([endo.alg.field.p - 1] * endo.alg.nvars)
-            via_expansion = C.x_to_y(exp.get(top, C.poly_zero(endo.alg, "x")))
+            via_expansion = C.x_to_y(coh.top_coefficient(endo, f))
             if via_trace != via_expansion:
                 raise InternalInconsistency("trace route disagrees with the expansion route")
-            agree += 1
         clocks["trace-check"] = time.monotonic() - t0
-        report["trace_check"] = {"samples": agree, "agree": True}
+        report["trace_check"] = {"samples": len(samples), "agree": True}
     # the pipeline gate: every computed liftability verdict must agree
     if analysis is not None and gamma_sol is not None:
         if not (analysis.liftable == analysis.poisson == gamma_sol.symmetric):

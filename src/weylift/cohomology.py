@@ -12,6 +12,8 @@ intertwines ad(u_i) with d/dy_i.  The same intertwining computes the
 expansion itself: basis_expand peels the coefficients off with exact ad
 chains, one generator at a time, and solves no linear system (the
 bounded-degree solve survives only as basis_expand_oracle, for tests).
+top_coefficient reads the one coefficient the trace route recovers, that
+of u^^(p-1,..,p-1), with a single ad chain and no peel.
 
 The obstruction terms u_ij assemble into a closed 2-form
 F = sum_{i<j} psi(u_ij) dy_i dy_j; splitting F into an exact part d(h)
@@ -38,62 +40,46 @@ from itertools import product as iter_product
 from . import center as C
 from .endo import Endo
 from .errors import InternalInconsistency, NotClosed, SolveFailure, WeyliftError
-from .weyl import AlgebraParams, WeylElem, commutator, teich_lift, times_p_elem
+from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, teich_lift, times_p_elem
 
 
 # ---------------------------------------------------------------------------
 # basis expansion in the twisted generator monomials
 
 
-def _prod_cache(e: Endo, which: str) -> dict:
-    caches = getattr(e, "_prod_caches", None)
-    if caches is None:
-        caches = {}
-        e._prod_caches = caches
-    got = caches.get(which)
+def _ordered_monomial(e: Endo, m: tuple) -> WeylElem:
+    """The ordered product u^_1^{m_1} ... u^_2n^{m_2n}, cached on the map."""
+    cache = e.__dict__.setdefault("_monomials", {})
+    got = cache.get(m)
     if got is None:
-        got = {}
-        caches[which] = got
+        if any(m):
+            i = max(j for j, x in enumerate(m) if x)
+            prev = _ordered_monomial(e, tuple(x - (1 if j == i else 0) for j, x in enumerate(m)))
+            got = prev * e.u_hat(i)
+        else:
+            got = e.alg.one_elem()
+        cache[m] = got
     return got
 
 
-def _ordered_monomial(e: Endo, which: str, m: tuple) -> WeylElem:
-    """The ordered product g_1^{m_1} ... g_2n^{m_2n} for g = u or u^."""
-    cache = _prod_cache(e, which)
-    got = cache.get(m)
-    if got is not None:
-        return got
-    if not any(m):
-        res = e.alg.one_elem()
-    else:
-        i = max(j for j, x in enumerate(m) if x)
-        prev = _ordered_monomial(e, which, tuple(x - (1 if j == i else 0) for j, x in enumerate(m)))
-        g = e.u_hat(i) if which == "uhat" else e.u(i)
-        res = prev * g
-    cache[m] = res
-    return res
+def basis_expand(e: Endo, f: WeylElem) -> dict:
+    """Write f as sum_m g_m(x) * u^^m; returns {m: Poly(x)}.
 
+    Exact ad-chain peel, no linear algebra.  [u_i, u^_j] = delta_ij, so
+    ad(u_i) acts on ordered monomials as d/du^_i.  Writing
+    h = sum_j u^_i^j F_j with F_j free of u^_1 .. u^_i,
 
-def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
-    """Write f as sum_m g_m(x) * (ordered monomial m); returns {m: Poly(x)}.
-
-    Exact ad-chain peel, no linear algebra.  The duals d_i of the basis
-    generators g_i (d_i = u_i for g = u^, d_i = -u^_i for g = u) satisfy
-    [d_i, g_j] = delta_ij, so ad(d_i) acts on ordered monomials as d/dg_i.
-    Writing h = sum_j g_i^j F_j with F_j free of g_1 .. g_i,
-
-        ad(d_i)^k h = sum_{j >= k} j!/(j-k)! g_i^{j-k} F_j      (j < p),
+        ad(u_i)^k h = sum_{j >= k} j!/(j-k)! u^_i^{j-k} F_j      (j < p),
 
     so the F_k come out top-down, divided by k! (a unit since k < p), and
     each nonzero F_k is peeled in the next generator.  What is left after
     all 2n generators is the central coefficient.  A non-central leaf or
-    ad(d_i)^p h != 0 would put f outside the span, which freeness rules out.
+    ad(u_i)^p h != 0 would put f outside the span, which freeness rules out.
     """
     alg = e.alg
     field = alg.field
     p = field.p
     n2 = alg.nvars
-    duals = [e.u(i) if which == "uhat" else -e.u_hat(i) for i in range(n2)]
     fact = [field.one]  # k! and 1/k! mod p, extended as far as the chains reach
     inv_fact = [field.one]
     out: dict = {}
@@ -106,12 +92,12 @@ def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
             return
         chain = [h]
         for _ in range(p):
-            nxt = commutator(duals[i], chain[-1])
+            nxt = commutator(e.u(i), chain[-1])
             if nxt.is_zero():
                 break
             chain.append(nxt)
         if len(chain) > p:
-            raise InternalInconsistency(f"ad(d_{i + 1})^p does not kill the element")
+            raise InternalInconsistency(f"ad(u_{i + 1})^p does not kill the element")
         while len(fact) < len(chain):
             fact.append(fact[-1] * field.from_int(len(fact)))
             inv_fact.append(fact[-1].inverse())
@@ -121,7 +107,7 @@ def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
             acc = chain[k]
             for j, Fj in F.items():
                 unit[i] = j - k
-                g_pow = _ordered_monomial(e, which, tuple(unit))
+                g_pow = _ordered_monomial(e, tuple(unit))
                 acc = acc - g_pow * Fj.scale(fact[j] * inv_fact[j - k])
             Fk = acc.scale(inv_fact[k])
             if Fk:
@@ -134,6 +120,23 @@ def basis_expand(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
     return out
 
 
+def top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
+    """basis_expand(e, f)[(p-1,..,p-1)] as ad(u_1)^(p-1) ... ad(u_2n)^(p-1) f.
+
+    ad(u_i) acts as d/du^_i, so ad(u_i)^(p-1) kills u^_i^j F_j for j < p-1
+    and sends u^_i^(p-1) F to (p-1)! F = -F (Wilson).  The ad(u_i) commute,
+    as [u_i, u_j] is central, and the 2n signs -1 cancel.  Over the u basis
+    the top coefficient is the same: its duals -u^_i are each +-u_j, and
+    p-1 is even or p = 2.  A non-central result is an InternalInconsistency.
+    """
+    p = e.alg.field.p
+    for i in range(e.alg.nvars):
+        f = ad_pow(e.u(i), p - 1, f)
+    if not f.is_central():
+        raise InternalInconsistency("the top coefficient is not central")
+    return f.to_center_poly()
+
+
 def _exps_bounded(nvars: int, total: int):
     """All exponent vectors with given coordinate count and sum <= total."""
     if nvars == 0:
@@ -144,7 +147,7 @@ def _exps_bounded(nvars: int, total: int):
             yield (head,) + tail
 
 
-def basis_expand_oracle(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
+def basis_expand_oracle(e: Endo, f: WeylElem) -> dict:
     """Test oracle for basis_expand by linear algebra instead of ad chains.
 
     Solves a bounded-degree linear system over k against the free-module
@@ -159,7 +162,7 @@ def basis_expand_oracle(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
     n2 = alg.nvars
     if f.is_zero():
         return {}
-    gens_deg = [int((e.u_hat(i) if which == "uhat" else e.u(i)).degree()) for i in range(n2)]
+    gens_deg = [int(e.u_hat(i).degree()) for i in range(n2)]
     D = max(int(f.degree()), 0)
     cap = int(f.degree()) + (p - 1) * sum(gens_deg) + 2 * p
     while True:
@@ -169,7 +172,7 @@ def basis_expand_oracle(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
             base_deg = sum(mi * di for mi, di in zip(m, gens_deg))
             if base_deg > D:
                 continue
-            mono = _ordered_monomial(e, which, m)
+            mono = _ordered_monomial(e, m)
             for a in _exps_bounded(n2, (D - base_deg) // p):
                 cands.append((m, a))
                 cols.append(mono.times_central_monomial(tuple(p * x for x in a)).terms)
@@ -187,12 +190,14 @@ def basis_expand_oracle(e: Endo, f: WeylElem, which: str = "uhat") -> dict:
 
 
 def psi_forward(e: Endo, f: WeylElem) -> C.Poly:
-    """psi(f) in S = k[y]: each basis term g(x) u^^m maps to g(y^p) y^m."""
-    out = C.poly_zero(e.alg, "y")
-    for m, g in basis_expand(e, f, "uhat").items():
-        shift = C.Poly(e.alg, "y", {m: e.alg.field.one})
-        out = out + C.x_to_y(g) * shift
-    return out
+    """psi(f) in S = k[y]: each basis term c x^a u^^m maps to c y^(pa+m)."""
+    p = e.alg.field.p
+    terms = {
+        tuple(p * ai + mi for ai, mi in zip(a, m)): c
+        for m, g in basis_expand(e, f).items()
+        for a, c in g.terms.items()
+    }
+    return C.Poly(e.alg, "y", terms)
 
 
 def psi_inverse(e: Endo, s: C.Poly) -> WeylElem:
@@ -204,8 +209,7 @@ def psi_inverse(e: Endo, s: C.Poly) -> WeylElem:
     acc = alg.zero_elem()
     for b, c in s.terms.items():
         m = tuple(x % p for x in b)
-        a = tuple(x // p for x in b)
-        el = _ordered_monomial(e, "uhat", m).times_central_monomial(tuple(p * x for x in a))
+        el = _ordered_monomial(e, m).times_central_monomial(tuple(bi - mi for bi, mi in zip(b, m)))
         acc = acc + el.scale(c)
     return acc
 
@@ -471,7 +475,7 @@ def construct_lift(e: Endo):
             else:
                 c_elem = C.embed_center(harmonic_to_center(alg, hp), "k")
                 mono = _ordered_monomial(
-                    e, "uhat", tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars))
+                    e, tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars))
                 )
                 rhs = c_elem * mono
             if lhs != rhs:

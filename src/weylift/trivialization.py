@@ -149,10 +149,10 @@ def trace_top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
     the same value with p^n by p^n matrices and is the test oracle.
 
     By conjugation invariance of the trace this is the coefficient of the
-    top monomial u_1^{p-1} .. u_2n^{p-1} in the expansion of f over the
+    top monomial u^_1^{p-1} .. u^_2n^{p-1} in the expansion of f over the
     basis twisted by the endomorphism, for any valid endomorphism; the
     trace side never looks at the images, which is the point of the
-    cross-check against the ad-chain expansion (cohomology.basis_expand).
+    cross-check against the ad chain of cohomology.top_coefficient.
     """
     if f.ring != "k":
         raise WeyliftError("the trace is defined over k, not W_2")

@@ -83,7 +83,8 @@ def test_lift_on_liftable_input(capsys):
 
 
 def test_bkk_p5_trace_check_finishes(capsys):
-    """The largest shipped trace-check; its expansions are ad-chain peels."""
+    """The largest shipped trace-check; its expansion side is one ad chain
+    per sample."""
     start = time.perf_counter()
     code, out, err = _run(capsys, ["trace-check", "--input", str(SPEC_DIR / "bkk_p5.spec")])
     assert time.perf_counter() - start < 30
@@ -91,14 +92,52 @@ def test_bkk_p5_trace_check_finishes(capsys):
     assert json.loads(out)["trace_check"] == {"samples": 8, "agree": True}
 
 
-def test_trace_check_at_p101(capsys, tmp_path):
-    """z2 -> z2 + z2^101: the trace side reads the monomials, no 101 x 101 matrices."""
-    spec = _write(tmp_path, "e101.spec", "p = 101\nn = 1\nphi.1 = z1\nphi.2 = z2 + z2^101\n")
+@pytest.mark.parametrize("p", [101, 211, 1009])
+def test_trace_check_at_p101(capsys, tmp_path, p):
+    """z2 -> z2 + z2^p: the trace side reads the monomials, no p x p matrices,
+    and the expansion side reads its one coefficient with one ad chain (a full
+    expansion per sample took 27 s at p = 211 on a 2-CPU Xeon)."""
+    spec = _write(tmp_path, "e.spec", f"p = {p}\nn = 1\nphi.1 = z1\nphi.2 = z2 + z2^{p}\n")
     start = time.perf_counter()
     code, out, err = _run(capsys, ["trace-check", "--input", spec])
     assert time.perf_counter() - start < 10
     assert code == 0
     assert json.loads(out)["trace_check"] == {"samples": 8, "agree": True}
+
+
+def test_trace_gate_exits_4(capsys, monkeypatch):
+    """A trace route off by one fails the trace-vs-expansion check: exit 4."""
+    from weylift import center as C
+    from weylift import cli
+
+    trace = cli.TV.trace_top_coefficient
+
+    def off_by_one(e, f):
+        return trace(e, f) + C.poly_one(e.alg, "y")
+
+    monkeypatch.setattr(cli.TV, "trace_top_coefficient", off_by_one)
+    code, out, err = _run(capsys, ["trace-check", "--input", str(SPEC_DIR / "bkk_p3.spec")])
+    assert code == 4
+    assert "internal inconsistency" in err and "trace route disagrees" in err
+
+
+def test_verdict_gate_exits_4(capsys, monkeypatch):
+    """A symmetry verdict flipped against the obstruction matrix: exit 4."""
+    import dataclasses
+
+    from weylift import cli
+
+    solve = cli.DQ.gamma_solution
+
+    def flipped(e):
+        sol = solve(e)
+        return dataclasses.replace(sol, symmetric=not sol.symmetric)
+
+    monkeypatch.setattr(cli.DQ, "gamma_solution", flipped)
+    argv = ["gamma", "--input", str(SPEC_DIR / "bkk_p3.spec"), "--task", "analyze"]
+    code, out, err = _run(capsys, argv)
+    assert code == 4
+    assert "internal inconsistency" in err and "verdicts disagree" in err
 
 
 def test_lift_of_degree_13_etale_map(capsys, tmp_path):

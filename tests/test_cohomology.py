@@ -20,7 +20,7 @@ from weylift import cli
 from weylift import cohomology as coh
 from weylift import diffeq
 from weylift.endo import Endo, bkk_family, etale_family, generate_corpus, identity_endo
-from weylift.errors import NotClosed
+from weylift.errors import InternalInconsistency, NotClosed
 from weylift.scalars import FieldParams
 from weylift.weyl import AlgebraParams, ad_pow, commutator, teich_lift, times_p_elem
 
@@ -247,7 +247,7 @@ def test_basis_expand_reconstructs(corpus):
         expansion = coh.basis_expand(e, f)
         rebuilt = alg.zero_elem()
         for m, g in expansion.items():
-            rebuilt = rebuilt + C.embed_center(g, "k") * coh._ordered_monomial(e, "uhat", m)
+            rebuilt = rebuilt + C.embed_center(g, "k") * coh._ordered_monomial(e, m)
         assert rebuilt == f
 
 
@@ -273,10 +273,32 @@ def test_basis_expand_matches_oracle(corpus):
     checked = 0
     for e in seeded[::4] + _f9_family_maps():
         for f in _expansion_inputs(e):
-            for which in ("uhat", "u"):
-                assert coh.basis_expand(e, f, which) == coh.basis_expand_oracle(e, f, which)
-                checked += 1
+            assert coh.basis_expand(e, f) == coh.basis_expand_oracle(e, f)
+            checked += 1
     assert checked >= 200
+
+
+def test_top_coefficient_matches_expansion(corpus):
+    """The single ad chain reads the top coefficient of the full peel."""
+    # the p = 5, n = 2 peels take about 11 s; the other sizes cover the claim
+    seeded = [e for e in corpus if (e.alg.field.p, e.alg.n) != (5, 2)]
+    checked = nonzero = 0
+    for e in seeded + _f9_family_maps():
+        top = (e.alg.field.p - 1,) * e.alg.nvars
+        for f in _expansion_inputs(e):
+            want = coh.basis_expand(e, f).get(top, C.poly_zero(e.alg, "x"))
+            assert coh.top_coefficient(e, f) == want
+            checked += 1
+            nonzero += not want.is_zero()
+    assert checked >= 1000 and nonzero >= 150
+
+
+def test_top_coefficient_off_the_span_is_internal(a1_f3):
+    """Images that break [z_1, z_2] = 1 (never validated) leave a non-central
+    chain end; that is an InternalInconsistency (exit 4), not NotCentral."""
+    z1z2 = a1_f3.gen(0) * a1_f3.gen(1)
+    with pytest.raises(InternalInconsistency, match="not central"):
+        coh.top_coefficient(Endo(a1_f3, [z1z2, z1z2]), a1_f3.gen(0))
 
 
 def test_psi_properties(a1_f3, corpus):
@@ -338,7 +360,7 @@ def test_harmonic_part_matches_obstruction_matrix(corpus):
             assert coh.harmonic_to_center(alg, g) == Cm[i][j]
             # extraction through the ad-chain on the twisted monomial
             mono = coh._ordered_monomial(
-                e, "uhat", tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars))
+                e, tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars))
             )
             resid = C.embed_center(Cm[i][j], "k") * mono
             back = ad_pow(e.u(i), p - 1, ad_pow(e.u(j), p - 1, resid))

@@ -149,7 +149,7 @@ def test_trace_top_coefficient_three_routes(corpus):
             )
         for f in samples:
             via_trace = TV.trace_top_coefficient(e, f)
-            expansion = coh.basis_expand(e, f, which="u")
+            expansion = coh.basis_expand(e, f)
             top = expansion.get((p - 1,) * alg.nvars, C.poly_zero(alg, "x"))
             assert via_trace == C.x_to_y(top)
 
