@@ -29,9 +29,17 @@ p meets only the unit terms of B.  The packing routines, the pair steps,
 the contraction weights and the modulus are built once per algebra, ring
 and width and cached on the algebra, since most products are tiny.
 
-Output terms come in first-insertion order over the visited pairs, A-major.
-No value or report depends on that order (reports sort terms); a test pins
-it so that a change to it is deliberate.
+The commutator [f, g] runs the same kernel once.  For a pair of terms
+c_a z^a, c_b z^b with c = c_a c_b, the contractions of z^a z^b enter with
++c and those of z^b z^a with -c, and the k = 0 part z^(a+b) common to both
+is never emitted, so a pair that contracts in neither order never touches
+the output.  A contraction's weight is symmetric in the two exponents, so
+both orders read one row table.
+
+Output terms come in first-insertion order over the visited pairs, A-major;
+in a commutator each A term goes through B for z^a z^b, then again for
+z^b z^a.  No value or report depends on that order (reports sort terms);
+tests pin it so that a change to it is deliberate.
 
 The naive single-swap rewriter mono_mul_naive is retained as a slow oracle;
 it fixes the sign conventions and the contraction product is tested against
@@ -280,10 +288,7 @@ class WeylElem(SparseElem):
     # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other: WeylElem) -> WeylElem:
-        self._require_compatible(other)
-        if not self.terms or not other.terms:
-            return WeylElem(self.alg, self.ring, {})
-        return _mul_generic(self, other)
+        return _contract(self, other)
 
     def times_central_monomial(self, exps, coeff=None) -> WeylElem:
         """Multiply by the central monomial z^exps (all exponents divisible by p).
@@ -328,66 +333,76 @@ class WeylElem(SparseElem):
 # multiplication
 
 
-def _mul_generic(A: WeylElem, B: WeylElem) -> WeylElem:
-    """Dictionary contraction product on packed exponents, valid over any ring.
+def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
+    """A * B, or [A, B] = A * B - B * A when ``bracket``, on packed exponents.
 
     For m = 1 the coefficients travel as ints mod q (module docstring); for
     m > 1 the same loop runs on the FieldElem / Witt2 objects.  Pairs of two
     multiples of p are never visited over W_2, so every visited pair has a
-    nonzero coefficient; output terms keep first-insertion order, A-major.
+    nonzero coefficient c.  The bracket takes each A term through the B
+    terms twice: the contractions of z^a z^b enter with c, then those of
+    z^b z^a with -c, and the k = 0 part z^(a+b) they share is never
+    emitted.  Output terms keep first-insertion order, A-major.
     """
+    A._require_compatible(B)
     alg, ring, n = A.alg, A.ring, A.alg.n
+    if not A.terms or not B.terms:
+        return WeylElem(alg, ring, {})
     top = max(map(max, A.terms)) + max(map(max, B.terms))
     ctx = alg._cache.get(("mul", ring, top.bit_length()))
     if ctx is None:
         ctx = _context(alg, ring, top)
     pack, unpack, size, rows, new_row, q, from_int = ctx
-    # B term: packed exponents, coefficient, e.  Over W_2 a pair of two
-    # multiples of p vanishes mod p^2, so an A term divisible by p meets only
-    # the unit terms of B.
+    p = alg.field.p
+
+    def unit(c):
+        return ring == "k" or (c.coeffs[0] % p if q else any(r % p for r in c.coeffs))
+
+    # B term: packed exponents, coefficient, e, and whether it is a unit.
+    # Over W_2 a pair of two multiples of p vanishes mod p^2, so an A term
+    # divisible by p meets only the unit terms of B.
     b_terms = [
-        (int.from_bytes(pack(*e), "little"), c.coeffs[0] if q else c, e)
+        (int.from_bytes(pack(*e), "little"), c.coeffs[0] if q else c, e, unit(c))
         for e, c in B.terms.items()
     ]
-    p, b_units = alg.field.p, b_terms
-    if ring == "w2":
-        b_units = [t for t, c in zip(b_terms, B.terms.values()) if any(r % p for r in c.coeffs)]
-    # A term: packed exponents, coefficient, (l, a) for each pair l with
-    # a = e[n+l] > 0, and the B terms it meets.
-    a_terms = [
-        (
-            int.from_bytes(pack(*e), "little"),
-            c.coeffs[0] if q else c,
-            [(l, a) for l, a in enumerate(e[n:]) if a],
-            b_terms if ring == "k" or any(r % p for r in c.coeffs) else b_units,
-        )
-        for e, c in A.terms.items()
-    ]
+    b_units = [t for t in b_terms if t[3]]
     out: dict = {}
     get = out.get
-    for pa, ca, a_pairs, b_meet in a_terms:
-        for pb, cb, eb in b_meet:
-            c = ca * cb % q if q else ca * cb
-            parts = None
-            for l, a in a_pairs:
-                if b := eb[l]:
-                    row = rows.get((l, a, b))
-                    if row is None:
-                        row = rows[(l, a, b)] = new_row(l, a, b)
-                    if row:
-                        parts = [
-                            (x - d, y if w is None else y * w)
-                            for x, y in (parts or ((pa + pb, c),))
-                            for d, w in row
-                        ]
-            if parts is None:
-                key = pa + pb
-                s = get(key)
-                out[key] = c if s is None else s + c
-            else:
-                for key, y in parts:
-                    s = get(key)
-                    out[key] = y if s is None else s + y
+    for ea, coeff in A.terms.items():
+        pa, ca = int.from_bytes(pack(*ea), "little"), coeff.coeffs[0] if q else coeff
+        # (l, j, x): pair l contracts x = ea[n+l] with eb[j], j = l, for
+        # z^a z^b; the bracket adds x = ea[l] against eb[n+l] for z^b z^a,
+        # with -c_a (a contraction's weight is symmetric in the exponents)
+        orders = [([(l, l, x) for l, x in enumerate(ea[n:]) if x], ca)]
+        if bracket:
+            orders.append(([(l, n + l, x) for l, x in enumerate(ea[:n]) if x], -ca))
+        b_meet = b_terms if unit(coeff) else b_units
+        for links, c_a in orders:
+            for pb, cb, eb, _ in b_meet:
+                c = c_a * cb % q if q else c_a * cb
+                parts = None
+                for l, j, x in links:
+                    if y := eb[j]:
+                        row = rows.get((l, x, y))
+                        if row is None:
+                            row = rows[(l, x, y)] = new_row(l, x, y)
+                        if row:
+                            parts = [
+                                (u - d, v if w is None else v * w)
+                                for u, v in (parts or ((pa + pb, c),))
+                                for d, w in row
+                            ]
+                # parts[0], or the pair alone when nothing contracts, is
+                # z^(a+b), which cancels in the bracket
+                if parts is None:
+                    if not bracket:
+                        key = pa + pb
+                        s = get(key)
+                        out[key] = c if s is None else s + c
+                else:
+                    for key, v in parts[bracket:]:
+                        s = get(key)
+                        out[key] = v if s is None else s + v
     if q:
         terms = {
             unpack(x.to_bytes(size, "little")): from_int(r) for x, c in out.items() if (r := c % q)
@@ -521,12 +536,15 @@ def mono_mul_naive(alg: AlgebraParams, ea, eb, ring: str = "k") -> WeylElem:
 
 
 def commutator(f: WeylElem, g: WeylElem) -> WeylElem:
-    return f * g - g * f
+    """[f, g] = f * g - g * f in one pass of the contraction kernel."""
+    return _contract(f, g, True)
 
 
 def ad_pow(f: WeylElem, r: int, g: WeylElem) -> WeylElem:
-    """ad(f)^r applied to g."""
+    """ad(f)^r applied to g; the chain stops at the first 0."""
     for _ in range(r):
+        if not g:
+            break
         g = commutator(f, g)
     return g
 

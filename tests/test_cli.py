@@ -319,17 +319,18 @@ def test_golden_report_digests(capsys):
 
 
 def test_reports_do_not_depend_on_product_term_order(capsys, monkeypatch):
-    """The Weyl product's output order is not part of any report: with every
-    product emitting its terms in reverse, all golden digests still match."""
+    """The Weyl kernel's output order is not part of any report: with every
+    product and every commutator emitting its terms in reverse, all golden
+    digests still match."""
     from weylift import weyl
 
-    mul = weyl._mul_generic
+    contract = weyl._contract
 
-    def reversed_mul(A, B):
-        out = mul(A, B)
+    def reversed_contract(A, B, bracket=False):
+        out = contract(A, B, bracket)
         return weyl.WeylElem(out.alg, out.ring, dict(reversed(out.terms.items())))
 
-    monkeypatch.setattr(weyl, "_mul_generic", reversed_mul)
+    monkeypatch.setattr(weyl, "_contract", reversed_contract)
     _check_golden_digests(capsys)
 
 

@@ -19,7 +19,9 @@ checked against the contraction formula computed here and, over k, against
 the exponent shift by a central monomial; the term order of seeded products
 is pinned by digest.  W_2 operands mixing units and multiples of p, whose
 pairs of two multiples the product skips, are checked against the swap
-oracle term pair by term pair.
+oracle term pair by term pair.  The commutator, one kernel pass, is checked
+against f * g - g * f and the swap oracle on the same kinds of operands, and
+its term order is pinned as well.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from math import comb, factorial
 import pytest
 
 from weylift.endo import generate_corpus
-from weylift.errors import NotCentral, WeyliftError
+from weylift.errors import NotCentral, ParamsMismatch, WeyliftError
 from weylift.scalars import FieldParams, Witt2, teichmuller
 from weylift.weyl import (
     AlgebraParams,
@@ -220,8 +222,8 @@ def test_power_by_squaring_makes_no_product_with_one(monkeypatch):
     alg = AlgebraParams(2, FieldParams(3))
     rng = random.Random(5)
     calls = []
-    mul = weyl._mul_generic
-    monkeypatch.setattr(weyl, "_mul_generic", lambda A, B: calls.append(1) or mul(A, B))
+    mul = weyl._contract
+    monkeypatch.setattr(weyl, "_contract", lambda A, B: calls.append(1) or mul(A, B))
     for ring in ("k", "w2"):
         f = _random_elem(alg, rng, 2, ring)
         want = alg.one_elem(ring)
@@ -520,3 +522,100 @@ def test_product_term_order_is_pinned(q):
                 g = _random_elem(alg, rng, 5, ring) + _random_elem(alg, rng, 3, ring)
                 h.update(repr([(e, c.coeffs) for e, c in (f * g).terms.items()]).encode())
     assert h.hexdigest() == PRODUCT_ORDER_DIGESTS[q]
+
+
+# -- the fused commutator ------------------------------------------------------
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 5, 9) for n in (1, 2)])
+def test_commutator_is_the_difference_of_products(q, n):
+    """[f, g] from one kernel pass equals f * g - g * f, over k and over W_2.
+
+    The W_2 operands mix units and multiples of p, whose pairs of two
+    multiples both orders skip.
+    """
+    alg = AlgebraParams(n, _field(q))
+    rng = random.Random(("bracket", q, n).__repr__())
+    for ring in ("k", "w2"):
+        for _ in range(10):
+            f = _random_elem(alg, rng, 4, ring) + _random_elem(alg, rng, 2, ring)
+            g = _random_elem(alg, rng, 4, ring) + _random_elem(alg, rng, 2, ring)
+            assert commutator(f, g) == f * g - g * f
+            assert commutator(f, f).is_zero()
+    for _ in range(6):
+        f = _mixed_w2_elem(alg, rng, 2, 3)
+        g = _mixed_w2_elem(alg, rng, 1, 3)
+        assert commutator(f, g) == _naive_product(f, g) - _naive_product(g, f)
+        assert commutator(g, f) == g * f - f * g
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (5, 2), (9, 1)])
+def test_commutator_of_monomials_against_the_swap_oracle(q, n):
+    alg = AlgebraParams(n, _field(q))
+    rng = random.Random(("bracket-mono", q, n).__repr__())
+    for ring in ("k", "w2"):
+        for _ in range(10):
+            ea = tuple(rng.randint(0, 4) for _ in range(alg.nvars))
+            eb = tuple(rng.randint(0, 4) for _ in range(alg.nvars))
+            want = mono_mul_naive(alg, ea, eb, ring) - mono_mul_naive(alg, eb, ea, ring)
+            got = commutator(alg.monomial(ea, ring=ring), alg.monomial(eb, ring=ring))
+            assert got == want
+
+
+def test_commutator_with_zero_and_across_algebras():
+    alg = AlgebraParams(1, FieldParams(3))
+    for ring in ("k", "w2"):
+        f = alg.gen(0, ring) + alg.gen(1, ring) ** 2
+        zero = alg.zero_elem(ring)
+        assert commutator(f, zero) == zero
+        assert commutator(zero, f) == zero
+    other = AlgebraParams(1, FieldParams(5))
+    with pytest.raises(ParamsMismatch):
+        commutator(alg.gen(0), other.gen(1))
+    with pytest.raises(ParamsMismatch):
+        commutator(alg.gen(0), alg.gen(1, "w2"))
+
+
+def test_ad_pow_stops_at_the_first_zero(monkeypatch):
+    """ad(z_2)^r z_1^3 reaches 0 after 4 brackets, so it makes 4 calls, not r."""
+    from weylift import weyl
+
+    alg = AlgebraParams(1, FieldParams(7))
+    calls = []
+    bracket = weyl.commutator
+    monkeypatch.setattr(weyl, "commutator", lambda f, g: calls.append(1) or bracket(f, g))
+    z1, z2 = alg.gen(0), alg.gen(1)
+    assert ad_pow(z2, 3, z1**3) == alg.const(6)
+    assert len(calls) == 3
+    calls.clear()
+    assert ad_pow(z2, 6, z1**3).is_zero()
+    assert len(calls) == 4
+    calls.clear()
+    assert ad_pow(z2, 6, alg.zero_elem()).is_zero()
+    assert not calls
+
+
+# SHA-256 of the commutator's terms in dict order over the seeded pairs below,
+# as PRODUCT_ORDER_DIGESTS does for the product: first insertion over the
+# visited pairs, A-major; each A term goes through B for z^a z^b, then again
+# for z^b z^a.
+COMMUTATOR_ORDER_DIGESTS = {
+    2: "65af4ce0690c21a7bff8537bfe869d20a5f9de8521fc77d5ca78283bcdca01e1",
+    3: "ae912207a39bf9fc7936f19cdb8f011f256d06c4205f3834f611a8479744eac9",
+    5: "726496efba4c558422d218471a8820d9222da5c109448849da2273ce2585fb8a",
+    9: "5c8caa6baead17c8774e26f116117d0caebf23230e31426b8d8398e955958d69",
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 9])
+def test_commutator_term_order_is_pinned(q):
+    h = hashlib.sha256()
+    for n in (1, 2):
+        alg = AlgebraParams(n, _field(q))
+        rng = random.Random(("bracket-order", q, n).__repr__())
+        for ring in ("k", "w2"):
+            for _ in range(15):
+                f = _random_elem(alg, rng, 5, ring) + _random_elem(alg, rng, 3, ring)
+                g = _random_elem(alg, rng, 5, ring) + _random_elem(alg, rng, 3, ring)
+                h.update(repr([(e, c.coeffs) for e, c in commutator(f, g).terms.items()]).encode())
+    assert h.hexdigest() == COMMUTATOR_ORDER_DIGESTS[q]
