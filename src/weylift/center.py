@@ -275,20 +275,8 @@ def mat_eq(A: Mat, B: Mat) -> bool:
 
 
 def mat_frobenius_twist(M: Mat) -> Mat:
-    """Entrywise p-th power; y-entries are re-tagged to x via y_i^p = x_i."""
-    out = []
-    for row in M:
-        new = []
-        for f in row:
-            if f.tag == "y":
-                new.append(pth_power_retag(f))
-            else:
-                p = f.alg.field.p
-                new.append(
-                    Poly(f.alg, "x", {tuple(p * a for a in e): c.frobenius() for e, c in f.terms.items()})
-                )
-        out.append(tuple(new))
-    return tuple(out)
+    """Entrywise p-th power of a y-matrix, re-tagged to x via y_i^p = x_i."""
+    return tuple(tuple(pth_power_retag(f) for f in row) for row in M)
 
 
 # -- exact division and determinants -----------------------------------------

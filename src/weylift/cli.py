@@ -381,9 +381,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except ParseError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
     except ResourceLimit as ex:
         print(f"resource limit: {ex}", file=sys.stderr)
         return 3

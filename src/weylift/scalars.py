@@ -150,7 +150,8 @@ class FieldParams:
     p: int
     m: int = 1
     modulus: tuple[int, ...] | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # for m = 1 the p field elements, indexed by residue; () for m > 1
+    _elems: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (2 <= self.p <= 2**15) or not _is_prime(self.p):
@@ -176,11 +177,9 @@ class FieldParams:
                 raise WeyliftError("modulus coefficients must be reduced mod p")
             if not _is_irreducible(mod, self.p):
                 raise WeyliftError(f"modulus {mod} is reducible over F_{self.p}")
-        p = self.p
         if self.m == 1:
-            self._cache["elems"] = tuple(
-                FieldElem(self, (r,), _checked=True) for r in range(p)
-            )
+            elems = tuple(FieldElem(self, (r,), _checked=True) for r in range(self.p))
+            object.__setattr__(self, "_elems", elems)
 
     # -- element constructors ------------------------------------------------
 
@@ -194,13 +193,13 @@ class FieldParams:
         if len(c) != self.m:
             raise WeyliftError(f"expected {self.m} coefficients, got {len(c)}")
         if self.m == 1:
-            return self._cache["elems"][c[0]]
+            return self._elems[c[0]]
         return FieldElem(self, c, _checked=True)
 
     def from_int(self, t: int) -> FieldElem:
         """Image of the integer t in the prime subfield."""
         if self.m == 1:
-            return self._cache["elems"][t % self.p]
+            return self._elems[t % self.p]
         return FieldElem(self, (t % self.p,) + (0,) * (self.m - 1), _checked=True)
 
     @property
@@ -214,7 +213,7 @@ class FieldParams:
     def all_elements(self):
         """Iterate every element of the field (intended for small fields)."""
         if self.m == 1:
-            yield from self._cache["elems"]
+            yield from self._elems
             return
         from itertools import product
 
@@ -295,7 +294,7 @@ class FieldElem(_Residues):
         self._require_same(other)
         p = self.params
         if p.m == 1:
-            return p._cache["elems"][(self.coeffs[0] + other.coeffs[0]) % p.p]
+            return p._elems[(self.coeffs[0] + other.coeffs[0]) % p.p]
         return FieldElem(
             p, tuple((a + b) % p.p for a, b in zip(self.coeffs, other.coeffs)), _checked=True
         )
@@ -304,7 +303,7 @@ class FieldElem(_Residues):
         self._require_same(other)
         p = self.params
         if p.m == 1:
-            return p._cache["elems"][(self.coeffs[0] - other.coeffs[0]) % p.p]
+            return p._elems[(self.coeffs[0] - other.coeffs[0]) % p.p]
         return FieldElem(
             p, tuple((a - b) % p.p for a, b in zip(self.coeffs, other.coeffs)), _checked=True
         )
@@ -312,14 +311,14 @@ class FieldElem(_Residues):
     def __neg__(self) -> FieldElem:
         p = self.params
         if p.m == 1:
-            return p._cache["elems"][-self.coeffs[0] % p.p]
+            return p._elems[-self.coeffs[0] % p.p]
         return FieldElem(p, tuple(-a % p.p for a in self.coeffs), _checked=True)
 
     def __mul__(self, other: FieldElem) -> FieldElem:
         self._require_same(other)
         pa = self.params
         if pa.m == 1:
-            return pa._cache["elems"][(self.coeffs[0] * other.coeffs[0]) % pa.p]
+            return pa._elems[(self.coeffs[0] * other.coeffs[0]) % pa.p]
         return FieldElem(pa, _ext_mul(pa, pa.p, self.coeffs, other.coeffs), _checked=True)
 
     def __pow__(self, e: int) -> FieldElem:
@@ -327,7 +326,7 @@ class FieldElem(_Residues):
             return self.inverse() ** (-e)
         pa = self.params
         if pa.m == 1:
-            return pa._cache["elems"][pow(self.coeffs[0], e, pa.p)]
+            return pa._elems[pow(self.coeffs[0], e, pa.p)]
         return FieldElem(pa, _ext_pow(pa, pa.p, self.coeffs, e), _checked=True)
 
     def inverse(self) -> FieldElem:

@@ -37,6 +37,7 @@ falls out by exact division.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import factorial
 
@@ -81,12 +82,13 @@ def _basis_exps(alg: AlgebraParams, r: int) -> tuple:
     return tuple(reversed(out))
 
 
+@functools.cache
 def nu(alg: AlgebraParams, i: int) -> C.Mat:
-    """Matrix of multiplication by T_i (i < n) or d/dT_{i-n} (i >= n)."""
-    key = ("nu", i)
-    got = alg._cache.get(key)
-    if got is not None:
-        return got
+    """Matrix of multiplication by T_i (i < n) or d/dT_{i-n} (i >= n).
+
+    This and the generator matrices below are memoised by value, shared by
+    every equal algebra.
+    """
     p = alg.field.p
     N = mat_size(alg)
     rows = [[C.poly_zero(alg, "y") for _ in range(N)] for _ in range(N)]
@@ -101,19 +103,19 @@ def nu(alg: AlgebraParams, i: int) -> C.Mat:
             if e[l] > 0:
                 r = _basis_index(alg, tuple(x - 1 if t == l else x for t, x in enumerate(e)))
                 rows[r][c] = C.poly_const(alg, "y", alg.field.from_int(e[l]))
-    got = tuple(tuple(row) for row in rows)
-    alg._cache[key] = got
-    return got
+    return tuple(tuple(row) for row in rows)
 
 
+@functools.cache
 def rep_gen(alg: AlgebraParams, i: int) -> C.Mat:
     """rep(z_i) = nu_i + y_i * Id."""
-    key = ("repgen", i)
-    got = alg._cache.get(key)
-    if got is None:
-        got = C.mat_add(nu(alg, i), C.mat_scalar(C.poly_var(alg, "y", i), mat_size(alg)))
-        alg._cache[key] = got
-    return got
+    return C.mat_add(nu(alg, i), C.mat_scalar(C.poly_var(alg, "y", i), mat_size(alg)))
+
+
+@functools.cache
+def _rep_gen_power(alg: AlgebraParams, i: int, e: int) -> C.Mat:
+    """rep(z_i)^e."""
+    return C.mat_pow(rep_gen(alg, i), e)
 
 
 def rep(alg: AlgebraParams, f: WeylElem) -> C.Mat:
@@ -122,16 +124,12 @@ def rep(alg: AlgebraParams, f: WeylElem) -> C.Mat:
         raise WeyliftError("rep is defined over k, not W_2")
     N = mat_size(alg)
     acc = C.mat_zero(alg, "y", N)
-    powers = alg._cache.setdefault("reppowers", {})
     for exps, c in sorted(f.terms.items()):
         term = None
         for i, e in enumerate(exps):
             if not e:
                 continue
-            pw = powers.get((i, e))
-            if pw is None:
-                pw = C.mat_pow(rep_gen(alg, i), e)
-                powers[(i, e)] = pw
+            pw = _rep_gen_power(alg, i, e)
             term = pw if term is None else C.mat_mul(term, pw)
         if term is None:
             term = C.mat_identity(alg, "y", N)

@@ -26,8 +26,9 @@ and converted back by ring_from_int.  For m > 1 the same loop runs on the
 objects.  Over W_2 two multiples of p (all residues divisible by p, as most
 terms of the W_2 p-th powers are) multiply to 0, so an A term divisible by
 p meets only the unit terms of B.  The packing routines, the pair steps,
-the contraction weights and the modulus are built once per algebra, ring
-and width and cached on the algebra, since most products are tiny.
+the contraction weights and the modulus are built once per field, n, ring
+and width and memoised by value, so every equal algebra shares them: most
+products are tiny, and each operation builds its own algebra.
 
 The commutator [f, g] runs the same kernel once.  For a pair of terms
 c_a z^a, c_b z^b with c = c_a c_b, the contractions of z^a z^b enter with
@@ -48,8 +49,9 @@ it.
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotCentral, ParamsMismatch, WeyliftError
 from .scalars import FieldParams, teichmuller
@@ -63,7 +65,6 @@ class AlgebraParams:
 
     n: int
     field: FieldParams
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -349,10 +350,9 @@ def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
     if not A.terms or not B.terms:
         return WeylElem(alg, ring, {})
     top = max(map(max, A.terms)) + max(map(max, B.terms))
-    ctx = alg._cache.get(("mul", ring, top.bit_length()))
-    if ctx is None:
-        ctx = _context(alg, ring, top)
-    pack, unpack, size, rows, new_row, q, from_int = ctx
+    if top >> 64:
+        raise WeyliftError(f"exponents summing to {top} >= 2^64 are not supported")
+    pack, unpack, size, rows, new_row, q = _context(alg.field, n, ring, _FORMATS[top.bit_length()])
     p = alg.field.p
 
     def unit(c):
@@ -404,6 +404,7 @@ def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
                         s = get(key)
                         out[key] = v if s is None else s + v
     if q:
+        from_int = alg.field.from_int if ring == "k" else alg.field.w2_from_int
         terms = {
             unpack(x.to_bytes(size, "little")): from_int(r) for x, c in out.items() if (r := c % q)
         }
@@ -412,47 +413,38 @@ def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
     return WeylElem(alg, ring, terms)
 
 
-_FORMATS = ((1 << 8, "B"), (1 << 16, "H"), (1 << 32, "I"), (1 << 64, "Q"))
+# the packing format of each bit length 0..64 of the exponent sum
+_FORMATS = tuple("B" if b <= 8 else "H" if b <= 16 else "I" if b <= 32 else "Q" for b in range(65))
 
 
-def _context(alg: AlgebraParams, ring: str, top: int) -> tuple:
-    """The product's static set-up for exponent sums up to ``top``.
+@functools.cache
+def _context(field: FieldParams, n: int, ring: str, fmt: str) -> tuple:
+    """The product's static set-up for A_n over ``field``, ``ring``, struct format ``fmt``.
 
     An exponent vector is packed into one int with a fixed-width unsigned
-    field per variable (8, 16, 32 or 64 bits, the narrowest that holds
-    ``top``), variable 0 lowest, so a monomial product is one addition and a
-    k-fold contraction of pair l subtracts k * (pack(e_l) + pack(e_{n+l})).
-    Returns (pack, unpack, size, rows, new_row, q, from_int): the struct
-    routines between exponent tuples and little-endian bytes of ``size``
-    bytes; the table (l, a, b) -> row that new_row(l, a, b) fills, a row
-    being () when no contraction survives, else (k * step_l, weight) from
-    k = 0 (weight None); the modulus q of the int coefficients (None for
-    m > 1); and the decoder of a residue.  It is built once per width and
-    cached on the algebra under ("mul", ring, top.bit_length()).
+    field per variable (8, 16, 32 or 64 bits for "B", "H", "I", "Q"),
+    variable 0 lowest, so a monomial product is one addition and a k-fold
+    contraction of pair l subtracts k * (pack(e_l) + pack(e_{n+l})).
+    Returns (pack, unpack, size, rows, new_row, q): the struct routines
+    between exponent tuples and little-endian bytes of ``size`` bytes; the
+    table (l, a, b) -> row that new_row(l, a, b) fills, a row being () when
+    no contraction survives, else (k * step_l, weight) from k = 0 (weight
+    None); and the modulus q of the int coefficients (None for m > 1).
+    Memoised by value, so every equal algebra shares one row table; the
+    caller decodes residues with its own field.
     """
-    for limit, fmt in _FORMATS:
-        if top < limit:
-            break
-    else:
-        raise WeyliftError(f"exponents summing to {top} >= 2^64 are not supported")
-    cache = alg._cache
-    ctx = cache.get(("mul", ring, fmt))
-    if ctx is None:
-        field, n = alg.field, alg.n
-        st = struct.Struct(f"<{2 * n}{fmt}")
-        width = 8 * st.size // (2 * n)
-        from_int = field.from_int if ring == "k" else field.w2_from_int
-        q = None if field.m > 1 else field.p if ring == "k" else field.p**2
-        image = from_int if q is None else q.__rmod__  # t -> t mod q
+    st = struct.Struct(f"<{2 * n}{fmt}")
+    width = 8 * st.size // (2 * n)
+    q = None if field.m > 1 else field.p if ring == "k" else field.p**2
+    # t -> t mod q, or the ring element for m > 1
+    image = q.__rmod__ if q else field.from_int if ring == "k" else field.w2_from_int
 
-        def new_row(l: int, a: int, b: int) -> tuple:
-            step = (1 << (width * l)) + (1 << (width * (n + l)))
-            row = _contraction_row(a, b, field.p, image)
-            return ((0, None),) + tuple((k * step, w) for k, w in row) if row else ()
+    def new_row(l: int, a: int, b: int) -> tuple:
+        step = (1 << (width * l)) + (1 << (width * (n + l)))
+        row = _contraction_row(a, b, field.p, image)
+        return ((0, None),) + tuple((k * step, w) for k, w in row) if row else ()
 
-        ctx = cache[("mul", ring, fmt)] = (st.pack, st.unpack, st.size, {}, new_row, q, from_int)
-    cache[("mul", ring, top.bit_length())] = ctx
-    return ctx
+    return st.pack, st.unpack, st.size, {}, new_row, q
 
 
 def _contraction_row(a: int, b: int, p: int, image) -> tuple:

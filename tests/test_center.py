@@ -134,6 +134,8 @@ def test_frobenius_twist(a1):
     for i in range(2):
         for j in range(2):
             assert C.x_to_y(T[i][j]) == M[i][j] ** 3
+    with pytest.raises(WeyliftError):
+        C.mat_frobenius_twist([[C.poly_var(a1, "x", 0)]])
 
 
 def test_is_poisson_and_etale_on_coordinates(a2):

@@ -186,7 +186,7 @@ def test_syntax_error_exits_2(capsys, tmp_path):
     bad = _write(tmp_path, "syn.spec", "p = 3\nn = 1\nphi.1 = z1 +\nphi.2 = z2\n")
     code, out, err = _run(capsys, ["validate", "--input", bad])
     assert code == 2
-    assert "error" in err.lower()
+    assert err == "error: line 3, col 13: expected a generator, integer, or parenthesis\n"
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

@@ -21,7 +21,9 @@ is pinned by digest.  W_2 operands mixing units and multiples of p, whose
 pairs of two multiples the product skips, are checked against the swap
 oracle term pair by term pair.  The commutator, one kernel pass, is checked
 against f * g - g * f and the swap oracle on the same kinds of operands, and
-its term order is pinned as well.
+its term order is pinned as well.  The kernel's set-up is memoised by value:
+equal algebras share its contraction rows, algebras that differ get their
+own, and every output coefficient belongs to the calling algebra's field.
 """
 
 from __future__ import annotations
@@ -619,3 +621,62 @@ def test_commutator_term_order_is_pinned(q):
                 g = _random_elem(alg, rng, 5, ring) + _random_elem(alg, rng, 3, ring)
                 h.update(repr([(e, c.coeffs) for e, c in commutator(f, g).terms.items()]).encode())
     assert h.hexdigest() == COMMUTATOR_ORDER_DIGESTS[q]
+
+
+# -- the kernel's set-up, memoised by value -----------------------------------
+
+
+def test_equal_algebras_share_the_contraction_rows(monkeypatch):
+    from weylift import weyl
+
+    built = []
+    row = weyl._contraction_row
+    monkeypatch.setattr(weyl, "_contraction_row", lambda *a: built.append(a) or row(*a))
+    weyl._context.cache_clear()
+    ea, eb = (0, 0, 3, 2), (4, 1, 0, 0)
+    first = mono_mul(AlgebraParams(2, FieldParams(5)), ea, eb)
+    assert built
+    built.clear()
+    second = mono_mul(AlgebraParams(2, FieldParams(5)), ea, eb)
+    assert not built
+    assert second == first
+
+
+def test_different_algebras_keep_their_own_set_up():
+    """Interleaved products in algebras that differ in the modulus, the ring
+    or n each match the swap oracle, and each gets its own set-up."""
+    from weylift import weyl
+
+    weyl._context.cache_clear()
+    algs = [
+        AlgebraParams(n, FieldParams(3, 2, mod)) for mod in ((1, 0, 1), (2, 2, 1)) for n in (1, 2)
+    ]
+    rng = random.Random("distinct-set-up")
+    for _ in range(6):
+        for alg in algs:
+            for ring in ("k", "w2"):
+                ea = tuple(rng.randint(0, 4) for _ in range(alg.nvars))
+                eb = tuple(rng.randint(0, 4) for _ in range(alg.nvars))
+                c = alg.field.element((1, 1))
+                if ring == "w2":
+                    c = teichmuller(c)
+                f = alg.monomial(ea, c, ring)
+                assert f * alg.monomial(eb, ring=ring) == mono_mul_naive(alg, ea, eb, ring).scale(c)
+    # all exponent sums stay below 2^8: one set-up per field, n and ring
+    assert weyl._context.cache_info().currsize == len(algs) * 2
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_product_coefficients_belong_to_the_calling_field(q):
+    """A second, separately built equal algebra reuses the first one's set-up,
+    yet every coefficient it gets back is an element of its own field."""
+    from weylift import weyl
+
+    weyl._context.cache_clear()
+    for alg in (AlgebraParams(1, _field(q)), AlgebraParams(1, _field(q))):
+        rng = random.Random(("own-field", q).__repr__())
+        for ring in ("k", "w2"):
+            for _ in range(10):
+                f, g = _random_elem(alg, rng, 5, ring), _random_elem(alg, rng, 5, ring)
+                for h in (f * g, commutator(f, g)):
+                    assert all(c.params is alg.field for c in h.terms.values())
