@@ -13,11 +13,28 @@ commutator oracle poisson_witt_oracle recomputes the bracket upstairs as
 from __future__ import annotations
 
 from .errors import DivisionByZero, NotCentral, NotDivisibleByP, WeyliftError
-from .weyl import AlgebraParams, SparseElem, WeylElem, commutator, teich_lift, w2_decompose_elem
+from .weyl import (
+    AlgebraParams,
+    SparseElem,
+    WeylElem,
+    _aligned,
+    _Context,
+    _encode,
+    _layout,
+    _pack,
+    _weyl,
+    commutator,
+    teich_lift,
+    w2_decompose_elem,
+)
 
 
 class Poly(SparseElem):
-    """Sparse polynomial over k in 2n tagged commuting variables."""
+    """Sparse polynomial over k in 2n tagged commuting variables.
+
+    Poly(alg, tag, terms) takes {exponent tuple: FieldElem} and drops zero
+    coefficients; the store is SparseElem's.
+    """
 
     __slots__ = ("tag",)
     ring = "k"
@@ -25,42 +42,47 @@ class Poly(SparseElem):
     def __init__(self, alg: AlgebraParams, tag: str, terms: dict):
         if tag not in ("x", "y"):
             raise WeyliftError(f"unknown variable tag {tag!r}")
-        self.alg = alg
-        self.tag = tag
-        self.terms = terms
+        self.alg, self.tag = alg, tag
+        self.ctx, self.data = _encode(alg, "k", terms)
+
+    @staticmethod
+    def _make(alg: AlgebraParams, tag: str, ctx: _Context, data: dict) -> Poly:
+        x = object.__new__(Poly)
+        x.alg, x.tag, x.ctx, x.data = alg, tag, ctx, data
+        return x
 
     @property
     def var(self) -> str:
         return self.tag
 
-    def _like(self, terms: dict) -> Poly:
-        return Poly(self.alg, self.tag, terms)
+    def _like(self, data: dict, ctx: _Context | None = None) -> Poly:
+        return Poly._make(self.alg, self.tag, ctx or self.ctx, data)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self.data)
 
     def constant_term(self):
         return self.terms.get((0,) * self.alg.nvars, self.alg.field.zero)
 
     def homogeneous_slice(self, d: int) -> Poly:
-        return Poly(self.alg, self.tag, {e: c for e, c in self.terms.items() if sum(e) == d})
+        exps = self.ctx.exps
+        return self._like({k: c for k, c in self.data.items() if sum(exps(k)) == d})
 
     def __mul__(self, other: Poly) -> Poly:
-        self._require_compatible(other)
+        """Term pairs by key addition; the coefficient sums reduce once per term."""
+        if not self.data or not other.data:
+            self._require_compatible(other)
+            return self._like({})
+        ctx, da, db = _aligned(self, other, True)
         out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                c = ca * cb
-                if not c:
-                    continue
-                e = tuple(a + b for a, b in zip(ea, eb))
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Poly(self.alg, self.tag, out)
+        get = out.get
+        for ka, ca in da.items():
+            for kb, cb in db.items():
+                k, v = ka + kb, ca * cb
+                s = get(k)
+                out[k] = v if s is None else s + v
+        reduce = ctx.res.reduce
+        return self._like({k: r for k, v in out.items() if (r := reduce(v))}, ctx)
 
     def pderiv_iter(self, i: int, r: int) -> Poly:
         f = self
@@ -74,20 +96,23 @@ class Poly(SparseElem):
         return e, self.terms[e]
 
 
+def poly_items(alg: AlgebraParams, tag: str, items: list) -> Poly:
+    """The polynomial of (exponent tuple, residue) pairs; zero residues drop."""
+    return Poly._make(alg, tag, *_pack(alg, "k", items))
+
+
 # -- constructors -----------------------------------------------------------
 
 
 def poly_zero(alg: AlgebraParams, tag: str) -> Poly:
-    return Poly(alg, tag, {})
+    return Poly._make(alg, tag, _layout(alg, "k"), {})
 
 
 def poly_one(alg: AlgebraParams, tag: str) -> Poly:
-    return Poly(alg, tag, {(0,) * alg.nvars: alg.field.one})
+    return Poly._make(alg, tag, _layout(alg, "k"), {0: 1})
 
 
 def poly_const(alg: AlgebraParams, tag: str, c) -> Poly:
-    if not c:
-        return Poly(alg, tag, {})
     return Poly(alg, tag, {(0,) * alg.nvars: c})
 
 
@@ -98,14 +123,7 @@ def poly_var(alg: AlgebraParams, tag: str, i: int) -> Poly:
 
 
 def poly_from_terms(alg: AlgebraParams, tag: str, terms: dict) -> Poly:
-    clean = {}
-    for e, c in terms.items():
-        e = tuple(int(x) for x in e)
-        if len(e) != alg.nvars or any(x < 0 for x in e):
-            raise WeyliftError(f"bad exponent vector {e}")
-        if c:
-            clean[e] = c
-    return Poly(alg, tag, clean)
+    return Poly(alg, tag, {alg.exponents(e): c for e, c in terms.items()})
 
 
 # -- coordinate changes ------------------------------------------------------
@@ -116,21 +134,23 @@ def x_to_y(f: Poly) -> Poly:
     if f.tag != "x":
         raise WeyliftError("expected an x-polynomial")
     p = f.alg.field.p
-    return Poly(f.alg, "y", {tuple(p * a for a in e): c for e, c in f.terms.items()})
+    return poly_items(f.alg, "y", [(tuple(p * a for a in e), c) for e, c in f._items()])
 
 
 def pth_power_retag(f: Poly) -> Poly:
     """f(y)^p rewritten through y_i^p = x_i: exponents kept, coefficients^p."""
     if f.tag != "y":
         raise WeyliftError("expected a y-polynomial")
-    return Poly(f.alg, "x", {e: c.frobenius() for e, c in f.terms.items()})
+    res, p = f.ctx.res, f.alg.field.p
+    return Poly._make(f.alg, "x", f.ctx, {k: res.pow(c, p) for k, c in f.data.items()})
 
 
 def pth_root_retag(f: Poly) -> Poly:
     """The y-polynomial g with g(y)^p = f(y^p): exponents kept, coefficient roots."""
     if f.tag != "x":
         raise WeyliftError("expected an x-polynomial")
-    return Poly(f.alg, "y", {e: c.pth_root() for e, c in f.terms.items()})
+    res, root = f.ctx.res, f.alg.field.p ** (f.alg.field.m - 1)
+    return Poly._make(f.alg, "y", f.ctx, {k: res.pow(c, root) for k, c in f.data.items()})
 
 
 def embed_center(f: Poly, ring: str = "w2") -> WeylElem:
@@ -138,7 +158,8 @@ def embed_center(f: Poly, ring: str = "w2") -> WeylElem:
     if f.tag != "x":
         raise WeyliftError("expected an x-polynomial")
     p = f.alg.field.p
-    F = WeylElem(f.alg, "k", {tuple(p * a for a in e): c for e, c in f.terms.items()})
+    items = [(tuple(p * a for a in e), c) for e, c in f._items()]
+    F = _weyl(f.alg, "k", *_pack(f.alg, "k", items))
     return F if ring == "k" else teich_lift(F)
 
 
@@ -291,7 +312,7 @@ def divexact(f: Poly, g: Poly) -> Poly:
     rem = f
     ge, gc = g.lex_leading()
     gcinv = gc.inverse()
-    while rem.terms:
+    while rem:
         re, rc = rem.lex_leading()
         qe = tuple(a - b for a, b in zip(re, ge))
         if any(x < 0 for x in qe):

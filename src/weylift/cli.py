@@ -53,7 +53,7 @@ def ser_w2(c: Witt2) -> list:
 
 
 def ser_terms(terms: dict, wrap) -> list:
-    return [[list(e), wrap(terms[e])] for e in sorted(terms)]
+    return [[list(e), wrap(c)] for e, c in sorted(terms.items())]
 
 
 def ser_poly(g: C.Poly) -> list:

@@ -77,11 +77,10 @@ def basis_expand(e: Endo, f: WeylElem) -> dict:
     ad(u_i)^p h != 0 would put f outside the span, which freeness rules out.
     """
     alg = e.alg
-    field = alg.field
-    p = field.p
+    p = alg.field.p
     n2 = alg.nvars
-    fact = [field.one]  # k! and 1/k! mod p, extended as far as the chains reach
-    inv_fact = [field.one]
+    fact = [1]  # k! and 1/k! mod p, extended as far as the chains reach
+    inv_fact = [1]
     out: dict = {}
 
     def peel(h: WeylElem, i: int, m: tuple) -> None:
@@ -99,17 +98,18 @@ def basis_expand(e: Endo, f: WeylElem) -> dict:
         if len(chain) > p:
             raise InternalInconsistency(f"ad(u_{i + 1})^p does not kill the element")
         while len(fact) < len(chain):
-            fact.append(fact[-1] * field.from_int(len(fact)))
-            inv_fact.append(fact[-1].inverse())
+            fact.append(fact[-1] * len(fact) % p)
+            inv_fact.append(pow(fact[-1], p - 2, p))
         unit = [0] * n2
         F: dict = {}
         for k in range(len(chain) - 1, -1, -1):
-            acc = chain[k]
+            # chain[k] - sum_j u^_i^(j-k) F_j j!/(j-k)!, summed in place
+            acc = chain[k]._like(dict(chain[k].data)) if F else chain[k]
             for j, Fj in F.items():
                 unit[i] = j - k
                 g_pow = _ordered_monomial(e, tuple(unit))
-                acc = acc - g_pow * Fj.scale(fact[j] * inv_fact[j - k])
-            Fk = acc.scale(inv_fact[k])
+                acc._add_into(g_pow * Fj, -fact[j] * inv_fact[j - k] % p)
+            Fk = acc._scale(inv_fact[k])
             if Fk:
                 F[k] = Fk
         for k in sorted(F):
@@ -192,12 +192,12 @@ def basis_expand_oracle(e: Endo, f: WeylElem) -> dict:
 def psi_forward(e: Endo, f: WeylElem) -> C.Poly:
     """psi(f) in S = k[y]: each basis term c x^a u^^m maps to c y^(pa+m)."""
     p = e.alg.field.p
-    terms = {
-        tuple(p * ai + mi for ai, mi in zip(a, m)): c
+    items = [
+        (tuple(p * ai + mi for ai, mi in zip(a, m)), c)
         for m, g in basis_expand(e, f).items()
-        for a, c in g.terms.items()
-    }
-    return C.Poly(e.alg, "y", terms)
+        for a, c in g._items()
+    ]
+    return C.poly_items(e.alg, "y", items)
 
 
 def psi_inverse(e: Endo, s: C.Poly) -> WeylElem:
@@ -207,10 +207,10 @@ def psi_inverse(e: Endo, s: C.Poly) -> WeylElem:
     alg = e.alg
     p = alg.field.p
     acc = alg.zero_elem()
-    for b, c in s.terms.items():
+    for b, c in s._items():
         m = tuple(x % p for x in b)
         el = _ordered_monomial(e, m).times_central_monomial(tuple(bi - mi for bi, mi in zip(b, m)))
-        acc = acc + el.scale(c)
+        acc._add_into(el, c)
     return acc
 
 
@@ -318,21 +318,19 @@ def d(F: Form) -> Form:
 def _integrate(f: C.Poly, v: int) -> C.Poly:
     """Antiderivative in y_v of the monomials of f whose y_v exponent is not
     p-1 mod p (the others have no antiderivative in y_v)."""
-    field = f.alg.field
-    p = field.p
-    out = {}
-    for e, c in f.terms.items():
-        if e[v] % p != p - 1:
-            out[tuple(x + 1 if i == v else x for i, x in enumerate(e))] = (
-                c * field.from_int(e[v] + 1).inverse()
-            )
-    return C.Poly(f.alg, "y", out)
+    p, reduce = f.alg.field.p, f.ctx.res.reduce
+    items = [
+        (e[:v] + (e[v] + 1,) + e[v + 1 :], reduce(c * pow(e[v] + 1, p - 2, p)))
+        for e, c in f._items()
+        if e[v] % p != p - 1
+    ]
+    return C.poly_items(f.alg, "y", items)
 
 
 def _wedge(c: int, v: int, G: Form) -> Form:
     """y_v^c dy_v ^ G for a form G in the variables after y_v."""
     alg = G.alg
-    yc = C.Poly(alg, "y", {tuple(c if i == v else 0 for i in range(alg.nvars)): alg.field.one})
+    yc = C.poly_items(alg, "y", [(tuple(c if i == v else 0 for i in range(alg.nvars)), 1)])
     return Form(alg, G.degree + 1, {(v,) + J: yc * g for J, g in G.coeffs.items()})
 
 
@@ -362,11 +360,11 @@ def _split_closed(F: Form):
                 work = work - piece.d()
         groups: dict = {}
         for I in sorted(I for I in work.coeffs if I[0] == v):
-            for e, c in work.coeffs.pop(I).terms.items():
-                stripped = tuple(0 if i == v else x for i, x in enumerate(e))
-                groups.setdefault(e[v], {}).setdefault(I[1:], {})[stripped] = c
+            for e, c in work.coeffs.pop(I)._items():
+                stripped = e[:v] + (0,) + e[v + 1 :]
+                groups.setdefault(e[v], {}).setdefault(I[1:], []).append((stripped, c))
         for cv, slots in sorted(groups.items()):
-            W = Form(alg, q - 1, {J: C.Poly(alg, "y", terms) for J, terms in slots.items()})
+            W = Form(alg, q - 1, {J: C.poly_items(alg, "y", items) for J, items in slots.items()})
             if q == 1:
                 if any(x % p for e in W.slot(()).terms for x in e):
                     raise InternalInconsistency("1-form residual escapes the harmonic pattern")
@@ -397,11 +395,11 @@ def split_closed_2form(F: Form):
     harmonic = {}
     for I, f in harm.coeffs.items():
         # strip y_i^{p-1} y_j^{p-1} to leave the k[y^p] coefficient
-        kpart = {
-            tuple(x - (p - 1) if i in I else x for i, x in enumerate(e)): c
-            for e, c in f.terms.items()
-        }
-        harmonic[I] = C.Poly(F.alg, "y", kpart)
+        kpart = [
+            (tuple(x - (p - 1) if i in I else x for i, x in enumerate(e)), c)
+            for e, c in f._items()
+        ]
+        harmonic[I] = C.poly_items(F.alg, "y", kpart)
     return h, harmonic
 
 
@@ -441,10 +439,10 @@ class ObstructionWitness:
 def harmonic_to_center(alg: AlgebraParams, poly_ypow: C.Poly) -> C.Poly:
     """k[y^p] coefficient -> polynomial on the center (divide exponents by p)."""
     p = alg.field.p
-    for e in poly_ypow.terms:
-        if any(x % p for x in e):
-            raise WeyliftError("harmonic coefficient is not a polynomial in y^p")
-    return C.Poly(alg, "x", {tuple(x // p for x in e): c for e, c in poly_ypow.terms.items()})
+    items = list(poly_ypow._items())
+    if any(x % p for e, _ in items for x in e):
+        raise WeyliftError("harmonic coefficient is not a polynomial in y^p")
+    return C.poly_items(alg, "x", [(tuple(x // p for x in e), c) for e, c in items])
 
 
 def construct_lift(e: Endo):

@@ -56,13 +56,14 @@ def rhs_gamma(e: Endo, i: int) -> C.Poly:
 
 def _pth_root_termwise(f: C.Poly) -> C.Poly:
     """Termwise root: c y^(p b) -> c^(1/p) y^b; None if some exponent resists."""
-    p = f.alg.field.p
-    out = {}
-    for exps, c in f.terms.items():
+    field, res = f.alg.field, f.ctx.res
+    p, root = field.p, field.p ** (field.m - 1)
+    items = []
+    for exps, c in f._items():
         if any(x % p for x in exps):
             return None
-        out[tuple(x // p for x in exps)] = c.pth_root()
-    return C.Poly(f.alg, f.tag, out)
+        items.append((tuple(x // p for x in exps), res.pow(c, root)))
+    return C.poly_items(f.alg, f.tag, items)
 
 
 def solve_gamma(rhs: C.Poly, i: int) -> C.Poly:

@@ -69,9 +69,7 @@ class Endo:
     @cached_property
     def deg(self) -> int:
         """max_i deg(u_i); images are nonzero for a valid endomorphism."""
-        return max(int(u.degree()) for u in self.images if u.terms) if any(
-            u.terms for u in self.images
-        ) else 0
+        return max((int(u.degree()) for u in self.images if u), default=0)
 
     def u(self, i: int) -> WeylElem:
         return self.images[i]
@@ -194,7 +192,7 @@ class Endo:
             return got
 
         acc = alg.zero_elem()
-        for exps, c in f.terms.items():
+        for exps, c in f._items():
             term = None
             for i, e in enumerate(exps):
                 if e:
@@ -202,7 +200,7 @@ class Endo:
                     term = pw if term is None else term * pw
             if term is None:
                 term = alg.one_elem()
-            acc = acc + term.scale(c)
+            acc._add_into(term, c)
         return acc
 
     def compose(self, other: Endo) -> Endo:

@@ -190,8 +190,7 @@ def _format_terms(terms: dict, var: str) -> str:
     if not terms:
         return "0"
     parts = []
-    for exps in sorted(terms):
-        c = terms[exps]
+    for exps, c in sorted(terms.items()):
         bits = []
         cs = format_coeff(c)
         if cs != "1" or not any(exps):

@@ -14,15 +14,24 @@ These laws define W_2(k); the tests check them.  The arithmetic runs in
 the isomorphic Galois ring (Z/p^2)[t]/(F~), F~ the modulus read over the
 integers (Serre, Local Fields, II 5-6), where (a1, a2) is the residue
 [a1] + p*[a2^{1/p}] with [.] the Teichmuller lift: [a] = A^q mod p^2 for
-any lift A of a.  A Witt2 holds that residue as m integers mod p^2, so
-+, - and p* are coefficientwise and * is a polynomial product; a1 and a2
-are read off only where the components are asked for.  The integer t is
-the constant residue t mod p^2, and W_2(F_p) is Z/p^2 itself.
+any lift A of a; a1 and a2 are read off only where the components are
+asked for.  The integer t is the constant residue t mod p^2, and W_2(F_p)
+is Z/p^2 itself.
+
+Every residue, of k or of W_2(k), is one int of a ResidueRing: the residue
+mod N = p or p^2 for m = 1, and for m > 1 its m coefficients mod N packed
+as the digits of one int (Kronecker substitution), so +, - and * are int
+operations followed by one reduction.  FieldElem and Witt2 wrap such an
+int; sparse elements (weyl.SparseElem) store the bare ints and build the
+objects only at their boundaries: constructors that take coefficient
+objects, and the decoded ``terms`` view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from itertools import product
 
 from .errors import DivisionByZero, ParamsMismatch, WeyliftError
 
@@ -48,97 +57,22 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Dense univariate arithmetic over F_p, used for modulus validation and
-# extension-field element operations, and over Z/p^2 for the Galois ring
-# (its modulus is monic, so no division mod p^2 is needed).  Polynomials
-# are lists, ascending.
-
-
-def _uni_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _uni_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _uni_rem(res, mod, p)
-
-
-def _uni_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p) if mod[-1] != 1 else 1
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - dm
-        q = a[-1] * inv_lead % p
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - q * mi) % p
-        _uni_trim(a)
-    return _uni_trim(a)
-
-
-def _uni_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _uni_rem(a, mod, p)
-    while e:
-        if e & 1:
-            result = _uni_mulmod(result, base, mod, p)
-        base = _uni_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _uni_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a = _uni_rem(a, b, p)
-        a, b = b, a
-    return a
-
-
-def _uni_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _uni_trim(out)
-
-
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """Deterministic irreducibility test for a monic polynomial over F_p."""
+    """Whether the monic mod (degree m > 1) is irreducible over F_p.
+
+    In R = F_p[t]/(mod), t^(p^m) = t makes mod squarefree with factors of
+    degrees dividing m; it is irreducible iff for every prime r | m the
+    element g = t^(p^(m/r)) - t is a unit, and then g^(p^m - 1) = 1 in
+    every factor field of R.
+    """
     m = len(mod) - 1
-    if m < 1:
+    R = ResidueRing(p, m, mod, "k")
+    t = 1 << R.D
+    if R.pow(t, p**m) != t:
         return False
-    modl = list(mod)
-    x = [0, 1]
-    # x^(p^m) == x mod f
-    xp = x
-    for _ in range(m):
-        xp = _uni_powmod(xp, p, modl, p)
-    if _uni_sub(xp, x, p):
-        return False
-    # gcd(x^(p^(m/q)) - x, f) == 1 for every prime q | m
-    q = 2
-    mm = m
-    primes = set()
-    while mm > 1:
-        while mm % q == 0:
-            primes.add(q)
-            mm //= q
-        q += 1
-    for q in primes:
-        xe = x
-        for _ in range(m // q):
-            xe = _uni_powmod(xe, p, modl, p)
-        g = _uni_gcd(modl, _uni_sub(xe, x, p), p)
-        if len(g) != 1:
+    for r in {r for r in range(2, m + 1) if m % r == 0 and _is_prime(r)}:
+        g = R.reduce(R.pow(t, p ** (m // r)) - t + R.bias)
+        if R.pow(g, p**m - 1) != 1:
             return False
     return True
 
@@ -150,8 +84,6 @@ class FieldParams:
     p: int
     m: int = 1
     modulus: tuple[int, ...] | None = None
-    # for m = 1 the p field elements, indexed by residue; () for m > 1
-    _elems: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (2 <= self.p <= 2**15) or not _is_prime(self.p):
@@ -170,16 +102,12 @@ class FieldParams:
                         f"no built-in modulus for (p, m) = ({self.p}, {self.m}); supply one"
                     )
                 object.__setattr__(self, "modulus", mod)
-                mod = self.modulus
             if len(mod) != self.m + 1 or mod[-1] != 1:
                 raise WeyliftError("modulus must be monic of degree m")
             if any(not (0 <= c < self.p) for c in mod):
                 raise WeyliftError("modulus coefficients must be reduced mod p")
             if not _is_irreducible(mod, self.p):
                 raise WeyliftError(f"modulus {mod} is reducible over F_{self.p}")
-        if self.m == 1:
-            elems = tuple(FieldElem(self, (r,), _checked=True) for r in range(self.p))
-            object.__setattr__(self, "_elems", elems)
 
     # -- element constructors ------------------------------------------------
 
@@ -189,18 +117,11 @@ class FieldParams:
 
     def element(self, coeffs) -> FieldElem:
         """Field element from an iterable of m residues (ascending powers of t)."""
-        c = tuple(int(x) % self.p for x in coeffs)
-        if len(c) != self.m:
-            raise WeyliftError(f"expected {self.m} coefficients, got {len(c)}")
-        if self.m == 1:
-            return self._elems[c[0]]
-        return FieldElem(self, c, _checked=True)
+        return FieldElem(self, coeffs)
 
     def from_int(self, t: int) -> FieldElem:
         """Image of the integer t in the prime subfield."""
-        if self.m == 1:
-            return self._elems[t % self.p]
-        return FieldElem(self, (t % self.p,) + (0,) * (self.m - 1), _checked=True)
+        return FieldElem._of(self, t % self.p)
 
     @property
     def zero(self) -> FieldElem:
@@ -212,11 +133,6 @@ class FieldParams:
 
     def all_elements(self):
         """Iterate every element of the field (intended for small fields)."""
-        if self.m == 1:
-            yield from self._elems
-            return
-        from itertools import product
-
         for coeffs in product(range(self.p), repeat=self.m):
             yield self.element(coeffs)
 
@@ -233,48 +149,171 @@ class FieldParams:
 
     def w2_from_int(self, t: int) -> Witt2:
         """Image of the integer t in W_2(k): the constant residue t mod p^2."""
-        return _w2(self, (t % (self.p * self.p),) + (0,) * (self.m - 1))
+        return Witt2._of(self, t % (self.p * self.p))
 
 
-def _ext_mul(pa: FieldParams, N: int, x: tuple, y: tuple) -> tuple:
-    """x * y in (Z/N)[t]/(F~), N = p or p^2; m-tuples of residues mod N."""
-    if pa.m == 1:
-        return (x[0] * y[0] % N,)
-    prod = _uni_mulmod(list(x), list(y), list(pa.modulus), N)
-    return tuple(prod + [0] * (pa.m - len(prod)))
+# ---------------------------------------------------------------------------
+# residues as ints
 
 
-def _ext_pow(pa: FieldParams, N: int, x: tuple, e: int) -> tuple:
-    """x^e (e >= 0) in (Z/N)[t]/(F~), N = p or p^2."""
-    if pa.m == 1:
-        return (pow(x[0], e, N),)
-    res = _uni_powmod(list(x), e, list(pa.modulus), N)
-    return tuple(res + [0] * (pa.m - len(res)))
+# Unreduced products a Kronecker-packed residue may sum with no carry between
+# digits: the Weyl kernel adds at most 2 |A| |B| into one output term.
+_SUMMANDS = 2**64
+
+
+def _digit_width(m: int, N: int) -> int:
+    """Bits per digit for _SUMMANDS products of two residues times a weight
+    < N: a digit of such a product is at most m (N-1)^2 (N-1)."""
+    return (_SUMMANDS * m * (N - 1) ** 3).bit_length()
+
+
+class ResidueRing:
+    """k ("k", N = p) or W_2(k) ("w2", N = p^2) with its elements as ints.
+
+    For m = 1 an element is its residue mod N.  For m > 1 it is the
+    Galois-ring residue sum_i a_i t^i as sum_i a_i 2^(D i); D is one per
+    field, from W_2's N, so a residue of k is also the residue of its
+    digitwise lift to W_2.  A product of residues is one int product whose
+    digits are the polynomial product's coefficients, and sums of such
+    products (times integers < N) never carry (_digit_width); ``reduce``
+    takes any such sum to canonical form: digits mod N, polynomial mod F~.
+    An integer t is the residue t mod N, equal residues are equal ints, 0
+    is zero, and x - y is reduce(x - y + bias) with ``bias`` N in every
+    digit.  ``unit`` is nonzero exactly on the units.
+    """
+
+    def __init__(self, p: int, m: int, modulus, ring: str):
+        N = p if ring == "k" else p * p
+        self.key = (p, m, modulus, ring)
+        self.p, self.m, self.N = p, m, N
+        self.unit = bool if ring == "k" else p.__rmod__ if m == 1 else self._unit
+        self.elem = FieldElem if ring == "k" else Witt2
+        if m == 1:
+            self.D = 0
+            self.bias = 0
+            self.reduce = N.__rmod__
+            return
+        self.D = D = _digit_width(m, p * p)
+        self.bias = sum(N << (D * i) for i in range(m))
+        # t^i mod F~ for i = m .. 2m-2, as m coefficients mod N
+        fold = []
+        power = [0] * (m - 1) + [1]
+        for _ in range(m - 1):
+            top = power[-1]
+            power = [(x - top * c) % N for x, c in zip([0] + power[:-1], modulus)]
+            fold.append(tuple(power))
+        shifts, mask = tuple(D * i for i in range(2 * m - 1)), (1 << D) - 1
+
+        def reduce(x: int) -> int:
+            digits = [(x >> s) & mask for s in shifts]
+            out = 0
+            for j in range(m - 1, -1, -1):
+                v = digits[j]
+                for d, f in zip(digits[m:], fold):
+                    v += d * f[j]
+                out = (out << D) | (v % N)
+            return out
+
+        self.reduce = reduce
+
+    def digits(self, x: int) -> tuple:
+        """The m coefficients of the canonical residue x."""
+        if self.m == 1:
+            return (x,)
+        return tuple((x >> (self.D * i)) & ((1 << self.D) - 1) for i in range(self.m))
+
+    def pow(self, x: int, e: int) -> int:
+        """x^e (e >= 0) by square and multiply."""
+        if self.m == 1:
+            return pow(x, e, self.N)
+        out = 1
+        while e:
+            if e & 1:
+                out = self.reduce(out * x)
+            e >>= 1
+            if e:
+                x = self.reduce(x * x)
+        return out
+
+    def _unit(self, x: int) -> int:
+        return any(d % self.p for d in self.digits(x))
+
+    def encode(self, c: _Residues) -> int:
+        """The residue of a FieldElem (ring "k") or Witt2 ("w2") of this field."""
+        if c.res is not self and c.res.key != self.key:
+            raise ParamsMismatch(f"coefficient of {c.res.key} in ring {self.key}")
+        return c.r
+
+    def decode(self, field: FieldParams, x: int) -> _Residues:
+        """The FieldElem or Witt2 of ``field`` with canonical residue x."""
+        return self.elem._of(field, x, self)
+
+
+@functools.cache
+def residue_ring(p: int, m: int, modulus, ring: str) -> ResidueRing:
+    """The ResidueRing of F_{p^m} (``modulus``, None for m = 1), memoised by value."""
+    return ResidueRing(p, m, modulus, ring)
 
 
 class _Residues:
-    """An element of (Z/N)[t]/(F~), N = p (FieldElem) or p^2 (Witt2): m
-    residues mod N in ``coeffs``, ascending powers of t."""
+    """An element of (Z/N)[t]/(F~), N = p (FieldElem) or p^2 (Witt2): the int
+    ``r`` of its ResidueRing ``res``; ``coeffs`` are its m residues mod N,
+    ascending powers of t."""
 
-    __slots__ = ("params", "coeffs")
+    __slots__ = ("params", "res", "r")
+    _ring = "k"
 
-    def _require_same(self, other) -> None:
+    @classmethod
+    def _of(cls, params: FieldParams, r: int, res: ResidueRing | None = None):
+        x = object.__new__(cls)
+        x.params, x.r = params, r
+        x.res = res or residue_ring(params.p, params.m, params.modulus, cls._ring)
+        return x
+
+    def _with(self, r: int):
+        x = object.__new__(type(self))
+        x.params, x.res, x.r = self.params, self.res, r
+        return x
+
+    def _other(self, other) -> int:
         if self.params is not other.params and self.params != other.params:
             raise ParamsMismatch(f"{self.params} vs {other.params}")
+        return other.r
+
+    @property
+    def coeffs(self) -> tuple:
+        return self.res.digits(self.r)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.r
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return bool(self.r)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.params == other.params and self.coeffs == other.coeffs
+        return self.params == other.params and self.r == other.r
 
     def __hash__(self) -> int:
         return hash((self.params.p, self.params.m, self.coeffs))
+
+    def __add__(self, other):
+        return self._with(self.res.reduce(self.r + self._other(other)))
+
+    def __sub__(self, other):
+        return self._with(self.res.reduce(self.r - self._other(other) + self.res.bias))
+
+    def __neg__(self):
+        return self._with(self.res.reduce(self.res.bias - self.r))
+
+    def __mul__(self, other):
+        return self._with(self.res.reduce(self.r * self._other(other)))
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise WeyliftError("negative powers are not defined")
+        return self._with(self.res.pow(self.r, e))
 
 
 class FieldElem(_Residues):
@@ -282,52 +321,16 @@ class FieldElem(_Residues):
 
     __slots__ = ()
 
-    def __init__(self, params: FieldParams, coeffs: tuple[int, ...], _checked: bool = False):
-        if not _checked:
-            coeffs = tuple(int(c) % params.p for c in coeffs)
-            if len(coeffs) != params.m:
-                raise WeyliftError("coefficient vector has wrong length")
+    def __init__(self, params: FieldParams, coeffs):
+        c = tuple(int(x) % params.p for x in coeffs)
+        if len(c) != params.m:
+            raise WeyliftError(f"expected {params.m} coefficients, got {len(c)}")
         self.params = params
-        self.coeffs = coeffs
-
-    def __add__(self, other: FieldElem) -> FieldElem:
-        self._require_same(other)
-        p = self.params
-        if p.m == 1:
-            return p._elems[(self.coeffs[0] + other.coeffs[0]) % p.p]
-        return FieldElem(
-            p, tuple((a + b) % p.p for a, b in zip(self.coeffs, other.coeffs)), _checked=True
-        )
-
-    def __sub__(self, other: FieldElem) -> FieldElem:
-        self._require_same(other)
-        p = self.params
-        if p.m == 1:
-            return p._elems[(self.coeffs[0] - other.coeffs[0]) % p.p]
-        return FieldElem(
-            p, tuple((a - b) % p.p for a, b in zip(self.coeffs, other.coeffs)), _checked=True
-        )
-
-    def __neg__(self) -> FieldElem:
-        p = self.params
-        if p.m == 1:
-            return p._elems[-self.coeffs[0] % p.p]
-        return FieldElem(p, tuple(-a % p.p for a in self.coeffs), _checked=True)
-
-    def __mul__(self, other: FieldElem) -> FieldElem:
-        self._require_same(other)
-        pa = self.params
-        if pa.m == 1:
-            return pa._elems[(self.coeffs[0] * other.coeffs[0]) % pa.p]
-        return FieldElem(pa, _ext_mul(pa, pa.p, self.coeffs, other.coeffs), _checked=True)
+        self.res = residue_ring(params.p, params.m, params.modulus, "k")
+        self.r = sum(x << (self.res.D * i) for i, x in enumerate(c))
 
     def __pow__(self, e: int) -> FieldElem:
-        if e < 0:
-            return self.inverse() ** (-e)
-        pa = self.params
-        if pa.m == 1:
-            return pa._elems[pow(self.coeffs[0], e, pa.p)]
-        return FieldElem(pa, _ext_pow(pa, pa.p, self.coeffs, e), _checked=True)
+        return self.inverse() ** (-e) if e < 0 else _Residues.__pow__(self, e)
 
     def inverse(self) -> FieldElem:
         """The multiplicative inverse, by Fermat; DivisionByZero at zero.
@@ -336,120 +339,79 @@ class FieldElem(_Residues):
         inverse c^(p-2), taken on its residue; any other element a of
         F_q has inverse a^(q-2), since a^(q-1) = 1.
         """
-        if self.is_zero():
+        if not self.r:
             raise DivisionByZero("inverse of zero")
-        pa = self.params
-        if not any(self.coeffs[1:]):
-            return pa.from_int(pow(self.coeffs[0], pa.p - 2, pa.p))
-        return self ** (pa.q - 2)
+        p = self.params.p
+        if self.r < p:
+            return self._with(pow(self.r, p - 2, p))
+        return self ** (self.params.q - 2)
 
     def frobenius(self) -> FieldElem:
         """a -> a^p."""
-        if self.params.m == 1:
-            return self
         return self ** self.params.p
 
     def pth_root(self) -> FieldElem:
         """The unique b with b^p = a, namely a^(p^(m-1))."""
-        if self.params.m == 1:
-            return self
-        b = self
-        for _ in range(self.params.m - 1):
-            b = b.frobenius()
-        return b
+        return self ** (self.params.p ** (self.params.m - 1))
 
     def __repr__(self) -> str:
+        c = self.coeffs
         if self.params.m == 1:
-            return str(self.coeffs[0])
-        return "(" + "+".join(
-            f"{c}t^{i}" if i else str(c) for i, c in enumerate(self.coeffs) if c
-        ) + ")" if any(self.coeffs) else "0"
+            return str(c[0])
+        if not self.r:
+            return "0"
+        return "(" + "+".join(f"{x}t^{i}" if i else str(x) for i, x in enumerate(c) if x) + ")"
 
 
 class Witt2(_Residues):
     """A length-2 Witt vector (a1, a2) over F_{p^m}.
 
-    Held as the Galois-ring residue [a1] + p*[a2^{1/p}] (m integers mod
-    p^2); a1 and a2 are computed on demand.
+    Held as the Galois-ring residue [a1] + p*[a2^{1/p}]; a1 and a2 are
+    computed on demand.
     """
 
     __slots__ = ()
+    _ring = "w2"
 
     def __init__(self, a1: FieldElem, a2: FieldElem):
         if a1.params != a2.params:
             raise ParamsMismatch("Witt components from different fields")
         pa = a1.params
-        p = pa.p
-        low = teichmuller(a1).coeffs
-        high = a2.pth_root().coeffs
         self.params = pa
-        self.coeffs = tuple((x + p * y) % (p * p) for x, y in zip(low, high))
+        self.res = residue_ring(pa.p, pa.m, pa.modulus, "w2")
+        self.r = self.res.reduce(teichmuller(a1).r + pa.p * a2.pth_root().r)
 
     @property
     def a1(self) -> FieldElem:
-        return self.params.element(self.coeffs)
+        pa = self.params
+        return FieldElem._of(pa, residue_ring(pa.p, pa.m, pa.modulus, "k").reduce(self.r))
 
     @property
     def a2(self) -> FieldElem:
         return self.decompose()[1].frobenius()
 
-    def __add__(self, other: Witt2) -> Witt2:
-        self._require_same(other)
-        pp = self.params.p**2
-        return _w2(self.params, tuple((a + b) % pp for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: Witt2) -> Witt2:
-        self._require_same(other)
-        pp = self.params.p**2
-        return _w2(self.params, tuple((a - b) % pp for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> Witt2:
-        pp = self.params.p**2
-        return _w2(self.params, tuple(-a % pp for a in self.coeffs))
-
-    def __mul__(self, other: Witt2) -> Witt2:
-        self._require_same(other)
-        pa = self.params
-        return _w2(pa, _ext_mul(pa, pa.p**2, self.coeffs, other.coeffs))
-
-    def __pow__(self, e: int) -> Witt2:
-        if e < 0:
-            raise WeyliftError("negative powers are not defined")
-        pa = self.params
-        return _w2(pa, _ext_pow(pa, pa.p**2, self.coeffs, e))
-
     def times_p(self) -> Witt2:
         """Multiplication by p: (a1, a2) -> (0, a1^p)."""
-        p = self.params.p
-        return _w2(self.params, tuple(p * a % (p * p) for a in self.coeffs))
+        return self._with(self.res.reduce(self.params.p * self.r))
 
     def decompose(self) -> tuple[FieldElem, FieldElem]:
         """The unique (b1, b2) with self = [b1] + p*[b2].
 
         self lifts b1, so [b1] = self^q and b2 = (self - self^q)/p mod p.
         """
-        pa = self.params
-        p = pa.p
-        pp = p * p
-        teich = _ext_pow(pa, pp, self.coeffs, pa.q)
-        return self.a1, pa.element((x - t) % pp // p for x, t in zip(self.coeffs, teich))
+        res, p = self.res, self.params.p
+        teich = res.pow(self.r, self.params.q)
+        return self.a1, FieldElem._of(self.params, res.reduce(self.r - teich + res.bias) // p)
 
     def __repr__(self) -> str:
         return f"({self.a1!r},{self.a2!r})"
 
 
-def _w2(params: FieldParams, coeffs: tuple) -> Witt2:
-    """The Witt vector with Galois-ring residues ``coeffs`` (already reduced)."""
-    x = object.__new__(Witt2)
-    x.params = params
-    x.coeffs = coeffs
-    return x
-
-
 def teichmuller(a: FieldElem) -> Witt2:
     """Multiplicative lift a -> (a, 0), the residue A^q mod p^2 for a lift A."""
     pa = a.params
-    return _w2(pa, _ext_pow(pa, pa.p**2, a.coeffs, pa.q))
+    w2 = residue_ring(pa.p, pa.m, pa.modulus, "w2")
+    return Witt2._of(pa, w2.pow(a.r, pa.q), w2)
 
 
 def times_p(x: Witt2) -> Witt2:

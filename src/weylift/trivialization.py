@@ -155,12 +155,12 @@ def trace_top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
     if f.ring != "k":
         raise WeyliftError("the trace is defined over k, not W_2")
     p = e.alg.field.p
-    terms = {
-        tuple(x - p + 1 for x in exps): c
-        for exps, c in f.terms.items()
+    items = [
+        (tuple(x - p + 1 for x in exps), c)
+        for exps, c in f._items()
         if all(x % p == p - 1 for x in exps)
-    }
-    return C.Poly(e.alg, "y", terms)
+    ]
+    return C.poly_items(e.alg, "y", items)
 
 
 # ---------------------------------------------------------------------------

@@ -10,25 +10,23 @@ because the brackets are central):
 
     z_{n+l}^a z_l^b = sum_k binom(a,k) binom(b,k) k! z_l^{b-k} z_{n+l}^{a-k}
 
-Inside the product every exponent vector is one int: a fixed-width field
-per variable (8, 16, 32 or 64 bits, picked from the sum of the operands'
-largest exponents; larger sums raise WeyliftError), after the packed
-exponent vectors of Monagan and Pearce (CASC 2007).  A monomial product is
-one addition, a k-fold contraction of pair l subtracts
-k * pack(e_l + e_{n+l}), the output terms merge in a dict keyed by ints, and
-each is unpacked to its tuple once.  Terms keep tuple keys everywhere else.
-
-Coefficients are stored as FieldElem / Witt2 objects.  Over F_p (m = 1)
-the product reads them at its boundary: F_p is Z/p and W_2(F_p) is Z/p^2,
-and either object holds its residue in coeffs[0], so the contraction runs
-on plain integers mod p or p^2, and each output coefficient is reduced once
-and converted back by ring_from_int.  For m > 1 the same loop runs on the
-objects.  Over W_2 two multiples of p (all residues divisible by p, as most
-terms of the W_2 p-th powers are) multiply to 0, so an A term divisible by
-p meets only the unit terms of B.  The packing routines, the pair steps,
-the contraction weights and the modulus are built once per field, n, ring
-and width and memoised by value, so every equal algebra shares them: most
-products are tiny, and each operation builds its own algebra.
+An element is one dict {packed exponent int: residue int}.  An exponent
+vector is one int with a fixed-width field per variable (8, 16, 32 or 64
+bits), after Monagan and Pearce (CASC 2007); each element carries the
+width its largest exponent needs, and an operation re-packs the narrower
+operand, or both when a product could overflow (exponent sums of 2^64 or
+more raise WeyliftError).  A coefficient is a scalars.ResidueRing int: mod
+p or p^2 for m = 1, Kronecker-packed digits for m > 1.  So a monomial
+product is one addition, a k-fold contraction of pair l subtracts
+k * pack(e_l + e_{n+l}), coefficient products sum unreduced in a dict
+keyed by ints, and each output term is reduced once: one int path for
+every m.  Over W_2 two multiples of p (as most terms of the W_2 p-th
+powers are) multiply to 0, so an A term divisible by p meets only the
+unit terms of B.  FieldElem / Witt2 objects appear only where they enter
+(constructors, scale) and in ``terms``, a read-only view decoded on each
+read.  The set-up (packing, pair steps, contraction weights, residue ring)
+is memoised by value per field, n, ring and width, shared by every equal
+algebra: most products are tiny, and each operation builds its own algebra.
 
 The commutator [f, g] runs the same kernel once.  For a pair of terms
 c_a z^a, c_b z^b with c = c_a c_b, the contractions of z^a z^b enter with
@@ -50,11 +48,13 @@ it.
 from __future__ import annotations
 
 import functools
+import operator
 import struct
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 
 from .errors import NotCentral, ParamsMismatch, WeyliftError
-from .scalars import FieldParams, teichmuller
+from .scalars import FieldParams, residue_ring
 
 NEG_INF = float("-inf")
 
@@ -98,151 +98,324 @@ class AlgebraParams:
     # -- element constructors ------------------------------------------------
 
     def zero_elem(self, ring: str = "k") -> WeylElem:
-        return WeylElem(self, ring, {})
+        return self.const(0, ring)
 
     def one_elem(self, ring: str = "k") -> WeylElem:
-        return WeylElem(self, ring, {(0,) * self.nvars: self.ring_one(ring)})
+        return self.const(1, ring)
 
     def const(self, t: int, ring: str = "k") -> WeylElem:
         """The integer t as a constant of A_n(k) or A_n(W_2(k)); 0 is the empty element."""
-        return self.monomial((0,) * self.nvars, self.ring_from_int(ring, t), ring)
+        ctx = _layout(self, ring)
+        r = t % ctx.res.N  # the residue of an integer, for every m
+        return _weyl(self, ring, ctx, {0: r} if r else {})
 
     def gen(self, i: int, ring: str = "k") -> WeylElem:
         """The generator z_{i+1} (0-based index i)."""
         if not 0 <= i < self.nvars:
             raise WeyliftError(f"generator index {i} out of range")
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return WeylElem(self, ring, {tuple(exps): self.ring_one(ring)})
+        ctx = _layout(self, ring)
+        return _weyl(self, ring, ctx, {1 << (ctx.width * i): 1})
 
-    def monomial(self, exps, coeff=None, ring: str = "k") -> WeylElem:
+    def exponents(self, exps) -> tuple:
+        """exps as a checked exponent vector: 2n ints >= 0."""
         exps = tuple(int(e) for e in exps)
         if len(exps) != self.nvars or any(e < 0 for e in exps):
             raise WeyliftError(f"bad exponent vector {exps}")
-        if coeff is None:
-            coeff = self.ring_one(ring)
-        if not coeff:
-            return WeylElem(self, ring, {})
-        return WeylElem(self, ring, {exps: coeff})
+        return exps
+
+    def monomial(self, exps, coeff=None, ring: str = "k") -> WeylElem:
+        coeff = self.ring_one(ring) if coeff is None else coeff
+        return WeylElem(self, ring, {self.exponents(exps): coeff})
 
     def from_terms(self, terms: dict, ring: str = "k") -> WeylElem:
-        clean = {}
-        for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
-                raise WeyliftError(f"bad exponent vector {exps}")
-            if c:
-                clean[exps] = c
-        return WeylElem(self, ring, clean)
+        return WeylElem(self, ring, {self.exponents(e): c for e, c in terms.items()})
+
+
+# ---------------------------------------------------------------------------
+# storage: packed exponents and residues
+
+
+# the packing format of each bit length 0..64 of an exponent
+_FORMATS = tuple("B" if b <= 8 else "H" if b <= 16 else "I" if b <= 32 else "Q" for b in range(65))
+
+
+class _Context:
+    """The set-up of elements of A_n over one field and ring at one width.
+
+    Exponents pack into unsigned fields of struct format ``fmt``, variable
+    0 lowest.  ``high`` has the top bit of every field set, ``upper`` masks
+    the fields of z_{n+1} .. z_2n, ``res`` is the residue ring.  For an A
+    term whose upper (lower) fields are v, links(v, True (False)) lists the
+    pairs l that z^a z^b (z^b z^a) contracts: (shift of z_l (z_{n+l}) in a
+    B key, the rows of (l, x) keyed by that exponent y, the builder of a
+    missing row).  A row is () when no contraction survives, else
+    (k * step_l, weight mod N) from k = 0 (weight None).
+    """
+
+    __slots__ = ("fmt", "width", "size", "pack", "unpack", "high", "upper", "res", "links")
+
+    def key(self, exps) -> int:
+        return int.from_bytes(self.pack(*exps), "little")
+
+    def exps(self, key: int) -> tuple:
+        return self.unpack(key.to_bytes(self.size, "little"))
+
+
+@functools.cache
+def _context(p: int, m: int, modulus, n: int, ring: str, fmt: str) -> _Context:
+    """The set-up for A_n over F_{p^m} (``modulus``), ``ring``, format ``fmt``,
+    memoised on plain values: every equal algebra shares one row table."""
+    st = struct.Struct(f"<{2 * n}{fmt}")
+    ctx = _Context()
+    ctx.fmt, ctx.size = fmt, st.size
+    ctx.width = width = 8 * st.size // (2 * n)
+    ctx.pack, ctx.unpack = st.pack, st.unpack
+    ctx.high = sum(1 << (width * (i + 1) - 1) for i in range(2 * n))
+    ctx.upper = (1 << (2 * n * width)) - (1 << (n * width))
+    ctx.res = residue_ring(p, m, modulus, ring)
+    weight = ctx.res.N.__rmod__
+    rows: dict = {}
+    table: dict = {}
+
+    def new_row(l: int, a: int, b: int) -> tuple:
+        step = (1 << (width * l)) + (1 << (width * (n + l)))
+        row = _contraction_row(a, b, p, weight)
+        return ((0, None),) + tuple((k * step, w) for k, w in row) if row else ()
+
+    def links(v: int, upper: bool) -> list:
+        got = table.get(v)
+        if got is None:
+            got = table[v] = []
+            for l in range(n):
+                x = v >> (width * (n + l if upper else l)) & ((1 << width) - 1)
+                if x:
+                    by_y = rows.setdefault((l, x), {})
+                    shift = width * (l if upper else n + l)
+                    got.append((shift, by_y, functools.partial(new_row, l, x)))
+        return got
+
+    ctx.links = links
+    return ctx
+
+
+def _layout(alg: AlgebraParams, ring: str, top: int = 0) -> _Context:
+    """The set-up whose width holds exponents up to ``top``."""
+    if top >> 64:
+        raise WeyliftError(f"exponents of {top} >= 2^64 are not supported")
+    f = alg.field
+    return _context(f.p, f.m, f.modulus, alg.n, ring, _FORMATS[top.bit_length()])
+
+
+def _repack(data: dict, src: _Context, dst: _Context) -> dict:
+    unpack, size, pack = src.unpack, src.size, dst.pack
+    return {
+        int.from_bytes(pack(*unpack(k.to_bytes(size, "little"))), "little"): c
+        for k, c in data.items()
+    }
+
+
+def _pack(alg: AlgebraParams, ring: str, items: list) -> tuple:
+    """(set-up, store) of (exponent tuple, residue) pairs; zero residues drop."""
+    ctx = _layout(alg, ring, max((max(e) for e, _ in items), default=0))
+    key = ctx.key
+    return ctx, {key(e): r for e, r in items if r}
+
+
+def _encode(alg: AlgebraParams, ring: str, terms: dict) -> tuple:
+    """(set-up, store) of {exponent tuple: coefficient object}; zeros drop."""
+    ctx = _layout(alg, ring, max((max(e) for e in terms), default=0))
+    key, encode = ctx.key, ctx.res.encode
+    return ctx, {key(e): r for e, c in terms.items() if (r := encode(c))}
+
+
+def _aligned(A: SparseElem, B: SparseElem, product: bool = False) -> tuple:
+    """(set-up, A's store, B's store) at the wider of the two widths, or for
+    a ``product`` of nonzero operands at a width that holds every sum of an
+    exponent of A and one of B.
+
+    Widths double, so only the wider operand can hold an exponent with the
+    top bit of its field set; only then are the largest exponents read.
+    """
+    A._require_compatible(B)
+    ca, cb = A.ctx, B.ctx
+    ctx = ca if ca.width >= cb.width else cb
+    if product and (
+        (ca.width == ctx.width and functools.reduce(operator.or_, A.data) & ctx.high)
+        or (cb.width == ctx.width and functools.reduce(operator.or_, B.data) & ctx.high)
+    ):
+        top = max(map(max, map(ca.exps, A.data))) + max(map(max, map(cb.exps, B.data)))
+        ctx = _layout(A.alg, A.ring, top)
+    da = A.data if ca.width == ctx.width else _repack(A.data, ca, ctx)
+    db = B.data if cb.width == ctx.width else _repack(B.data, cb, ctx)
+    return ctx, da, db
+
+
+class _Terms(Mapping):
+    """The terms {exponent tuple: FieldElem or Witt2} of an element, in its
+    dict order: a read-only view that decodes on each read and keeps
+    nothing, so its length costs nothing."""
+
+    __slots__ = ("_elem",)
+
+    def __init__(self, elem: SparseElem):
+        self._elem = elem
+
+    def __len__(self) -> int:
+        return len(self._elem.data)
+
+    def __iter__(self):
+        return map(self._elem.ctx.exps, self._elem.data)
+
+    def __getitem__(self, exps):
+        elem = self._elem
+        try:
+            r = elem.data.get(elem.ctx.key(exps))
+        except (struct.error, TypeError):
+            r = None
+        if r is None:
+            raise KeyError(exps)
+        return elem.ctx.res.decode(elem.alg.field, r)
+
+    def items(self) -> _TermItems:
+        return _TermItems(self)
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        elem = self._mapping._elem
+        exps, decode, field = elem.ctx.exps, elem.ctx.res.decode, elem.alg.field
+        for k, r in elem.data.items():
+            yield exps(k), decode(field, r)
+
+    def __reversed__(self):
+        return reversed(list(self))
 
 
 class SparseElem:
     """A sparse map from exponent vectors to nonzero coefficients.
 
-    The arithmetic WeylElem and center.Poly share.  A subclass names its
-    coefficient ring ("k" or "w2") in ``ring`` and the variable letter in
-    ``var``; operands must agree on the algebra, the ring and the letter.
-    It supplies ``_like`` (an element of its own kind with the given terms)
-    and its own product.
+    The arithmetic WeylElem and center.Poly share, on one store: ``data``
+    is {packed exponent int: residue int} at the width of the set-up
+    ``ctx``.  A subclass names its coefficient ring ("k" or "w2") in
+    ``ring`` and the variable letter in ``var``; operands must agree on the
+    algebra, the ring and the letter.  It supplies ``_like`` (an element of
+    its own kind with the given store) and its own product.
 
-    Instances are treated as immutable: no method mutates terms after
-    construction, so sharing across threads or caches is safe.
+    Instances are treated as immutable: no method mutates the store after
+    construction, except _add_into on an accumulator its caller owns, so
+    sharing across threads or caches is safe.
     """
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg", "ctx", "data")
 
-    def _like(self, terms: dict):
+    def _like(self, data: dict, ctx: _Context | None = None):
         raise NotImplementedError
 
     def _require_compatible(self, other) -> None:
-        if (self.alg, self.ring, self.var) != (other.alg, other.ring, other.var):
+        if (
+            (self.alg is not other.alg and self.alg != other.alg)
+            or self.ring != other.ring
+            or self.var != other.var
+        ):
             raise ParamsMismatch(
                 f"operands from different algebras, rings or variables: "
                 f"{self.ring}/{self.var} vs {other.ring}/{other.var}"
             )
 
+    @property
+    def terms(self) -> _Terms:
+        return _Terms(self)
+
+    def _items(self):
+        """(exponent tuple, residue) pairs in dict order."""
+        exps = self.ctx.exps
+        return ((exps(k), r) for k, r in self.data.items())
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.data
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.data)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return (self.alg, self.ring, self.var) == (other.alg, other.ring, other.var) and (
-            self.terms == other.terms
-        )
+        if (self.alg, self.ring, self.var) != (other.alg, other.ring, other.var):
+            return False
+        _, a, b = _aligned(self, other)
+        return a == b
 
     __hash__ = None
 
     def degree(self):
         """Total degree; minus infinity for the zero element."""
-        if not self.terms:
+        if not self.data:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, map(self.ctx.exps, self.data)))
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.alg.ring_zero(self.ring))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.data:
             return "0"
         v = self.var
+        terms = dict(self.terms.items())
         bits = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)[:8]:
+        for exps in sorted(terms, key=lambda e: (sum(e), e), reverse=True)[:8]:
             mono = "*".join(
                 f"{v}{i + 1}^{e}" if e > 1 else f"{v}{i + 1}" for i, e in enumerate(exps) if e
             )
-            c = self.terms[exps]
+            c = terms[exps]
             bits.append(f"{c!r}*{mono}" if mono else f"{c!r}")
-        tail = " + ..." if len(self.terms) > 8 else ""
+        tail = " + ..." if len(terms) > 8 else ""
         return " + ".join(bits) + tail
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
-        self._require_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({e: -c for e, c in self.terms.items()})
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        self._require_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = -c if s is None else s - c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return self._like(out)
+        return self._sum(other, self.ctx.res.N - 1)
+
+    def __neg__(self):
+        return self._scale(self.ctx.res.N - 1)
+
+    def _sum(self, other, r: int):
+        out = self._like(dict(self.data))
+        out._add_into(other, r)
+        return out
+
+    def _add_into(self, other, r: int) -> None:
+        """self += r * other in place, r a residue; only on an accumulator
+        the caller owns.  Terms enter and leave as in self + r * other."""
+        self.ctx, self.data, b = _aligned(self, other)
+        reduce, out = self.ctx.res.reduce, self.data
+        get = out.get
+        for k, c in b.items():
+            s = get(k)
+            if s is None:
+                if v := reduce(r * c):
+                    out[k] = v
+            elif s := reduce(s + r * c):
+                out[k] = s
+            else:
+                del out[k]
 
     def scale(self, c):
-        if not c:
-            return self._like({})
-        out = {}
-        for e, v in self.terms.items():
-            w = c * v
-            if w:
-                out[e] = w
-        return self._like(out)
+        """c * self for a coefficient object c of the element's ring."""
+        return self._scale(self.ctx.res.encode(c))
+
+    def _scale(self, r: int):
+        reduce = self.ctx.res.reduce
+        return self._like({k: v for k, c in self.data.items() if (v := reduce(r * c))})
 
     def __pow__(self, e: int):
         if e < 0:
             raise WeyliftError("negative powers are not defined")
         if not e:
-            return self._like({(0,) * self.alg.nvars: self.alg.ring_one(self.ring)})
+            return self._like({0: 1})
         result = None
         base = self
         while True:
@@ -259,19 +432,30 @@ class SparseElem:
         For a Weyl element this is the commutator with a conjugate generator:
         [z_{n+l}, f] = df/dz_l and [z_l, f] = -df/dz_{n+l}.
         """
-        alg, ring = self.alg, self.ring
+        ctx = self.ctx
+        reduce, N = ctx.res.reduce, ctx.res.N
+        shift = ctx.width * i
+        mask, one = (1 << ctx.width) - 1, 1 << shift
         out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            w = c * alg.ring_from_int(ring, e[i])
-            if w:
-                out[tuple(x - 1 if j == i else x for j, x in enumerate(e))] = w
+        for k, c in self.data.items():
+            if x := (k >> shift) & mask:
+                if v := reduce(c * (x % N)):
+                    out[k - one] = v
         return self._like(out)
 
 
+def _weyl(alg: AlgebraParams, ring: str, ctx: _Context, data: dict) -> WeylElem:
+    x = object.__new__(WeylElem)
+    x.alg, x.ring, x.ctx, x.data = alg, ring, ctx, data
+    return x
+
+
 class WeylElem(SparseElem):
-    """A sparse element of A_n over k ("k") or over W_2(k) ("w2")."""
+    """A sparse element of A_n over k ("k") or over W_2(k) ("w2").
+
+    WeylElem(alg, ring, terms) takes {exponent tuple: FieldElem or Witt2}
+    and drops zero coefficients.
+    """
 
     __slots__ = ("ring",)
     var = "z"
@@ -279,12 +463,11 @@ class WeylElem(SparseElem):
     def __init__(self, alg: AlgebraParams, ring: str, terms: dict):
         if ring not in ("k", "w2"):
             raise WeyliftError(f"unknown coefficient ring {ring!r}")
-        self.alg = alg
-        self.ring = ring
-        self.terms = terms
+        self.alg, self.ring = alg, ring
+        self.ctx, self.data = _encode(alg, ring, terms)
 
-    def _like(self, terms: dict) -> WeylElem:
-        return WeylElem(self.alg, self.ring, terms)
+    def _like(self, data: dict, ctx: _Context | None = None) -> WeylElem:
+        return _weyl(self.alg, self.ring, ctx or self.ctx, data)
 
     # -- multiplication ------------------------------------------------------
 
@@ -301,13 +484,13 @@ class WeylElem(SparseElem):
         exps = tuple(int(e) for e in exps)
         if self.ring != "k" or any(e % p for e in exps):
             raise NotCentral(f"monomial {exps} is not central over {self.ring}")
-        out = {}
-        for e, c in self.terms.items():
-            shifted = tuple(a + b for a, b in zip(e, exps))
-            v = c if coeff is None else coeff * c
-            if v:
-                out[shifted] = v
-        return WeylElem(self.alg, self.ring, out)
+        if not self.data:
+            return self
+        ctx, data, (shift,) = _aligned(self, self.alg.monomial(exps), True)
+        if coeff is None:
+            return self._like({k + shift: c for k, c in data.items()}, ctx)
+        r, reduce = ctx.res.encode(coeff), ctx.res.reduce
+        return self._like({k + shift: v for k, c in data.items() if (v := reduce(r * c))}, ctx)
 
     # -- characteristic-p structure ------------------------------------------
 
@@ -318,16 +501,20 @@ class WeylElem(SparseElem):
     def is_central(self) -> bool:
         """True when every exponent is divisible by p (membership in Z)."""
         p = self.alg.field.p
-        return all(all(x % p == 0 for x in e) for e in self.terms)
+        return not any(x % p for e in map(self.ctx.exps, self.data) for x in e)
 
     def to_center_poly(self):
-        """Rewrite a central element as a polynomial in x_i = z_i^p."""
+        """Rewrite a central element over k as a polynomial in x_i = z_i^p."""
         from .center import Poly
 
         p = self.alg.field.p
-        if not self.is_central():
+        if self.ring != "k" or not self.is_central():
             raise NotCentral("element has an exponent not divisible by p")
-        return Poly(self.alg, "x", {tuple(x // p for x in e): c for e, c in self.terms.items()})
+        ctx = self.ctx
+        key = ctx.key
+        return Poly._make(
+            self.alg, "x", ctx, {key([x // p for x in e]): c for e, c in self._items()}
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -335,116 +522,79 @@ class WeylElem(SparseElem):
 
 
 def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
-    """A * B, or [A, B] = A * B - B * A when ``bracket``, on packed exponents.
+    """A * B, or [A, B] = A * B - B * A when ``bracket``, on the int store.
 
-    For m = 1 the coefficients travel as ints mod q (module docstring); for
-    m > 1 the same loop runs on the FieldElem / Witt2 objects.  Pairs of two
+    Coefficient products c = c_a c_b and their multiples by the rows'
+    weights sum unreduced; each output term is reduced once.  Pairs of two
     multiples of p are never visited over W_2, so every visited pair has a
     nonzero coefficient c.  The bracket takes each A term through the B
     terms twice: the contractions of z^a z^b enter with c, then those of
     z^b z^a with -c, and the k = 0 part z^(a+b) they share is never
     emitted.  Output terms keep first-insertion order, A-major.
     """
-    A._require_compatible(B)
-    alg, ring, n = A.alg, A.ring, A.alg.n
-    if not A.terms or not B.terms:
-        return WeylElem(alg, ring, {})
-    top = max(map(max, A.terms)) + max(map(max, B.terms))
-    if top >> 64:
-        raise WeyliftError(f"exponents summing to {top} >= 2^64 are not supported")
-    pack, unpack, size, rows, new_row, q = _context(alg.field, n, ring, _FORMATS[top.bit_length()])
-    p = alg.field.p
+    if not A.data or not B.data:
+        A._require_compatible(B)
+        return A._like({})
+    ctx, da, db = _aligned(A, B, True)
+    res, links_of = ctx.res, ctx.links
+    unit, N, fmask = res.unit, res.N, (1 << ctx.width) - 1
+    upper = ctx.upper
 
-    def unit(c):
-        return ring == "k" or (c.coeffs[0] % p if q else any(r % p for r in c.coeffs))
-
-    # B term: packed exponents, coefficient, e, and whether it is a unit.
     # Over W_2 a pair of two multiples of p vanishes mod p^2, so an A term
     # divisible by p meets only the unit terms of B.
-    b_terms = [
-        (int.from_bytes(pack(*e), "little"), c.coeffs[0] if q else c, e, unit(c))
-        for e, c in B.terms.items()
-    ]
-    b_units = [t for t in b_terms if t[3]]
+    b_units = None
     out: dict = {}
     get = out.get
-    for ea, coeff in A.terms.items():
-        pa, ca = int.from_bytes(pack(*ea), "little"), coeff.coeffs[0] if q else coeff
-        # (l, j, x): pair l contracts x = ea[n+l] with eb[j], j = l, for
-        # z^a z^b; the bracket adds x = ea[l] against eb[n+l] for z^b z^a,
-        # with -c_a (a contraction's weight is symmetric in the exponents)
-        orders = [([(l, l, x) for l, x in enumerate(ea[n:]) if x], ca)]
+    for pa, ca in da.items():
+        # the pairs l that z^a z^b contracts, read off z_{n+l}^x in z^a, and
+        # for the bracket those of z^b z^a, off z_l^x, with -c_a
+        orders = [(links_of(pa & upper, True), ca)]
         if bracket:
-            orders.append(([(l, n + l, x) for l, x in enumerate(ea[:n]) if x], -ca))
-        b_meet = b_terms if unit(coeff) else b_units
+            orders.append((links_of(pa - (pa & upper), False), res.reduce(res.bias - ca)))
+        if unit(ca):
+            b_meet = db
+        else:
+            if b_units is None:
+                b_units = {pb: cb for pb, cb in db.items() if unit(cb)}
+            b_meet = b_units
         for links, c_a in orders:
-            for pb, cb, eb, _ in b_meet:
-                c = c_a * cb % q if q else c_a * cb
+            if bracket and not links:
+                continue  # the pair alone, z^(a+b), cancels in the bracket
+            for pb, cb in b_meet.items():
                 parts = None
-                for l, j, x in links:
-                    if y := eb[j]:
-                        row = rows.get((l, x, y))
+                for shift, by_y, new_row in links:
+                    if y := (pb >> shift) & fmask:
+                        row = by_y.get(y)
                         if row is None:
-                            row = rows[(l, x, y)] = new_row(l, x, y)
+                            row = by_y[y] = new_row(y)
                         if row:
-                            parts = [
-                                (u - d, v if w is None else v * w)
-                                for u, v in (parts or ((pa + pb, c),))
+                            # offsets and weights mod N of the contractions so far
+                            parts = row if parts is None else [
+                                (u + d, v if w is None else w if v is None else v * w % N)
+                                for u, v in parts
                                 for d, w in row
                             ]
-                # parts[0], or the pair alone when nothing contracts, is
-                # z^(a+b), which cancels in the bracket
+                key = pa + pb
                 if parts is None:
                     if not bracket:
-                        key = pa + pb
+                        c = c_a * cb
                         s = get(key)
                         out[key] = c if s is None else s + c
-                else:
-                    for key, v in parts[bracket:]:
-                        s = get(key)
-                        out[key] = v if s is None else s + v
-    if q:
-        from_int = alg.field.from_int if ring == "k" else alg.field.w2_from_int
-        terms = {
-            unpack(x.to_bytes(size, "little")): from_int(r) for x, c in out.items() if (r := c % q)
-        }
-    else:
-        terms = {unpack(x.to_bytes(size, "little")): c for x, c in out.items() if c}
-    return WeylElem(alg, ring, terms)
-
-
-# the packing format of each bit length 0..64 of the exponent sum
-_FORMATS = tuple("B" if b <= 8 else "H" if b <= 16 else "I" if b <= 32 else "Q" for b in range(65))
-
-
-@functools.cache
-def _context(field: FieldParams, n: int, ring: str, fmt: str) -> tuple:
-    """The product's static set-up for A_n over ``field``, ``ring``, struct format ``fmt``.
-
-    An exponent vector is packed into one int with a fixed-width unsigned
-    field per variable (8, 16, 32 or 64 bits for "B", "H", "I", "Q"),
-    variable 0 lowest, so a monomial product is one addition and a k-fold
-    contraction of pair l subtracts k * (pack(e_l) + pack(e_{n+l})).
-    Returns (pack, unpack, size, rows, new_row, q): the struct routines
-    between exponent tuples and little-endian bytes of ``size`` bytes; the
-    table (l, a, b) -> row that new_row(l, a, b) fills, a row being () when
-    no contraction survives, else (k * step_l, weight) from k = 0 (weight
-    None); and the modulus q of the int coefficients (None for m > 1).
-    Memoised by value, so every equal algebra shares one row table; the
-    caller decodes residues with its own field.
-    """
-    st = struct.Struct(f"<{2 * n}{fmt}")
-    width = 8 * st.size // (2 * n)
-    q = None if field.m > 1 else field.p if ring == "k" else field.p**2
-    # t -> t mod q, or the ring element for m > 1
-    image = q.__rmod__ if q else field.from_int if ring == "k" else field.w2_from_int
-
-    def new_row(l: int, a: int, b: int) -> tuple:
-        step = (1 << (width * l)) + (1 << (width * (n + l)))
-        row = _contraction_row(a, b, field.p, image)
-        return ((0, None),) + tuple((k * step, w) for k, w in row) if row else ()
-
-    return st.pack, st.unpack, st.size, {}, new_row, q
+                    continue
+                c = c_a * cb
+                for d, w in parts:
+                    # only the k = 0 part z^(a+b) has no weight; it cancels
+                    # in the bracket
+                    if w is None:
+                        if bracket:
+                            continue
+                        v = c
+                    else:
+                        v = c * w
+                    s = get(key - d)
+                    out[key - d] = v if s is None else s + v
+    reduce = res.reduce
+    return A._like({k: r for k, v in out.items() if (r := reduce(v))}, ctx)
 
 
 def _contraction_row(a: int, b: int, p: int, image) -> tuple:
@@ -452,10 +602,10 @@ def _contraction_row(a: int, b: int, p: int, image) -> tuple:
 
     (k, image(w_k)) for the k in 1..min(a, b) whose weight w_k = binom(a,k)
     binom(b,k) k! has a nonzero image; ``image`` reads an integer mod p^2
-    (ints mod q | p^2, or ring elements).  The weights come from one running
-    product w_k = w_{k-1} (a-k+1)(b-k+1) / k, carried as a p-adic valuation
-    v and units mod p^2, in place of three big binomials and a factorial
-    per k.  From k = 2p on, p^2 divides k! and every weight vanishes.
+    (ints mod q | p^2).  The weights come from one running product
+    w_k = w_{k-1} (a-k+1)(b-k+1) / k, carried as a p-adic valuation v and
+    units mod p^2, in place of three big binomials and a factorial per k.
+    From k = 2p on, p^2 divides k! and every weight vanishes.
     """
     N = p * p
     row = []
@@ -541,38 +691,53 @@ def ad_pow(f: WeylElem, r: int, g: WeylElem) -> WeylElem:
     return g
 
 
+def _with_ring(F: WeylElem, ring: str) -> tuple:
+    """(the set-up of ``ring`` at F's width, its residue ring)."""
+    f = F.alg.field
+    ctx = _context(f.p, f.m, f.modulus, F.alg.n, ring, F.ctx.fmt)
+    return ctx, ctx.res
+
+
 def teich_lift(f: WeylElem) -> WeylElem:
     """Coefficientwise Teichmuller lift A_n(k) -> A_n(W_2(k)).
 
     Multiplicative on coefficients but not additive: over F_3 the lift of
     2*z_1 is (2,0)*z_1 while lift(z_1) + lift(z_1) carries to (2,1)*z_1.
+    A residue of k is also one of its lifts to W_2, and [a] = a^q.
     """
     if f.ring != "k":
         raise WeyliftError("teich_lift expects an element over k")
-    return WeylElem(f.alg, "w2", {e: teichmuller(c) for e, c in f.terms.items()})
+    ctx, w2 = _with_ring(f, "w2")
+    q = f.alg.field.q
+    return _weyl(f.alg, "w2", ctx, {k: w2.pow(c, q) for k, c in f.data.items()})
 
 
 def times_p_elem(F: WeylElem) -> WeylElem:
     """Multiplication by p over W_2(k), coefficientwise (0, a1^p).
 
-    A mod-p element is read through its Teichmuller lift; the result only
-    depends on the class mod p, so this is well defined on either ring.
+    A mod-p element is read through any lift, since p * x only depends on
+    x mod p; so this is well defined on either ring.
     """
-    if F.ring == "k":
-        F = teich_lift(F)
-    return WeylElem(F.alg, "w2", {e: pc for e, c in F.terms.items() if (pc := c.times_p())})
+    ctx, w2 = _with_ring(F, "w2")
+    p, reduce = F.alg.field.p, w2.reduce
+    return _weyl(F.alg, "w2", ctx, {k: v for k, c in F.data.items() if (v := reduce(p * c))})
 
 
 def w2_decompose_elem(F: WeylElem) -> tuple[WeylElem, WeylElem]:
-    """Coefficientwise Witt decomposition F = teich(f1) + p * teich(f2)."""
+    """Coefficientwise Witt decomposition F = teich(f1) + p * teich(f2).
+
+    f1 is F mod p digitwise, and f2 = (F - [f1]) / p with [f1] = f1^q.
+    """
     if F.ring != "w2":
         raise WeyliftError("decompose expects an element over W_2(k)")
+    ctx, k = _with_ring(F, "k")
+    w2, p, q = F.ctx.res, F.alg.field.p, F.alg.field.q
     t1 = {}
     t2 = {}
-    for e, c in F.terms.items():
-        b1, b2 = c.decompose()
+    for key, c in F.data.items():
+        b1 = k.reduce(c)
         if b1:
-            t1[e] = b1
-        if b2:
-            t2[e] = b2
-    return WeylElem(F.alg, "k", t1), WeylElem(F.alg, "k", t2)
+            t1[key] = b1
+        if b2 := w2.reduce(c - w2.pow(b1, q) + w2.bias) // p:
+            t2[key] = b2
+    return _weyl(F.alg, "k", ctx, t1), _weyl(F.alg, "k", ctx, t2)

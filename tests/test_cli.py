@@ -300,9 +300,12 @@ GOLDEN_SPEC_DIGESTS = {
         ),
     },
 }
+# (p, n, count) of ``corpus --seed 7``; the n = 2 corpus carries the largest
+# W_2 p-th powers of the oracle
 GOLDEN_CORPUS_DIGESTS = {
-    3: "d19336d7bfab931a398361510f5dea27599282b97f1c99c4ca39747bd4215180",
-    5: "8e7a1b53563ccf3d2af37f126cf2fb09c308c6876a01813a1805b0ee1b6c2036",
+    (3, 1, 15): "d19336d7bfab931a398361510f5dea27599282b97f1c99c4ca39747bd4215180",
+    (5, 1, 15): "8e7a1b53563ccf3d2af37f126cf2fb09c308c6876a01813a1805b0ee1b6c2036",
+    (5, 2, 4): "e4bc964cb9ae7c020167bea5e63d5f00bd13a161742ab2a2a7239cfc6e26c728",
 }
 
 
@@ -355,8 +358,8 @@ def _check_golden_digests(capsys) -> None:
             for command in commands:
                 argv = [command, "--input", str(SPEC_DIR / f"{name}.spec")]
                 assert _digest(capsys, argv) == want, argv
-    for p, want in GOLDEN_CORPUS_DIGESTS.items():
-        argv = ["corpus", "--p", str(p), "--n", "1", "--count", "15", "--seed", "7"]
+    for (p, n, count), want in GOLDEN_CORPUS_DIGESTS.items():
+        argv = ["corpus", "--p", str(p), "--n", str(n), "--count", str(count), "--seed", "7"]
         assert _digest(capsys, argv) == want, argv
 
 

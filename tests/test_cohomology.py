@@ -405,12 +405,28 @@ def test_construct_lift_etale_and_textbook(a1_f3):
     assert coh.verify_lift(a1_f3, textbook)
 
 
-@pytest.mark.parametrize("family,n", [(etale_family, 1), (bkk_family, 2)])
-def test_families_over_f9_with_non_prime_coefficient(family, n):
-    """c = t lies outside F_3, a case the seeded corpus never produces."""
-    field = FieldParams(3, 2)
+# (p, m, modulus, c) by field: c = t over F_9, F_25 and F_8, c = t^2 over F_27
+_NON_PRIME_COEFFICIENTS = {
+    "": (3, 2, (1, 0, 1), (0, 1)),
+    "-F25": (5, 2, (2, 0, 1), (0, 1)),
+    "-F27": (3, 3, (1, 2, 0, 1), (0, 0, 1)),
+    "-F8": (2, 3, (1, 1, 0, 1), (0, 1, 0)),
+}
+
+
+@pytest.mark.parametrize(
+    "family,n,p,m,modulus,c",
+    [
+        pytest.param(family, n, *spec, id=f"{family.__name__}-{n}{name}")
+        for name, spec in _NON_PRIME_COEFFICIENTS.items()
+        for family, n in ((etale_family, 1), (bkk_family, 2))
+    ],
+)
+def test_families_over_f9_with_non_prime_coefficient(family, n, p, m, modulus, c):
+    """c lies outside F_p, a case the seeded corpus never produces."""
+    field = FieldParams(p, m, modulus)
     alg = AlgebraParams(n, field)
-    t = field.element((0, 1))
+    t = field.element(c)
     for i in range(field.p):
         e = family(alg, i, t)
         rep = e.analyze()

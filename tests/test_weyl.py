@@ -3,9 +3,9 @@
 Two independent references keep the product honest: the in-module adjacent
 swap oracle, and a test-local recursion that commutes one generator at a
 time across power blocks.  Random elements carry arbitrary coefficients
-(over W_2 with independent Witt components) over F_p, F_9 (the object loop
-of m > 1) and F_32749 (coefficients mod p^2 near 2^30).  The
-power-commutator identities
+(over W_2 with independent Witt components) over F_p, F_9, F_25 and F_27
+(Kronecker-packed residues of m = 2 and 3 digits) and F_32749
+(coefficients mod p^2 near 2^30).  The power-commutator identities
 
     [u^t, v] = t k u^{t-1} + p sum_i u^i w u^{t-1-i}
     [u^p, v] = p (k u^{p-1} + ad(u)^{p-1} w)
@@ -24,6 +24,8 @@ against f * g - g * f and the swap oracle on the same kinds of operands, and
 its term order is pinned as well.  The kernel's set-up is memoised by value:
 equal algebras share its contraction rows, algebras that differ get their
 own, and every output coefficient belongs to the calling algebra's field.
+Operands stored at different packing widths, and a product that piles
+maximal Kronecker digits onto one key, agree with term-wise references.
 """
 
 from __future__ import annotations
@@ -93,9 +95,14 @@ def _ref_mul(f: WeylElem, g: WeylElem) -> WeylElem:
     return acc
 
 
+# the extension fields by order: F_3[t]/(t^2 + 1), F_5[t]/(t^2 + 2) and
+# F_3[t]/(t^3 + 2t + 1)
+_EXTENSIONS = {9: (3, 2, (1, 0, 1)), 25: (5, 2, (2, 0, 1)), 27: (3, 3, (1, 2, 0, 1))}
+
+
 def _field(q: int) -> FieldParams:
-    """F_q for a prime q, or F_9 = F_3[t]/(t^2 + 1)."""
-    return FieldParams(3, 2, (1, 0, 1)) if q == 9 else FieldParams(q)
+    """F_q for a prime q, or F_9, F_25 or F_27."""
+    return FieldParams(*_EXTENSIONS[q]) if q in _EXTENSIONS else FieldParams(q)
 
 
 def _random_coeff(field: FieldParams, rng: random.Random, ring: str):
@@ -119,7 +126,9 @@ def _random_elem(alg: AlgebraParams, rng: random.Random, max_deg: int, ring: str
 
 
 @pytest.mark.parametrize(
-    "q,n", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 2), (5, 2), (9, 1), (9, 2), (32749, 1), (32749, 2)]
+    "q,n",
+    [(2, 1), (3, 1), (5, 1), (3, 2), (2, 2), (5, 2), (9, 1), (9, 2), (25, 1), (25, 2), (27, 1)]
+    + [(27, 2), (32749, 1), (32749, 2)],
 )
 def test_product_against_two_references(q, n):
     alg = AlgebraParams(n, _field(q))
@@ -466,7 +475,7 @@ def _naive_product(f: WeylElem, g: WeylElem) -> WeylElem:
     return out
 
 
-@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (9, 1)])
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (9, 1), (25, 1), (27, 1)])
 def test_w2_product_with_p_divisible_terms(q, n):
     """Products of W_2 operands mixing units and multiples of p match the oracle.
 
@@ -491,7 +500,7 @@ def test_w2_product_with_p_divisible_terms(q, n):
         gp = _mixed_w2_elem(alg, rng, 0, 4)
         assert fp * gp == alg.zero_elem("w2")
         assert (f + fp) * (g + gp) == _naive_product(f + fp, g + gp)
-    assert saw_unit_with_divisible_residue == (q == 9)
+    assert saw_unit_with_divisible_residue == (q in _EXTENSIONS)
 
 
 # -- term order of the product ----------------------------------------------
@@ -529,7 +538,7 @@ def test_product_term_order_is_pinned(q):
 # -- the fused commutator ------------------------------------------------------
 
 
-@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 5, 9) for n in (1, 2)])
+@pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 5, 9, 25, 27) for n in (1, 2)])
 def test_commutator_is_the_difference_of_products(q, n):
     """[f, g] from one kernel pass equals f * g - g * f, over k and over W_2.
 
@@ -680,3 +689,113 @@ def test_product_coefficients_belong_to_the_calling_field(q):
                 f, g = _random_elem(alg, rng, 5, ring), _random_elem(alg, rng, 5, ring)
                 for h in (f * g, commutator(f, g)):
                     assert all(c.params is alg.field for c in h.terms.values())
+
+
+# -- the int store: packing widths and Kronecker digits ----------------------
+
+
+def _termwise_sum(f: WeylElem, g: WeylElem, sign: int) -> dict:
+    """f + sign * g on the decoded terms, with coefficient objects."""
+    out = dict(f.terms.items())
+    for e, c in g.terms.items():
+        s = out.get(e)
+        s = (c if sign > 0 else -c) if s is None else (s + c if sign > 0 else s - c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _termwise_product(f: WeylElem, g: WeylElem) -> dict:
+    """f * g on the decoded terms: every term pair by the contraction formula,
+    one conjugate pair at a time, with coefficient objects."""
+    alg, n = f.alg, f.alg.n
+    out: dict = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            parts = {tuple(x + y for x, y in zip(ea, eb)): 1}
+            for l in range(n):
+                a, b = ea[n + l], eb[l]
+                nxt: dict = {}
+                for e, w in parts.items():
+                    for k in range(min(a, b) + 1):
+                        d = list(e)
+                        d[l] -= k
+                        d[n + l] -= k
+                        d = tuple(d)
+                        nxt[d] = nxt.get(d, 0) + w * comb(a, k) * comb(b, k) * factorial(k)
+                parts = nxt
+            for e, w in parts.items():
+                v = ca * cb * alg.ring_from_int(f.ring, w)
+                s = out.get(e)
+                out[e] = v if s is None else s + v
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("q", [5, 9, 32749])
+def test_mixed_packing_widths_agree_with_the_decoded_terms(q):
+    """An element with every exponent below 256 (8-bit fields) against ones
+    whose exponents reach 300 (16-bit) and 70,000 (32-bit): the sum, the
+    difference, equality and both products agree with the term-wise result
+    on the decoded terms."""
+    alg = AlgebraParams(2, _field(q))
+    rng = random.Random(("widths", q).__repr__())
+    for ring in ("k", "w2"):
+        small = _random_elem(alg, rng, 20, ring) + alg.monomial((250, 3, 0, 1), ring=ring)
+        assert small.ctx.width == 8
+        for top, width in ((300, 16), (70000, 32)):
+            big = _random_elem(alg, rng, 40, ring) + alg.monomial((top, 1, 0, 2), ring=ring)
+            big = big + small.scale(alg.ring_from_int(ring, 2))  # shared monomials
+            assert big.ctx.width == width
+            assert dict((small + big).terms.items()) == _termwise_sum(small, big, 1)
+            assert dict((big + small).terms.items()) == _termwise_sum(big, small, 1)
+            assert dict((small - big).terms.items()) == _termwise_sum(small, big, -1)
+            assert dict((big - small).terms.items()) == _termwise_sum(big, small, -1)
+            # the same element at two widths compares equal both ways
+            again = (small + big) - big
+            assert again.ctx.width == width
+            assert again == small and small == again
+            assert again != small + alg.one_elem(ring)
+            assert dict((small * big).terms.items()) == _termwise_product(small, big)
+            assert dict((big * small).terms.items()) == _termwise_product(big, small)
+
+
+def test_kronecker_digit_bound(monkeypatch):
+    """Over W_2(F_{p^2}), p = 32749, every coefficient has both Galois-ring
+    digits q - 1 (q = p^2) and the weight of z_3 z_1^(q-1) -> z_1^(q-2) is
+    q - 1 as well, so the K diagonal pairs below pile K maximal products
+    onto one output key, each with middle digit 2 (q-1)^3.  At the shipped
+    digit width and at the narrowest width that holds K such summands the
+    product agrees with the term-wise Witt2 reference; one bit narrower, a
+    digit carries and it does not."""
+    from weylift import scalars, weyl
+
+    from test_scalars import _quadratic_modulus
+
+    p, K = 32749, 3
+    field = FieldParams(p, 2, _quadratic_modulus(p))
+    alg = AlgebraParams(2, field)
+    q = p * p
+
+    def product_matches() -> bool:
+        scalars.residue_ring.cache_clear()
+        weyl._context.cache_clear()
+        D = scalars.residue_ring(p, 2, field.modulus, "w2").D
+        top = Witt2._of(field, (q - 1) | (q - 1) << D)
+        f = alg.from_terms({(0, i, 1, 0): top for i in range(K)}, "w2")
+        g = alg.from_terms({(q - 1, K - 1 - j, 0, 0): top for j in range(K)}, "w2")
+        return dict((f * g).terms.items()) == _termwise_product(f, g)
+
+    width = scalars._digit_width
+    try:
+        assert product_matches()
+        monkeypatch.setattr(scalars, "_SUMMANDS", K)
+        assert width(2, q) == (K * 2 * (q - 1) ** 3).bit_length()
+        assert product_matches()
+        monkeypatch.setattr(scalars, "_digit_width", lambda m, N: width(m, N) - 1)
+        assert not product_matches()
+    finally:
+        monkeypatch.undo()
+        scalars.residue_ring.cache_clear()
+        weyl._context.cache_clear()
