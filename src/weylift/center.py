@@ -8,9 +8,15 @@ The Poisson bracket on Z is {f, g} = sum_l (df/dx_l dg/dx_{n+l}
 - df/dx_{n+l} dg/dx_l), normalized so {x_i, x_j} = -omega_{ij}.  The
 commutator oracle poisson_witt_oracle recomputes the bracket upstairs as
 [f~, g~]/p in A_n(W_2(k)) and is kept as an independent route.
+
+A map x_i -> F_i is judged from its Jacobian J: is_etale reads det J and
+is_poisson_morphism compares bracket_matrix(J) = J omega^{-1} J^T, summed
+above the diagonal with no product by omega, with omega^{-1} (memoised).
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import DivisionByZero, NotCentral, NotDivisibleByP, WeyliftError
 from .weyl import (
@@ -169,11 +175,19 @@ def embed_center(f: Poly, ring: str = "w2") -> WeylElem:
 def poisson(f: Poly, g: Poly) -> Poly:
     """{f, g} = sum_l (f_{x_l} g_{x_{n+l}} - f_{x_{n+l}} g_{x_l})."""
     f._require_compatible(g)
-    n = f.alg.n
-    out = poly_zero(f.alg, f.tag)
+    return _bracket(*jacobian([f, g]))
+
+
+def _bracket(df: tuple, dg: tuple) -> Poly:
+    """{f, g} from the gradients df, dg of f and g."""
+    n = len(df) // 2
+    acc = poly_zero(df[0].alg, df[0].tag)
+    minus = acc.ctx.res.N - 1
     for l in range(n):
-        out = out + f.pderiv(l) * g.pderiv(n + l) - f.pderiv(n + l) * g.pderiv(l)
-    return out
+        for a, b, r in ((df[l], dg[n + l], 1), (df[n + l], dg[l], minus)):
+            if a and b:
+                acc._add_into(a * b, r)
+    return acc
 
 
 def poisson_witt_oracle(f: Poly, g: Poly) -> Poly:
@@ -221,6 +235,7 @@ def jacobian(images: list[Poly]) -> Mat:
     return tuple(tuple(f.pderiv(j) for j in range(f.alg.nvars)) for f in images)
 
 
+@functools.cache
 def omega_matrix(alg: AlgebraParams, tag: str) -> Mat:
     size = alg.nvars
     return tuple(
@@ -229,9 +244,21 @@ def omega_matrix(alg: AlgebraParams, tag: str) -> Mat:
     )
 
 
+@functools.cache
 def omega_inv_matrix(alg: AlgebraParams, tag: str) -> Mat:
     """omega^{-1} = -omega for the standard symplectic form."""
     return tuple(tuple(-a for a in row) for row in omega_matrix(alg, tag))
+
+
+def antisymmetric(alg: AlgebraParams, tag: str, entry) -> Mat:
+    """The antisymmetric matrix with entry(i, j) above the diagonal."""
+    size = alg.nvars
+    M = [[poly_zero(alg, tag)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            M[i][j] = e = entry(i, j)
+            M[j][i] = -e
+    return tuple(map(tuple, M))
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
@@ -371,16 +398,18 @@ def _det_bareiss(M, alg, tag) -> Poly:
 # -- morphism criteria -------------------------------------------------------
 
 
-def is_poisson_morphism(images: list[Poly]) -> bool:
-    """Whether x_i -> images[i] preserves {,}: J omega^{-1} J^T = omega^{-1}."""
-    alg = images[0].alg
-    J = jacobian(images)
-    lhs = mat_mul(mat_mul(J, omega_inv_matrix(alg, images[0].tag)), mat_transpose(J))
-    return mat_eq(lhs, omega_inv_matrix(alg, images[0].tag))
+def bracket_matrix(J: Mat) -> Mat:
+    """({F_i, F_j}) = J omega^{-1} J^T for the Jacobian J of (F_i), one
+    bracket of two rows per entry above the diagonal."""
+    return antisymmetric(J[0][0].alg, J[0][0].tag, lambda i, j: _bracket(J[i], J[j]))
 
 
-def is_etale(images: list[Poly]) -> bool:
+def is_poisson_morphism(B: Mat) -> bool:
+    """Whether x_i -> F_i preserves {,}: B = J omega^{-1} J^T = omega^{-1}."""
+    return mat_eq(B, omega_inv_matrix(B[0][0].alg, B[0][0].tag))
+
+
+def is_etale(J: Mat) -> bool:
     """Whether the Jacobian determinant is a nonzero constant."""
-    d = det(jacobian(images))
+    d = det(J)
     return (not d.is_zero()) and d.is_constant()
-

@@ -153,13 +153,10 @@ def check_matrix_id(e: Endo, sol: GammaSolution | None = None) -> bool:
     """
     if sol is None:
         sol = gamma_solution(e)
-    alg = e.alg
-    ybar = phi_S_all(e)
-    for images, parts, tag in ((ybar, sol.gamma, "y"), (e.center_images, sol.f, "x")):
-        J = C.jacobian(images)
-        om = C.omega_matrix(alg, tag)
+    levels = ((C.jacobian(phi_S_all(e)), sol.J_gamma, "y"), (e.center_jacobian, sol.J_f, "x"))
+    for J, Jg, tag in levels:
+        om = C.omega_matrix(e.alg, tag)
         lhs = C.mat_mul(C.mat_transpose(J), C.mat_mul(om, J))
-        Jg = C.jacobian(parts)
         rhs = C.mat_add(om, C.mat_sub(C.mat_transpose(Jg), Jg))
         if not C.mat_eq(lhs, rhs):
             return False

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 
 from . import center as C
 from .errors import (
@@ -117,53 +118,61 @@ class Endo:
         return [[self.u_ij(i, j) for j in range(size)] for i in range(size)]
 
     @cached_property
-    def obstruction_C(self) -> list[list[C.Poly]]:
+    def obstruction_C(self) -> C.Mat:
         """The antisymmetric matrix c_ij, as polynomials on the center."""
-        alg = self.alg
-        p = alg.field.p
-        size = alg.nvars
-        mat = [[C.poly_zero(alg, "x") for _ in range(size)] for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                c = ad_pow(self.images[i], p - 1, ad_pow(self.images[j], p - 1, self.u_ij(i, j)))
-                if not c.is_central():
-                    raise InternalInconsistency("c_ij is not central")
-                cp = c.to_center_poly()
-                mat[i][j] = cp
-                mat[j][i] = -cp
-        return mat
+        p = self.alg.field.p
+
+        def entry(i: int, j: int) -> C.Poly:
+            c = ad_pow(self.images[i], p - 1, ad_pow(self.images[j], p - 1, self.u_ij(i, j)))
+            if not c.is_central():
+                raise InternalInconsistency("c_ij is not central")
+            return c.to_center_poly()
+
+        return C.antisymmetric(self.alg, "x", entry)
 
     @cached_property
-    def obstruction_C_oracle(self) -> list[list[C.Poly]]:
-        """c_ij via p c_ij = [U_i^p, U_j^p] + p omega_{ij} over W_2(k)."""
+    def obstruction_C_oracle(self) -> C.Mat:
+        """c_ij via p c_ij = [U_i^p, U_j^p] + p omega_{ij} over W_2(k).
+
+        Only the unit terms T_i of U_i^p = T_i + p R_i are commuted: T_i mod
+        p = u_i^p is central in A_n(k), so p [R_i, T_j] = p [R_i mod p, u_j^p]
+        = 0, likewise p [T_i, R_j], and p^2 [R_i, R_j] = 0; hence [U_i^p,
+        U_j^p] = [T_i, T_j].  A non-central T_i raises InternalInconsistency.
+        """
         alg = self.alg
-        p = alg.field.p
-        size = alg.nvars
-        pows = [u.p_power() for u in self._teich]
-        mat = [[C.poly_zero(alg, "x") for _ in range(size)] for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                D = commutator(pows[i], pows[j]) + alg.const(p * alg.omega_int(i, j), "w2")
-                d1, d2 = w2_decompose_elem(D)
-                if not d1.is_zero():
-                    raise NotDivisibleByP("[U_i^p, U_j^p] + p omega not in p*W_2")
-                cp = d2.to_center_poly()
-                mat[i][j] = cp
-                mat[j][i] = -cp
-        return mat
+        pows = [U.p_power() for U in self._teich]
+        units = [P._like({k: c for k, c in P.data.items() if P.ctx.res.unit(c)}) for P in pows]
+        if not all(T.is_central() for T in units):
+            raise InternalInconsistency("U_i^p mod p is not central")
+
+        def entry(i: int, j: int) -> C.Poly:
+            D = commutator(units[i], units[j]) + alg.const(alg.field.p * alg.omega_int(i, j), "w2")
+            d1, d2 = w2_decompose_elem(D)
+            if not d1.is_zero():
+                raise NotDivisibleByP("[U_i^p, U_j^p] + p omega not in p*W_2")
+            return d2.to_center_poly()
+
+        return C.antisymmetric(alg, "x", entry)
 
     @cached_property
     def center_images(self) -> list[C.Poly]:
         """phi(x_i) = u_i^p written in the x coordinates."""
         return [u.p_power().to_center_poly() for u in self.images]
 
+    @cached_property
+    def center_jacobian(self) -> C.Mat:
+        """The Jacobian of the center images."""
+        return C.jacobian(self.center_images)
+
+    @cached_property
+    def center_brackets(self) -> C.Mat:
+        """({phi(x_i), phi(x_j)}) = J omega^{-1} J^T for J = center_jacobian."""
+        return C.bracket_matrix(self.center_jacobian)
+
     def check_theorem_idjac(self) -> bool:
         """J omega^{-1} J^T = omega^{-1} + C, exactly."""
-        alg = self.alg
-        J = C.jacobian(self.center_images)
-        inv = C.omega_inv_matrix(alg, "x")
-        lhs = C.mat_mul(C.mat_mul(J, inv), C.mat_transpose(J))
-        return C.mat_eq(lhs, C.mat_add(inv, self.obstruction_C))
+        inv = C.omega_inv_matrix(self.alg, "x")
+        return C.mat_eq(self.center_brackets, C.mat_add(inv, self.obstruction_C))
 
     def tsuchimoto_bound(self) -> bool:
         """deg u_l + deg u_{n+l} < 2p for every conjugate pair."""
@@ -179,29 +188,23 @@ class Endo:
         """phi(f): substitute the images into a normally ordered element."""
         if f.alg != self.alg or f.ring != "k":
             raise ParamsMismatch("apply expects an element of A_n(k)")
-        alg = self.alg
-        cache: list[dict[int, WeylElem]] = [
-            {0: alg.one_elem(), 1: u} for u in self.images
-        ]
 
         def power(i: int, e: int) -> WeylElem:
-            got = cache[i].get(e)
+            got = self._powers[i].get(e)
             if got is None:
-                got = power(i, e - 1) * self.images[i]
-                cache[i][e] = got
+                got = self._powers[i][e] = power(i, e - 1) * self.images[i]
             return got
 
-        acc = alg.zero_elem()
+        acc = self.alg.zero_elem()
         for exps, c in f._items():
-            term = None
-            for i, e in enumerate(exps):
-                if e:
-                    pw = power(i, e)
-                    term = pw if term is None else term * pw
-            if term is None:
-                term = alg.one_elem()
-            acc._add_into(term, c)
+            factors = [power(i, x) for i, x in enumerate(exps) if x] or [power(0, 0)]
+            acc._add_into(reduce(mul, factors), c)
         return acc
+
+    @cached_property
+    def _powers(self) -> list[dict[int, WeylElem]]:
+        """{e: u_i^e} per image, filled and shared by every apply call."""
+        return [{0: self.alg.one_elem(), 1: u} for u in self.images]
 
     def compose(self, other: Endo) -> Endo:
         """self after other: z_i -> self(other(z_i))."""
@@ -223,9 +226,8 @@ class Endo:
         self.validate()
         Cmat = self.obstruction_C
         liftable = all(c.is_zero() for row in Cmat for c in row)
-        phi_x = self.center_images
-        poisson = C.is_poisson_morphism(phi_x)
-        etale = C.is_etale(phi_x)
+        poisson = C.is_poisson_morphism(self.center_brackets)
+        etale = C.is_etale(self.center_jacobian)
         bound = self.tsuchimoto_bound()
         if liftable != poisson:
             raise InternalInconsistency("liftable and Poisson flags disagree")
@@ -365,18 +367,17 @@ def _random_half_poly(alg: AlgebraParams, rng: random.Random, half: str, max_deg
     return alg.from_terms(terms)
 
 
-def _random_linear(alg: AlgebraParams, rng: random.Random) -> Endo:
+def _random_linear(alg: AlgebraParams, rng: random.Random) -> list[Endo]:
     """A short word in quadratic translations and the symplectic swap."""
-    e = identity_endo(alg)
+    word = []
     for _ in range(rng.randint(0, 2)):
         kind = rng.randrange(3)
         if kind == 0:
-            e = e.compose(fourier(alg))
+            word.append(fourier(alg))
         else:
             half = "first" if kind == 1 else "second"
-            g = _random_half_poly(alg, rng, half, 2)
-            e = e.compose(elementary(alg, g, half))
-    return e
+            word.append(elementary(alg, _random_half_poly(alg, rng, half, 2), half))
+    return word
 
 
 def generate_corpus(alg: AlgebraParams, count: int, seed: int) -> list[Endo]:
@@ -384,23 +385,23 @@ def generate_corpus(alg: AlgebraParams, count: int, seed: int) -> list[Endo]:
 
     Every returned endomorphism is valid by construction; degrees stay at or
     below 2p-1 because nonlinear factors are sandwiched between linear ones.
+    Identity factors are left out of the composition.
     """
     rng = random.Random((seed, alg.field.p, alg.n).__repr__())
     p = alg.field.p
     out = []
     while len(out) < count:
         roll = rng.random()
+        core = []
         if roll < 0.35:
             half = rng.choice(["first", "second"])
-            core = elementary(alg, _random_half_poly(alg, rng, half, p + 1), half)
+            core = [elementary(alg, _random_half_poly(alg, rng, half, p + 1), half)]
         elif roll < 0.45:
-            core = fourier(alg)
+            core = [fourier(alg)]
         elif roll < 0.70 and alg.n == 1:
-            core = etale_family(alg, rng.randrange(p), alg.field.from_int(rng.randint(1, p - 1)))
+            core = [etale_family(alg, rng.randrange(p), alg.field.from_int(rng.randint(1, p - 1)))]
         elif roll < 0.70 and alg.n == 2:
-            core = bkk_family(alg, rng.randrange(p), alg.field.from_int(rng.randint(1, p - 1)))
-        else:
-            core = identity_endo(alg)
-        e = _random_linear(alg, rng).compose(core).compose(_random_linear(alg, rng))
-        out.append(e)
+            core = [bkk_family(alg, rng.randrange(p), alg.field.from_int(rng.randint(1, p - 1)))]
+        word = _random_linear(alg, rng) + core + _random_linear(alg, rng)
+        out.append(reduce(Endo.compose, word) if word else identity_endo(alg))
     return out

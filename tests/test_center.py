@@ -140,11 +140,13 @@ def test_frobenius_twist(a1):
 
 def test_is_poisson_and_etale_on_coordinates(a2):
     coords = [C.poly_var(a2, "x", i) for i in range(4)]
-    assert C.is_poisson_morphism(coords)
-    assert C.is_etale(coords)
+    J = C.jacobian(coords)
+    assert C.is_poisson_morphism(C.bracket_matrix(J))
+    assert C.is_etale(J)
     bad = list(coords)
     bad[0] = coords[0] * coords[0]
-    assert not C.is_etale(bad)
+    assert not C.is_etale(C.jacobian(bad))
+    assert not C.is_poisson_morphism(C.bracket_matrix(C.jacobian(bad)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -306,6 +306,8 @@ GOLDEN_CORPUS_DIGESTS = {
     (3, 1, 15): "d19336d7bfab931a398361510f5dea27599282b97f1c99c4ca39747bd4215180",
     (5, 1, 15): "8e7a1b53563ccf3d2af37f126cf2fb09c308c6876a01813a1805b0ee1b6c2036",
     (5, 2, 4): "e4bc964cb9ae7c020167bea5e63d5f00bd13a161742ab2a2a7239cfc6e26c728",
+    (2, 1, 15): "ecacd7bf3049ff43e850a8801fbeb40641cb1ea6c06593860d8c28ad9d266bee",
+    (3, 2, 10): "ca9824b64538f3e20e88fd9362633f76af75e824d6c3c8cb617814c835bc318e",
 }
 
 

@@ -18,9 +18,9 @@ from weylift.endo import (
     identity_endo,
     validate,
 )
-from weylift.errors import RelationViolation, ResourceLimit
+from weylift.errors import InternalInconsistency, RelationViolation, ResourceLimit
 from weylift.scalars import FieldParams
-from weylift.weyl import AlgebraParams
+from weylift.weyl import AlgebraParams, commutator
 
 
 def test_validate_identity(a1_f3):
@@ -103,6 +103,89 @@ def test_jacobian_identity_corpus(corpus_reports):
     """J_phi omega^{-1} J_phi^T = omega^{-1} + C, exactly, on the full corpus."""
     for e, _rep in corpus_reports:
         assert e.check_theorem_idjac()
+
+
+# F_4, F_9 and F_25 as (p, m, modulus), each with the coefficient c = t
+_EXTENSION_FIELDS = ((2, 2, (1, 1, 1)), (3, 2, (1, 0, 1)), (5, 2, (2, 0, 1)))
+
+
+@pytest.fixture(scope="module")
+def reference_maps(corpus):
+    """The corpus, a p = 2 corpus, and both families over F_4, F_9, F_25."""
+    maps = list(corpus)
+    for n, count in ((1, 15), (2, 5)):
+        maps += endo_module.generate_corpus(AlgebraParams(n, FieldParams(2)), count, 7)
+    for p, m, modulus in _EXTENSION_FIELDS:
+        field = FieldParams(p, m, modulus)
+        t = field.element((0, 1))
+        for family, n in ((etale_family, 1), (bkk_family, 2)):
+            maps += [family(AlgebraParams(n, field), i, t) for i in range(p)]
+    return maps
+
+
+def test_bracket_matrix_matches_the_matrix_product(reference_maps):
+    """bracket_matrix(J) is J omega^{-1} J^T as two generic matrix products."""
+    for e in reference_maps:
+        J = e.center_jacobian
+        inv = C.omega_inv_matrix(e.alg, "x")
+        want = C.mat_mul(C.mat_mul(J, inv), C.mat_transpose(J))
+        assert C.mat_eq(e.center_brackets, want)
+        assert C.is_poisson_morphism(e.center_brackets) == C.mat_eq(want, inv)
+
+
+def test_oracle_unit_terms_match_the_full_commutator(reference_maps):
+    """[T_i, T_j] over the unit terms of U_i^p, U_j^p equals [U_i^p, U_j^p],
+    and the oracle matches c_ij read off the full commutator."""
+    from weylift.weyl import w2_decompose_elem
+
+    pairs = 0
+    for e in reference_maps:
+        alg = e.alg
+        p = alg.field.p
+        pows = [U.p_power() for U in e._teich]
+        units = [P._like({k: c for k, c in P.data.items() if P.ctx.res.unit(c)}) for P in pows]
+        for i in range(alg.nvars):
+            for j in range(i + 1, alg.nvars):
+                full = commutator(pows[i], pows[j])
+                assert commutator(units[i], units[j]) == full
+                D = full + alg.const(p * alg.omega_int(i, j), "w2")
+                d1, d2 = w2_decompose_elem(D)
+                assert d1.is_zero()
+                assert e.obstruction_C_oracle[i][j] == d2.to_center_poly()
+                pairs += 1
+    assert pairs == 439
+
+
+def test_oracle_rejects_a_non_central_unit_part(a1_f3):
+    """(z1 z2)^p is not central in A_1(F_3), so its unit terms are not either."""
+    z1, z2 = a1_f3.gen(0), a1_f3.gen(1)
+    e = Endo(a1_f3, [z1 * z2, z2])
+    with pytest.raises(InternalInconsistency):
+        e.obstruction_C_oracle
+
+
+def test_corpus_run_leaves_shared_values_unchanged():
+    """After a corpus run the memoised omega matrices and every map's cached
+    image powers equal fresh builds: shared values are never mutated."""
+    alg = AlgebraParams(2, FieldParams(3))
+    maps = endo_module.generate_corpus(alg, 6, 7)
+    snapshots = [[dict(u.data) for u in e.images] for e in maps]
+    composites = [a.compose(b) for a in maps for b in maps[:2]]
+    for e in maps + composites:
+        e.analyze()
+        sol = diffeq.gamma_solution(e)
+        assert diffeq.check_matrix_id(e, sol)
+        assert C.mat_eq(e.obstruction_C, e.obstruction_C_oracle)
+        assert e.check_theorem_idjac()
+    for e, snap in zip(maps, snapshots):
+        assert [u.data for u in e.images] == snap
+        assert len(e._powers[0]) > 2
+        for i, cache in enumerate(e._powers):
+            for k, power in cache.items():
+                assert power == e.images[i] ** k
+    for tag in ("x", "y"):
+        assert C.omega_matrix(alg, tag) == C.omega_matrix.__wrapped__(alg, tag)
+        assert C.omega_inv_matrix(alg, tag) == C.omega_inv_matrix.__wrapped__(alg, tag)
 
 
 def test_three_way_agreement_corpus(corpus_reports):
