@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 
 from .errors import DivisionByZero, NotCentral, NotDivisibleByP, WeyliftError
+from .scalars import square_multiply
 from .weyl import (
     AlgebraParams,
     SparseElem,
@@ -38,8 +39,9 @@ from .weyl import (
 class Poly(SparseElem):
     """Sparse polynomial over k in 2n tagged commuting variables.
 
-    Poly(alg, tag, terms) takes {exponent tuple: FieldElem} and drops zero
-    coefficients; the store is SparseElem's.
+    Poly(alg, tag, terms) takes {exponent vector: FieldElem} and drops zero
+    coefficients; a malformed vector raises WeyliftError.  The store is
+    SparseElem's.
     """
 
     __slots__ = ("tag",)
@@ -98,8 +100,8 @@ class Poly(SparseElem):
 
     def lex_leading(self):
         """(exponent, coefficient) of the lex-largest monomial."""
-        e = max(self.terms)
-        return e, self.terms[e]
+        e, r = max(self._items())
+        return e, self.ctx.res.decode(self.alg.field, r)
 
 
 def poly_items(alg: AlgebraParams, tag: str, items: list) -> Poly:
@@ -129,7 +131,7 @@ def poly_var(alg: AlgebraParams, tag: str, i: int) -> Poly:
 
 
 def poly_from_terms(alg: AlgebraParams, tag: str, terms: dict) -> Poly:
-    return Poly(alg, tag, {alg.exponents(e): c for e, c in terms.items()})
+    return Poly(alg, tag, terms)
 
 
 # -- coordinate changes ------------------------------------------------------
@@ -291,15 +293,9 @@ def mat_vec(A: Mat, v: list) -> list:
 
 
 def mat_pow(A: Mat, e: int) -> Mat:
-    result = mat_identity(A[0][0].alg, A[0][0].tag, len(A))
-    base = A
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return result
+    if not e:
+        return mat_identity(A[0][0].alg, A[0][0].tag, len(A))
+    return square_multiply(A, e, mat_mul)
 
 
 def mat_transpose(A: Mat) -> Mat:

@@ -366,7 +366,7 @@ def _split_closed(F: Form):
         for cv, slots in sorted(groups.items()):
             W = Form(alg, q - 1, {J: C.poly_items(alg, "y", items) for J, items in slots.items()})
             if q == 1:
-                if any(x % p for e in W.slot(()).terms for x in e):
+                if any(x % p for e, _ in W.slot(())._items() for x in e):
                     raise InternalInconsistency("1-form residual escapes the harmonic pattern")
                 harm = harm + _wedge(cv, v, W)
             else:

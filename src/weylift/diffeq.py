@@ -108,6 +108,7 @@ class GammaSolution:
     gamma: list[C.Poly]
     f: list[C.Poly]
     rhs: list[C.Poly]
+    J_ybar: C.Mat
     J_gamma: C.Mat
     J_f: C.Mat
     symmetric: bool
@@ -124,6 +125,7 @@ def gamma_solution(e: Endo) -> GammaSolution:
         gamma=gammas,
         f=fs,
         rhs=rhss,
+        J_ybar=C.jacobian(ybar),
         J_gamma=C.jacobian(gammas),
         J_f=Jf,
         symmetric=C.mat_eq(Jf, C.mat_transpose(Jf)),
@@ -145,19 +147,17 @@ def symmetry_criterion(e: Endo) -> bool:
     return gamma_solution(e).symmetric
 
 
-def check_matrix_id(e: Endo, sol: GammaSolution | None = None) -> bool:
+def check_matrix_id(e: Endo, sol: GammaSolution) -> bool:
     """Jbar^T omega Jbar = omega + J_gamma^T - J_gamma, and its x-level twin.
 
     Jbar is the Jacobian of (ybar_i); the x-level identity replaces ybar by
-    the center images and gamma by f.  Both are checked exactly.
+    the center images and gamma by f.  Both are checked exactly in negated
+    form, since omega^{-1} = -omega: Jbar^T omega^{-1} Jbar, the bracket
+    matrix of Jbar^T, must equal omega^{-1} + J_gamma - J_gamma^T.
     """
-    if sol is None:
-        sol = gamma_solution(e)
-    levels = ((C.jacobian(phi_S_all(e)), sol.J_gamma, "y"), (e.center_jacobian, sol.J_f, "x"))
+    levels = ((sol.J_ybar, sol.J_gamma, "y"), (e.center_jacobian, sol.J_f, "x"))
     for J, Jg, tag in levels:
-        om = C.omega_matrix(e.alg, tag)
-        lhs = C.mat_mul(C.mat_transpose(J), C.mat_mul(om, J))
-        rhs = C.mat_add(om, C.mat_sub(C.mat_transpose(Jg), Jg))
-        if not C.mat_eq(lhs, rhs):
+        rhs = C.mat_add(C.omega_inv_matrix(e.alg, tag), C.mat_sub(Jg, C.mat_transpose(Jg)))
+        if not C.mat_eq(C.bracket_matrix(C.mat_transpose(J)), rhs):
             return False
     return True

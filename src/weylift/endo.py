@@ -244,8 +244,8 @@ class Endo:
             injective_certified=etale,
             tsuchimoto_bound_met=bound,
             term_counts={
-                "images": [len(u.terms) for u in self.images],
-                "C": [[len(c.terms) for c in row] for row in Cmat],
+                "images": [len(u.data) for u in self.images],
+                "C": [[len(c.data) for c in row] for row in Cmat],
             },
         )
 
@@ -296,7 +296,7 @@ def elementary(alg: AlgebraParams, g: WeylElem, half: str = "second") -> Endo:
     else:
         raise WeyliftError(f"half must be 'first' or 'second', got {half!r}")
     allowed = set(allowed)
-    for e in g.terms:
+    for e, _ in g._items():
         if any(x and i not in allowed for i, x in enumerate(e)):
             raise WeyliftError("g must be supported on one commuting half")
     images = [alg.gen(i) for i in range(alg.nvars)]

@@ -24,7 +24,7 @@ as the digits of one int (Kronecker substitution), so +, - and * are int
 operations followed by one reduction.  FieldElem and Witt2 wrap such an
 int; sparse elements (weyl.SparseElem) store the bare ints and build the
 objects only at their boundaries: constructors that take coefficient
-objects, and the decoded ``terms`` view.
+objects, and the decoded ``terms`` dict.
 """
 
 from __future__ import annotations
@@ -152,6 +152,19 @@ class FieldParams:
         return Witt2._of(self, t % (self.p * self.p))
 
 
+def square_multiply(x, e: int, mul):
+    """x^e for e >= 1 by square and multiply with ``mul``, never multiplying
+    by one: (bits - 1) squarings and (ones - 1) products."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = mul(x, x)
+
+
 # ---------------------------------------------------------------------------
 # residues as ints
 
@@ -223,17 +236,10 @@ class ResidueRing:
         return tuple((x >> (self.D * i)) & ((1 << self.D) - 1) for i in range(self.m))
 
     def pow(self, x: int, e: int) -> int:
-        """x^e (e >= 0) by square and multiply."""
+        """x^e (e >= 0): builtin pow for m = 1, else square_multiply."""
         if self.m == 1:
             return pow(x, e, self.N)
-        out = 1
-        while e:
-            if e & 1:
-                out = self.reduce(out * x)
-            e >>= 1
-            if e:
-                x = self.reduce(x * x)
-        return out
+        return square_multiply(x, e, lambda a, b: self.reduce(a * b)) if e else 1
 
     def _unit(self, x: int) -> int:
         return any(d % self.p for d in self.digits(x))

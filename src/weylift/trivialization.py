@@ -169,32 +169,20 @@ def trace_top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
 
 def _top_var(f: C.Poly) -> int | None:
     """Largest variable index occurring with positive exponent, or None."""
-    best = None
-    for e in f.terms:
-        for i in range(len(e) - 1, -1, -1):
-            if e[i]:
-                if best is None or i > best:
-                    best = i
-                break
-    return best
+    return max((i for e, _ in f._items() for i, x in enumerate(e) if x), default=None)
 
 
 def _as_uni(f: C.Poly, v: int) -> dict:
     """View as univariate in y_v: {degree: Poly without y_v}."""
     out: dict = {}
-    for e, c in f.terms.items():
-        d = e[v]
-        rest = tuple(0 if i == v else x for i, x in enumerate(e))
-        out.setdefault(d, {})[rest] = c
-    return {d: C.Poly(f.alg, f.tag, t) for d, t in out.items()}
+    for e, c in f._items():
+        out.setdefault(e[v], []).append((e[:v] + (0,) + e[v + 1 :], c))
+    return {d: C.poly_items(f.alg, f.tag, items) for d, items in out.items()}
 
 
 def _from_uni(alg, tag, v: int, coeffs: dict) -> C.Poly:
-    terms: dict = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            terms[tuple(d if i == v else x for i, x in enumerate(e))] = c
-    return C.Poly(alg, tag, terms)
+    items = [(e[:v] + (d,) + e[v + 1 :], c) for d, g in coeffs.items() for e, c in g._items()]
+    return C.poly_items(alg, tag, items)
 
 
 def _normalize(f: C.Poly) -> C.Poly:

@@ -23,10 +23,11 @@ keyed by ints, and each output term is reduced once: one int path for
 every m.  Over W_2 two multiples of p (as most terms of the W_2 p-th
 powers are) multiply to 0, so an A term divisible by p meets only the
 unit terms of B.  FieldElem / Witt2 objects appear only where they enter
-(constructors, scale) and in ``terms``, a read-only view decoded on each
-read.  The set-up (packing, pair steps, contraction weights, residue ring)
-is memoised by value per field, n, ring and width, shared by every equal
-algebra: most products are tiny, and each operation builds its own algebra.
+(the constructors, which all encode through one _encode, and scale) and
+in ``terms``, a plain dict decoded afresh on each read.  The set-up
+(packing, pair steps, contraction weights, residue ring) is memoised by
+value per field, n, ring and width, shared by every equal algebra: most
+products are tiny, and each operation builds its own algebra.
 
 The commutator [f, g] runs the same kernel once.  For a pair of terms
 c_a z^a, c_b z^b with c = c_a c_b, the contractions of z^a z^b enter with
@@ -50,11 +51,10 @@ from __future__ import annotations
 import functools
 import operator
 import struct
-from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 
 from .errors import NotCentral, ParamsMismatch, WeyliftError
-from .scalars import FieldParams, residue_ring
+from .scalars import FieldParams, residue_ring, square_multiply
 
 NEG_INF = float("-inf")
 
@@ -125,10 +125,10 @@ class AlgebraParams:
 
     def monomial(self, exps, coeff=None, ring: str = "k") -> WeylElem:
         coeff = self.ring_one(ring) if coeff is None else coeff
-        return WeylElem(self, ring, {self.exponents(exps): coeff})
+        return WeylElem(self, ring, {tuple(exps): coeff})
 
     def from_terms(self, terms: dict, ring: str = "k") -> WeylElem:
-        return WeylElem(self, ring, {self.exponents(e): c for e, c in terms.items()})
+        return WeylElem(self, ring, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +222,11 @@ def _pack(alg: AlgebraParams, ring: str, items: list) -> tuple:
 
 
 def _encode(alg: AlgebraParams, ring: str, terms: dict) -> tuple:
-    """(set-up, store) of {exponent tuple: coefficient object}; zeros drop."""
-    ctx = _layout(alg, ring, max((max(e) for e in terms), default=0))
-    key, encode = ctx.key, ctx.res.encode
-    return ctx, {key(e): r for e, c in terms.items() if (r := encode(c))}
+    """(set-up, store) of {exponent vector: coefficient object}, each vector
+    checked by AlgebraParams.exponents; zeros drop.  The one way in for
+    coefficient objects."""
+    encode = _layout(alg, ring).res.encode
+    return _pack(alg, ring, [(alg.exponents(e), encode(c)) for e, c in terms.items()])
 
 
 def _aligned(A: SparseElem, B: SparseElem, product: bool = False) -> tuple:
@@ -250,47 +251,6 @@ def _aligned(A: SparseElem, B: SparseElem, product: bool = False) -> tuple:
     return ctx, da, db
 
 
-class _Terms(Mapping):
-    """The terms {exponent tuple: FieldElem or Witt2} of an element, in its
-    dict order: a read-only view that decodes on each read and keeps
-    nothing, so its length costs nothing."""
-
-    __slots__ = ("_elem",)
-
-    def __init__(self, elem: SparseElem):
-        self._elem = elem
-
-    def __len__(self) -> int:
-        return len(self._elem.data)
-
-    def __iter__(self):
-        return map(self._elem.ctx.exps, self._elem.data)
-
-    def __getitem__(self, exps):
-        elem = self._elem
-        try:
-            r = elem.data.get(elem.ctx.key(exps))
-        except (struct.error, TypeError):
-            r = None
-        if r is None:
-            raise KeyError(exps)
-        return elem.ctx.res.decode(elem.alg.field, r)
-
-    def items(self) -> _TermItems:
-        return _TermItems(self)
-
-
-class _TermItems(ItemsView):
-    def __iter__(self):
-        elem = self._mapping._elem
-        exps, decode, field = elem.ctx.exps, elem.ctx.res.decode, elem.alg.field
-        for k, r in elem.data.items():
-            yield exps(k), decode(field, r)
-
-    def __reversed__(self):
-        return reversed(list(self))
-
-
 class SparseElem:
     """A sparse map from exponent vectors to nonzero coefficients.
 
@@ -300,6 +260,11 @@ class SparseElem:
     ``ring`` and the variable letter in ``var``; operands must agree on the
     algebra, the ring and the letter.  It supplies ``_like`` (an element of
     its own kind with the given store) and its own product.
+
+    Every constructor that takes coefficient objects goes through _encode,
+    which checks each exponent vector; ``terms`` hands out a fresh decoded
+    dict, and library code that only reads or regroups exponents uses
+    _items() and keeps the residues.
 
     Instances are treated as immutable: no method mutates the store after
     construction, except _add_into on an accumulator its caller owns, so
@@ -323,8 +288,11 @@ class SparseElem:
             )
 
     @property
-    def terms(self) -> _Terms:
-        return _Terms(self)
+    def terms(self) -> dict:
+        """{exponent tuple: FieldElem or Witt2} in dict order, decoded afresh
+        on each read."""
+        decode, field = self.ctx.res.decode, self.alg.field
+        return {e: decode(field, r) for e, r in self._items()}
 
     def _items(self):
         """(exponent tuple, residue) pairs in dict order."""
@@ -360,7 +328,7 @@ class SparseElem:
         if not self.data:
             return "0"
         v = self.var
-        terms = dict(self.terms.items())
+        terms = self.terms
         bits = []
         for exps in sorted(terms, key=lambda e: (sum(e), e), reverse=True)[:8]:
             mono = "*".join(
@@ -414,17 +382,7 @@ class SparseElem:
     def __pow__(self, e: int):
         if e < 0:
             raise WeyliftError("negative powers are not defined")
-        if not e:
-            return self._like({0: 1})
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return square_multiply(self, e, operator.mul) if e else self._like({0: 1})
 
     def pderiv(self, i: int):
         """Formal partial derivative in variable i (0-based), in characteristic p.
@@ -453,8 +411,8 @@ def _weyl(alg: AlgebraParams, ring: str, ctx: _Context, data: dict) -> WeylElem:
 class WeylElem(SparseElem):
     """A sparse element of A_n over k ("k") or over W_2(k) ("w2").
 
-    WeylElem(alg, ring, terms) takes {exponent tuple: FieldElem or Witt2}
-    and drops zero coefficients.
+    WeylElem(alg, ring, terms) takes {exponent vector: FieldElem or Witt2}
+    and drops zero coefficients; a malformed vector raises WeyliftError.
     """
 
     __slots__ = ("ring",)
@@ -474,7 +432,7 @@ class WeylElem(SparseElem):
     def __mul__(self, other: WeylElem) -> WeylElem:
         return _contract(self, other)
 
-    def times_central_monomial(self, exps, coeff=None) -> WeylElem:
+    def times_central_monomial(self, exps) -> WeylElem:
         """Multiply by the central monomial z^exps (all exponents divisible by p).
 
         Central monomials contract with nothing, so this is an exponent shift.
@@ -487,10 +445,7 @@ class WeylElem(SparseElem):
         if not self.data:
             return self
         ctx, data, (shift,) = _aligned(self, self.alg.monomial(exps), True)
-        if coeff is None:
-            return self._like({k + shift: c for k, c in data.items()}, ctx)
-        r, reduce = ctx.res.encode(coeff), ctx.res.reduce
-        return self._like({k + shift: v for k, c in data.items() if (v := reduce(r * c))}, ctx)
+        return self._like({k + shift: c for k, c in data.items()}, ctx)
 
     # -- characteristic-p structure ------------------------------------------
 

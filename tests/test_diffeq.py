@@ -3,6 +3,8 @@ Jacobian identity at both the y-level and the x-level."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from weylift import center as C
@@ -116,3 +118,19 @@ def test_bounded_degree_forces_constant_gamma():
     assert e.tsuchimoto_bound()
     sol = DQ.gamma_solution(e)
     assert all(g.is_constant() for g in sol.gamma)
+
+
+def _bump(M: C.Mat, i: int, j: int) -> C.Mat:
+    """M with 1 added to entry (i, j)."""
+    rows = [list(row) for row in M]
+    rows[i][j] = rows[i][j] + C.poly_one(rows[i][j].alg, rows[i][j].tag)
+    return tuple(map(tuple, rows))
+
+
+def test_matrix_identity_rejects_a_perturbed_J_gamma(corpus_gamma):
+    """An off-diagonal change of J_gamma (y level) or of J_f (x level)
+    breaks the identity; the corpus maps themselves pass it."""
+    for e, sol in corpus_gamma[::9]:
+        assert DQ.check_matrix_id(e, sol)
+        assert not DQ.check_matrix_id(e, replace(sol, J_gamma=_bump(sol.J_gamma, 0, 1)))
+        assert not DQ.check_matrix_id(e, replace(sol, J_f=_bump(sol.J_f, 1, 0)))

@@ -799,3 +799,48 @@ def test_kronecker_digit_bound(monkeypatch):
         monkeypatch.undo()
         scalars.residue_ring.cache_clear()
         weyl._context.cache_clear()
+
+
+@pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (-1, 0), (0, -2)])
+def test_constructors_reject_malformed_exponent_vectors(exps):
+    """Every constructor that takes coefficient objects checks each vector:
+    a wrong length or a negative entry raises WeyliftError."""
+    from weylift import center as C
+
+    alg = AlgebraParams(1, FieldParams(3))
+    one = alg.field.one
+    builds = [
+        lambda: WeylElem(alg, "k", {exps: one}),
+        lambda: WeylElem(alg, "w2", {exps: alg.field.w2_one()}),
+        lambda: C.Poly(alg, "x", {exps: one}),
+        lambda: alg.monomial(exps),
+        lambda: alg.from_terms({exps: one}, "w2"),
+        lambda: C.poly_from_terms(alg, "y", {exps: one}),
+    ]
+    for build in builds:
+        with pytest.raises(WeyliftError):
+            build()
+
+
+@pytest.mark.parametrize("q,ring", [(5, "k"), (5, "w2"), (9, "k")])
+def test_terms_is_a_fresh_decoded_dict(q, ring):
+    """``terms`` is a plain dict equal to the terms an element was built
+    from, and each read is a new dict: mutating one leaves the element."""
+    from weylift import center as C
+
+    alg = AlgebraParams(2, _field(q))
+    rng = random.Random(("terms", q, ring).__repr__())
+    built = {}
+    while len(built) < 6:
+        built[tuple(rng.randrange(4) for _ in range(4))] = _random_coeff(alg.field, rng, ring)
+    elems = [alg.from_terms(built, ring)]
+    if ring == "k":
+        elems.append(C.poly_from_terms(alg, "y", built))
+    for f in elems:
+        terms = f.terms
+        assert type(terms) is dict
+        assert terms == built
+        assert list(terms) == list(built)
+        assert f.terms is not terms
+        terms.clear()
+        assert f.terms == built
