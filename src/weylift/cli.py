@@ -323,15 +323,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
+    def common(sp, needs_input=True, budgeted=True):
         if needs_input:
             sp.add_argument("--input", required=True, help="endomorphism spec file")
             sp.add_argument(
                 "--task",
                 help="comma-separated extra tasks to run alongside the subcommand",
             )
-        sp.add_argument("--budget", type=positive_int, help="term-count guardrail override")
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+        if budgeted:
+            sp.add_argument("--budget", type=positive_int, help="term-count guardrail override")
+            sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         sp.add_argument("--json-out", help="write the JSON report to this file")
         sp.add_argument(
             "--timings",
@@ -347,7 +348,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     cp.add_argument("--n", type=int, required=True, help="number of symplectic pairs")
     cp.add_argument("--count", type=positive_int, default=10, help="number of endomorphisms")
     stp = sub.add_parser("selftest", help="run the built-in worked examples")
-    common(stp, needs_input=False)
+    common(stp, needs_input=False, budgeted=False)  # fixed examples: no budget, no seed
     return ap
 
 

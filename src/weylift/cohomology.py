@@ -12,6 +12,9 @@ intertwines ad(u_i) with d/dy_i.  The same intertwining computes the
 expansion itself: basis_expand peels the coefficients off with exact ad
 chains, one generator at a time, and solves no linear system (the
 bounded-degree solve survives only as basis_expand_oracle, for tests).
+from_basis is its inverse: it sums g_m(z^p) u^^m with one product per basis
+monomial, and is the one place that builds such a sum (psi_inverse and the
+right side of construct_lift's residual identity go through it).
 top_coefficient reads the one coefficient the trace route recovers, that
 of u^^(p-1,..,p-1), with a single ad chain and no peel.
 
@@ -40,7 +43,7 @@ from itertools import product as iter_product
 from . import center as C
 from .endo import Endo
 from .errors import InternalInconsistency, NotClosed, SolveFailure, WeyliftError
-from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, teich_lift, times_p_elem
+from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, times_p_elem
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,7 @@ def basis_expand_oracle(e: Endo, f: WeylElem) -> dict:
             mono = _ordered_monomial(e, m)
             for a in _exps_bounded(n2, (D - base_deg) // p):
                 cands.append((m, a))
-                cols.append(mono.times_central_monomial(tuple(p * x for x in a)).terms)
+                cols.append((mono * alg.monomial(tuple(p * x for x in a))).terms)
         sol = linsolve.solve(alg.field, cols, f.terms)
         if sol is not None:
             out: dict = {}
@@ -200,18 +203,27 @@ def psi_forward(e: Endo, f: WeylElem) -> C.Poly:
     return C.poly_items(e.alg, "y", items)
 
 
+def from_basis(e: Endo, coeffs: dict) -> WeylElem:
+    """sum_m g_m(z^p) u^^m for {m: Poly(x)}; the inverse of basis_expand.
+
+    One kernel product per basis monomial: g_m(z^p) is central, so the
+    product contracts nothing and shifts the exponents of u^^m.
+    """
+    acc = e.alg.zero_elem()
+    for m, g in coeffs.items():
+        acc._add_into(_ordered_monomial(e, m) * C.embed_center(g, "k"), 1)
+    return acc
+
+
 def psi_inverse(e: Endo, s: C.Poly) -> WeylElem:
-    """psi^{-1}: y^(pa+m) -> x^a u^^m, assembled term by term."""
+    """psi^{-1}: y^(pa+m) -> x^a u^^m, the y-terms grouped by m = exponent mod p."""
     if s.tag != "y":
         raise WeyliftError("psi_inverse expects a y-polynomial")
-    alg = e.alg
-    p = alg.field.p
-    acc = alg.zero_elem()
+    p = e.alg.field.p
+    groups: dict = {}
     for b, c in s._items():
-        m = tuple(x % p for x in b)
-        el = _ordered_monomial(e, m).times_central_monomial(tuple(bi - mi for bi, mi in zip(b, m)))
-        acc._add_into(el, c)
-    return acc
+        groups.setdefault(tuple(x % p for x in b), []).append((tuple(x // p for x in b), c))
+    return from_basis(e, {m: C.poly_items(e.alg, "x", items) for m, items in groups.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +304,6 @@ class Form:
         return " + ".join(bits)
 
 
-def form_zero(alg: AlgebraParams, degree: int) -> Form:
-    return Form(alg, degree, {})
-
-
 def form_from_coeffs(alg: AlgebraParams, degree: int, coeffs: dict) -> Form:
     clean = {}
     for I, f in coeffs.items():
@@ -305,10 +313,6 @@ def form_from_coeffs(alg: AlgebraParams, degree: int, coeffs: dict) -> Form:
         if f:
             clean[I] = f
     return Form(alg, degree, clean)
-
-
-def d(F: Form) -> Form:
-    return F.d()
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +353,8 @@ def _split_closed(F: Form):
     p = alg.field.p
     q = F.degree
     work = Form(alg, q, dict(F.coeffs))
-    h = form_zero(alg, q - 1)
-    harm = form_zero(alg, q)
+    h = Form(alg, q - 1, {})
+    harm = Form(alg, q, {})
     for v in range(alg.nvars):
         for I in sorted(I for I in work.coeffs if I[0] == v):
             g = _integrate(work.coeffs[I], v)
@@ -468,19 +472,13 @@ def construct_lift(e: Endo):
                 - commutator(e.u(j), v[i])
             )
             hp = harmonic.get((i, j))
-            if hp is None:
-                rhs = alg.zero_elem()
-            else:
-                c_elem = C.embed_center(harmonic_to_center(alg, hp), "k")
-                mono = _ordered_monomial(
-                    e, tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars))
-                )
-                rhs = c_elem * mono
+            m = tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars))
+            rhs = from_basis(e, {} if hp is None else {m: harmonic_to_center(alg, hp)})
             if lhs != rhs:
                 raise InternalInconsistency("the residual identity fails")
     if harmonic:
         return ObstructionWitness(C=e.obstruction_C, harmonic=harmonic, v=v)
-    Phi = [teich_lift(e.u(i)) + times_p_elem(v[i]) for i in range(alg.nvars)]
+    Phi = [U + times_p_elem(v_i) for U, v_i in zip(e._teich, v)]
     if not verify_lift(alg, Phi):
         raise InternalInconsistency("constructed lift violates a relation")
     return Lift(v=v, Phi=Phi)

@@ -47,25 +47,17 @@ class Endo:
                 raise ParamsMismatch("images must live in A_n(k) for this algebra")
         self.alg = alg
         self.images = list(images)
-        self._validated = False
 
     # -- validation and degree ----------------------------------------------
 
     def validate(self) -> None:
         """Check every defining relation exactly; raises RelationViolation.
 
-        The images never change, so a passed check is not repeated.
+        The relations are read off the W_2 commutators that u_ij comes from
+        (_u_ij_upper), which the map computes once: [U_i, U_j] - omega_{ij}
+        reduces mod p to [u_i, u_j] - omega_{ij}.
         """
-        if self._validated:
-            return
-        alg = self.alg
-        for i in range(alg.nvars):
-            for j in range(i + 1, alg.nvars):
-                want = alg.const(alg.omega_int(i, j))
-                residual = commutator(self.images[i], self.images[j]) - want
-                if not residual.is_zero():
-                    raise RelationViolation(i, j, residual)
-        self._validated = True
+        self._u_ij_upper
 
     @cached_property
     def deg(self) -> int:
@@ -90,18 +82,19 @@ class Endo:
 
     @cached_property
     def _u_ij_upper(self) -> dict:
-        """u_ij for i < j, from [U_i, U_j] = omega_{ij} + p u_ij."""
+        """u_ij for i < j, from [U_i, U_j] - omega_{ij} = d1 + p u_ij.
+
+        d1 = ([U_i, U_j] - omega_{ij}) mod p is [u_i, u_j] - omega_{ij}; the
+        first pair (i, j) with d1 != 0 raises RelationViolation(i, j, d1).
+        """
         alg = self.alg
         out = {}
         for i in range(alg.nvars):
             for j in range(i + 1, alg.nvars):
                 om = alg.const(alg.omega_int(i, j), "w2")
-                diff = commutator(self._teich[i], self._teich[j]) - om
-                d1, d2 = w2_decompose_elem(diff)
-                if not d1.is_zero():
-                    raise InternalInconsistency(
-                        "[U_i, U_j] - omega has a Teichmuller part; validate first"
-                    )
+                d1, d2 = w2_decompose_elem(commutator(self._teich[i], self._teich[j]) - om)
+                if d1:
+                    raise RelationViolation(i, j, d1)
                 out[(i, j)] = d2
         return out
 

@@ -10,6 +10,12 @@ because the brackets are central):
 
     z_{n+l}^a z_l^b = sum_k binom(a,k) binom(b,k) k! z_l^{b-k} z_{n+l}^{a-k}
 
+Every product goes through this one kernel, a product by a central
+monomial z^(pc) included: each of its contractions has a weight
+binom(a,k) pc (pc-1) ... (pc-k+1) = 0 mod p, so over k the kernel's rows
+are empty and the product comes out as the exponent shift.  Over W_2(k)
+the weights are multiples of p, not 0 ([z_{n+1}, z_1^p] = p z_1^(p-1)).
+
 An element is one dict {packed exponent int: residue int}.  An exponent
 vector is one int with a fixed-width field per variable (8, 16, 32 or 64
 bits), after Monagan and Pearce (CASC 2007); each element carries the
@@ -117,8 +123,11 @@ class AlgebraParams:
         return _weyl(self, ring, ctx, {1 << (ctx.width * i): 1})
 
     def exponents(self, exps) -> tuple:
-        """exps as a checked exponent vector: 2n ints >= 0."""
-        exps = tuple(int(e) for e in exps)
+        """exps as a checked exponent vector: 2n ints >= 0 (no floats or strings)."""
+        try:
+            exps = tuple(map(operator.index, exps))
+        except TypeError:
+            raise WeyliftError(f"bad exponent vector {exps}") from None
         if len(exps) != self.nvars or any(e < 0 for e in exps):
             raise WeyliftError(f"bad exponent vector {exps}")
         return exps
@@ -432,21 +441,6 @@ class WeylElem(SparseElem):
     def __mul__(self, other: WeylElem) -> WeylElem:
         return _contract(self, other)
 
-    def times_central_monomial(self, exps) -> WeylElem:
-        """Multiply by the central monomial z^exps (all exponents divisible by p).
-
-        Central monomials contract with nothing, so this is an exponent shift.
-        Over W_2(k) no nonconstant monomial is central ([z_2, z_1^p] = p z_1^(p-1)).
-        """
-        p = self.alg.field.p
-        exps = tuple(int(e) for e in exps)
-        if self.ring != "k" or any(e % p for e in exps):
-            raise NotCentral(f"monomial {exps} is not central over {self.ring}")
-        if not self.data:
-            return self
-        ctx, data, (shift,) = _aligned(self, self.alg.monomial(exps), True)
-        return self._like({k + shift: c for k, c in data.items()}, ctx)
-
     # -- characteristic-p structure ------------------------------------------
 
     def p_power(self) -> WeylElem:
@@ -583,11 +577,6 @@ def _contraction_row(a: int, b: int, p: int, image) -> tuple:
 
 # ---------------------------------------------------------------------------
 # derived operations
-
-
-def mono_mul(alg: AlgebraParams, ea, eb, ring: str = "k") -> WeylElem:
-    """Normal-ordered product of the bare monomials z^ea and z^eb."""
-    return alg.monomial(ea, ring=ring) * alg.monomial(eb, ring=ring)
 
 
 def mono_mul_naive(alg: AlgebraParams, ea, eb, ring: str = "k") -> WeylElem:

@@ -374,6 +374,15 @@ def test_selftest_subcommand(capsys):
     assert {"witt-ring", "normal-order", "bkk", "etale-family"} <= names
 
 
+def test_selftest_takes_no_budget_or_seed(capsys):
+    """selftest runs fixed examples: it takes only --json-out and --timings."""
+    for flag in ("--budget", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", flag, "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_console_script_entry():
     r = subprocess.run(
         [sys.executable, "-m", "weylift.cli", "validate", "--input", str(SPEC_DIR / "identity_p3.spec")],

@@ -56,13 +56,13 @@ def test_d_examples():
     alg = AlgebraParams(1, FieldParams(3))
     y1 = C.poly_var(alg, "y", 0)
     F = coh.form_from_coeffs(alg, 1, {(1,): y1})  # y1 dy2
-    dF = coh.d(F)
+    dF = F.d()
     assert dF.slot((0, 1)) == C.poly_one(alg, "y")
     # the harmonic generator y1^2 y2^2 dy1 dy2 is closed
     h = coh.form_from_coeffs(
         alg, 2, {(0, 1): C.poly_from_terms(alg, "y", {(2, 2): alg.field.one})}
     )
-    assert coh.d(h).is_zero()
+    assert h.d().is_zero()
 
 
 def test_d_squared_zero_500_random_1forms():
@@ -72,7 +72,7 @@ def test_d_squared_zero_500_random_1forms():
         rng = random.Random(("dd", p, n).__repr__())
         for _ in range(125):
             F = _rand_1form(alg, rng)
-            assert coh.d(coh.d(F)).is_zero()
+            assert F.d().d().is_zero()
             count += 1
     assert count == 500
 
@@ -105,11 +105,11 @@ def test_split_reconstructs_200_random_closed_2forms():
         alg = AlgebraParams(n, FieldParams(p))
         rng = random.Random(("split", p, n).__repr__())
         for _ in range(cnt):
-            exact = coh.d(_rand_1form(alg, rng))
+            exact = _rand_1form(alg, rng).d()
             harm_form, planted = _rand_harmonic(alg, rng)
             F = exact + harm_form
             h, harmonic = coh.split_closed_2form(F)
-            assert coh.d(h) + _assemble_harmonic(alg, harmonic) == F
+            assert h.d() + _assemble_harmonic(alg, harmonic) == F
             assert harmonic == planted
             count += 1
     assert count == 200
@@ -129,7 +129,7 @@ def test_split_is_pinned_on_seeded_closed_2forms():
         alg = AlgebraParams(n, FieldParams(p, m))
         rng = random.Random(repr(("split-pin", p, m, n)))
         for k in range(16):
-            exact = coh.d(_rand_1form(alg, rng, max_deg=2 * p))
+            exact = _rand_1form(alg, rng, max_deg=2 * p).d()
             harm_form, planted = _rand_harmonic(alg, rng)
             h, harmonic = coh.split_closed_2form(exact + harm_form)
             assert harmonic == planted
@@ -161,8 +161,8 @@ def test_recursive_split_recovers_planted_closed_3forms():
                 )
                 planted[I] = C.poly_from_terms(alg, "y", {e: _rand_coeff(alg.field, rng)})
             harm_form = coh.form_from_coeffs(alg, 3, planted)
-            h, harm = coh._split_closed(coh.d(G) + harm_form)
-            assert coh.d(h) + harm == coh.d(G) + harm_form
+            h, harm = coh._split_closed(G.d() + harm_form)
+            assert h.d() + harm == G.d() + harm_form
             assert harm == harm_form
             count += 1
     assert count == 48
@@ -184,13 +184,13 @@ def test_split_examples():
     F = coh.form_from_coeffs(alg, 2, {(0, 1): one})  # dy1 dy2
     h, harmonic = coh.split_closed_2form(F)
     assert harmonic == {}
-    assert coh.d(h) == F
+    assert h.d() == F
     # pure harmonic generator: exact part vanishes
     G = coh.form_from_coeffs(
         alg, 2, {(0, 1): C.poly_from_terms(alg, "y", {(2, 2): alg.field.one})}
     )
     h2, harm2 = coh.split_closed_2form(G)
-    assert coh.d(h2).is_zero()
+    assert h2.d().is_zero()
     assert harm2 == {(0, 1): one}
     # mixed: (y1^2 y2^2 + y2) dy1 dy2
     M = coh.form_from_coeffs(
@@ -200,7 +200,7 @@ def test_split_examples():
     )
     h3, harm3 = coh.split_closed_2form(M)
     assert harm3 == {(0, 1): one}
-    assert coh.d(h3) == coh.form_from_coeffs(
+    assert h3.d() == coh.form_from_coeffs(
         alg, 2, {(0, 1): C.poly_from_terms(alg, "y", {(0, 1): alg.field.one})}
     )
 
@@ -215,7 +215,7 @@ def test_split_rejects_non_closed():
     alg2 = AlgebraParams(2, FieldParams(3))
     g = C.poly_var(alg2, "y", 2)  # y3
     F2 = coh.form_from_coeffs(alg2, 2, {(0, 1): g})
-    assert not coh.d(F2).is_zero()
+    assert not F2.d().is_zero()
     with pytest.raises(NotClosed):
         coh.split_closed_2form(F2)
 
@@ -235,20 +235,22 @@ def test_hat_u_and_duality(a1_f3, corpus):
 
 
 def test_basis_expand_reconstructs(corpus):
-    for e in corpus[::8]:
+    """from_basis inverts basis_expand on a random element per corpus map
+    and, over F_9, on the family maps' u_ij and trace samples."""
+    rng = random.Random("expand")
+    checked = 0
+    for e in corpus + _f9_family_maps():
         alg = e.alg
-        rng = random.Random(("expand", alg.field.p, alg.n).__repr__())
         f = alg.from_terms(
             {
                 tuple(rng.randint(0, 2) for _ in range(alg.nvars)): alg.field.from_int(1)
                 for _ in range(2)
             }
         )
-        expansion = coh.basis_expand(e, f)
-        rebuilt = alg.zero_elem()
-        for m, g in expansion.items():
-            rebuilt = rebuilt + C.embed_center(g, "k") * coh._ordered_monomial(e, m)
-        assert rebuilt == f
+        for x in [f] + (_expansion_inputs(e) if alg.field.m > 1 else []):
+            assert coh.from_basis(e, coh.basis_expand(e, x)) == x
+            checked += 1
+    assert checked >= 175
 
 
 def _expansion_inputs(e):
@@ -333,7 +335,7 @@ def test_psi_on_center(a1_f3):
 def test_obstruction_2form_identity_and_closedness(a2_f3, corpus):
     assert coh.obstruction_2form(identity_endo(a2_f3)).is_zero()
     for e in corpus[::7]:
-        assert coh.d(coh.obstruction_2form(e)).is_zero()
+        assert coh.obstruction_2form(e).d().is_zero()
 
 
 def test_harmonic_part_matches_obstruction_matrix(corpus):

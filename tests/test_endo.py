@@ -3,6 +3,8 @@ degree-bound and Jacobian theorems over the seeded corpus."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from weylift import center as C
@@ -15,6 +17,7 @@ from weylift.endo import (
     elementary,
     etale_family,
     fourier,
+    generate_corpus,
     identity_endo,
     validate,
 )
@@ -52,6 +55,56 @@ def test_validate_checks_once(a2_f3, monkeypatch):
 
     monkeypatch.setattr(endo_module, "commutator", no_commutator)
     e.validate()
+
+
+def test_u_ij_of_an_unvalidated_violation_is_bad_input(a1_f3):
+    """u_ij reads the relations off the same W_2 commutators validate does,
+    so images never validated raise RelationViolation, not an internal error."""
+    z1 = a1_f3.gen(0)
+    with pytest.raises(RelationViolation) as exc:
+        Endo(a1_f3, [z1, z1]).u_ij(0, 1)
+    assert (exc.value.i, exc.value.j) == (0, 1)
+    assert exc.value.residual == a1_f3.one_elem()
+
+
+def _first_k_violation(e: Endo):
+    """(i, j, [u_i, u_j] - omega_ij) over k at the first pair where that is
+    nonzero, or None: the k-side relation check, kept as the reference."""
+    alg = e.alg
+    for i in range(alg.nvars):
+        for j in range(i + 1, alg.nvars):
+            residual = commutator(e.images[i], e.images[j]) - alg.const(alg.omega_int(i, j))
+            if residual:
+                return i, j, residual
+    return None
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (5, 1), (5, 2), (9, 1), (9, 2)])
+def test_relation_violation_is_the_k_side_residual(q, n):
+    """Seeded maps with one image perturbed by a random term: validate raises
+    at the first failing pair with the residual [u_i, u_j] - omega_ij over k,
+    and passes exactly when the k-side check finds no failing pair."""
+    field = FieldParams(3, 2) if q == 9 else FieldParams(q)
+    alg = AlgebraParams(n, field)
+    rng = random.Random(("broken", q, n).__repr__())
+    pairs = []
+    for e in generate_corpus(alg, 12, seed=q):
+        images = list(e.images)
+        r = rng.randrange(alg.nvars)
+        exps = tuple(rng.randint(0, 2) for _ in range(alg.nvars))
+        c = field.element([rng.randrange(1, field.p)] + [rng.randrange(field.p)] * (field.m - 1))
+        images[r] = images[r] + alg.monomial(exps, c)
+        broken = Endo(alg, images)
+        want = _first_k_violation(broken)
+        if want is None:
+            broken.validate()
+            continue
+        with pytest.raises(RelationViolation) as exc:
+            broken.validate()
+        assert (exc.value.i, exc.value.j) == want[:2]
+        assert exc.value.residual == want[2]
+        pairs.append(want[:2])
+    assert len(pairs) >= 6 and len(set(pairs)) >= (1 if n == 1 else 4)
 
 
 def test_u_ij_examples(a1_f3):

@@ -38,7 +38,7 @@ from math import comb, factorial
 import pytest
 
 from weylift.endo import generate_corpus
-from weylift.errors import NotCentral, ParamsMismatch, WeyliftError
+from weylift.errors import ParamsMismatch, WeyliftError
 from weylift.scalars import FieldParams, Witt2, teichmuller
 from weylift.weyl import (
     AlgebraParams,
@@ -46,7 +46,6 @@ from weylift.weyl import (
     _contraction_row,
     ad_pow,
     commutator,
-    mono_mul,
     mono_mul_naive,
     teich_lift,
     times_p_elem,
@@ -137,9 +136,10 @@ def test_product_against_two_references(q, n):
         for _ in range(12):
             ea = tuple(rng.randint(0, 4) for _ in range(alg.nvars))
             eb = tuple(rng.randint(0, 4) for _ in range(alg.nvars))
-            fast = mono_mul(alg, ea, eb, ring)
+            a, b = alg.monomial(ea, ring=ring), alg.monomial(eb, ring=ring)
+            fast = a * b
             assert fast == mono_mul_naive(alg, ea, eb, ring)
-            assert fast == _ref_mul(alg.monomial(ea, ring=ring), alg.monomial(eb, ring=ring))
+            assert fast == _ref_mul(a, b)
             f = _random_elem(alg, rng, 4, ring)
             g = _random_elem(alg, rng, 4, ring)
             assert f * g == _ref_mul(f, g)
@@ -401,22 +401,28 @@ def test_product_at_packing_widths_matches_closed_formula(q, top):
 @pytest.mark.parametrize("top", WIDTH_TOPS)
 @pytest.mark.parametrize("q", [32749, 9])
 def test_product_at_packing_widths_matches_central_shift(q, top):
-    """Over k, f * z^(p c) and z^(p c) * f are the shift of f by p c."""
+    """Over k, f * z^(p c) and z^(p c) * f are the shift of f by p c, built
+    here from f's terms.  Over W_2(k), z^(p c) is not central:
+    [z_3, z^(p c)] = d/dz_1 z^(p c), and [z_3, z_1^p] = p z_1^(p-1)."""
     alg = AlgebraParams(2, _field(q))
     p = alg.field.p
     rng = random.Random(("central", q, top).__repr__())
     cs = ((top - 2) // p, rng.randrange(top // p + 1), 0, rng.randrange(top // p + 1))
     d = top - p * cs[0]
-    center = alg.monomial([p * c for c in cs])
+    pc = tuple(p * c for c in cs)
+    center = alg.monomial(pc)
     for _ in range(4):
         f = _random_elem(alg, rng, min(d, 40)) + alg.monomial((d, 0, 1, 2))
-        shifted = f.times_central_monomial([p * c for c in cs])
+        shifted = alg.from_terms(
+            {tuple(x + y for x, y in zip(e, pc)): c for e, c in f.terms.items()}
+        )
         assert f * center == shifted
         assert center * f == shifted
         assert max(map(max, shifted.terms)) == top
-    # over W_2(k), z_1^p is not central: [z_2, z_1^p] = p z_1^(p-1)
-    with pytest.raises(NotCentral):
-        teich_lift(f).times_central_monomial([p * c for c in cs])
+    z3, center_w2 = alg.gen(2, "w2"), alg.monomial(pc, ring="w2")
+    assert commutator(z3, center_w2) == center_w2.pderiv(0)  # p c_1 z^(p c - e_1)
+    z1_p = alg.monomial((p, 0, 0, 0), ring="w2")
+    assert commutator(z3, z1_p) == times_p_elem(alg.monomial((p - 1, 0, 0, 0)))
 
 
 def test_product_past_64_bit_exponents_is_refused():
@@ -642,11 +648,15 @@ def test_equal_algebras_share_the_contraction_rows(monkeypatch):
     row = weyl._contraction_row
     monkeypatch.setattr(weyl, "_contraction_row", lambda *a: built.append(a) or row(*a))
     weyl._context.cache_clear()
-    ea, eb = (0, 0, 3, 2), (4, 1, 0, 0)
-    first = mono_mul(AlgebraParams(2, FieldParams(5)), ea, eb)
+
+    def product():
+        alg = AlgebraParams(2, FieldParams(5))  # a new, equal algebra each call
+        return alg.monomial((0, 0, 3, 2)) * alg.monomial((4, 1, 0, 0))
+
+    first = product()
     assert built
     built.clear()
-    second = mono_mul(AlgebraParams(2, FieldParams(5)), ea, eb)
+    second = product()
     assert not built
     assert second == first
 
@@ -801,10 +811,13 @@ def test_kronecker_digit_bound(monkeypatch):
         weyl._context.cache_clear()
 
 
-@pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (-1, 0), (0, -2)])
+@pytest.mark.parametrize(
+    "exps", [(1,), (1, 0, 0), (-1, 0), (0, -2), (1.5, 0), ("2", 0), (0.9, 1)]
+)
 def test_constructors_reject_malformed_exponent_vectors(exps):
     """Every constructor that takes coefficient objects checks each vector:
-    a wrong length or a negative entry raises WeyliftError."""
+    a wrong length, a negative entry or an entry that is not an integer
+    (a float is not truncated) raises WeyliftError."""
     from weylift import center as C
 
     alg = AlgebraParams(1, FieldParams(3))
@@ -820,6 +833,20 @@ def test_constructors_reject_malformed_exponent_vectors(exps):
     for build in builds:
         with pytest.raises(WeyliftError):
             build()
+
+
+def test_constructors_read_index_ints_exactly():
+    """An entry that is an int by __index__, as a numpy integer is, is accepted."""
+
+    class Index:
+        def __init__(self, v):
+            self.v = v
+
+        def __index__(self):
+            return self.v
+
+    alg = AlgebraParams(1, FieldParams(3))
+    assert alg.monomial((Index(2), Index(0))) == alg.monomial((2, 0))
 
 
 @pytest.mark.parametrize("q,ring", [(5, "k"), (5, "w2"), (9, "k")])
