@@ -6,8 +6,12 @@ guards against mixing the two coordinate systems; arithmetic is identical.
 
 The Poisson bracket on Z is {f, g} = sum_l (df/dx_l dg/dx_{n+l}
 - df/dx_{n+l} dg/dx_l), normalized so {x_i, x_j} = -omega_{ij}.  The
-commutator oracle poisson_witt_oracle recomputes the bracket upstairs as
-[f~, g~]/p in A_n(W_2(k)) and is kept as an independent route.
+routine witt_brackets recomputes it upstairs as [F~, G~]/p in A_n(W_2(k))
+for central F, G over k, with F~, G~ their Teichmuller lifts: any lifts
+give the same value, since p [X, Y] depends only on X, Y mod p.  It is
+kept as an independent route, both as the commutator oracle
+poisson_witt_oracle and as the endo module's obstruction oracle, which
+feeds it the center images u_i^p.
 
 A map x_i -> F_i is judged from its Jacobian J: is_etale reads det J and
 is_poisson_morphism compares bracket_matrix(J) = J omega^{-1} J^T, summed
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import DivisionByZero, NotCentral, NotDivisibleByP, WeyliftError
+from .errors import DivisionByZero, NotDivisibleByP, WeyliftError
 from .scalars import square_multiply
 from .weyl import (
     AlgebraParams,
@@ -161,14 +165,13 @@ def pth_root_retag(f: Poly) -> Poly:
     return Poly._make(f.alg, "y", f.ctx, {k: res.pow(c, root) for k, c in f.data.items()})
 
 
-def embed_center(f: Poly, ring: str = "w2") -> WeylElem:
-    """Send f(x) to f(z^p) in A_n; coefficients lift by Teichmuller for w2."""
+def embed_center(f: Poly) -> WeylElem:
+    """Send f(x) to the central element f(z^p) of A_n(k)."""
     if f.tag != "x":
         raise WeyliftError("expected an x-polynomial")
     p = f.alg.field.p
     items = [(tuple(p * a for a in e), c) for e, c in f._items()]
-    F = _weyl(f.alg, "k", *_pack(f.alg, "k", items))
-    return F if ring == "k" else teich_lift(F)
+    return _weyl(f.alg, "k", *_pack(f.alg, "k", items))
 
 
 # -- Poisson structure -------------------------------------------------------
@@ -193,21 +196,27 @@ def _bracket(df: tuple, dg: tuple) -> Poly:
 
 
 def poisson_witt_oracle(f: Poly, g: Poly) -> Poly:
-    """{f, g} recomputed as [f(z^p), g(z^p)] / p over W_2(k).
+    """{f, g} recomputed as [f(z^p)~, g(z^p)~] / p over W_2(k)."""
+    return witt_brackets([embed_center(f), embed_center(g)])[0][1]
 
-    Raises NotDivisibleByP if the commutator has a nonzero Teichmuller part
-    and NotCentral if the quotient is not in Z (neither occurs for center
-    inputs; the checks guard the oracle itself).
+
+def witt_brackets(elems: list[WeylElem]) -> Mat:
+    """([F_i~, F_j~] / p) in the x coordinates for central F_i over k, each
+    Teichmuller-lifted once: the matrix of brackets {F_i, F_j}.
+
+    Raises NotDivisibleByP if a commutator has a nonzero Teichmuller part
+    and NotCentral if a quotient is not in Z (neither occurs for central
+    inputs; the checks guard the oracles themselves).
     """
-    F = embed_center(f, "w2")
-    G = embed_center(g, "w2")
-    C = commutator(F, G)
-    c1, c2 = w2_decompose_elem(C)
-    if not c1.is_zero():
-        raise NotDivisibleByP("commutator of central elements not in p*W_2")
-    if not c2.is_central():
-        raise NotCentral("commutator quotient is not central")
-    return c2.to_center_poly()
+    lifts = [teich_lift(F) for F in elems]
+
+    def entry(i: int, j: int) -> Poly:
+        c1, c2 = w2_decompose_elem(commutator(lifts[i], lifts[j]))
+        if c1:
+            raise NotDivisibleByP("commutator of central elements not in p*W_2")
+        return c2.to_center_poly()
+
+    return antisymmetric(elems[0].alg, "x", entry, len(elems))
 
 
 # -- matrices of polynomials -------------------------------------------------
@@ -252,9 +261,10 @@ def omega_inv_matrix(alg: AlgebraParams, tag: str) -> Mat:
     return tuple(tuple(-a for a in row) for row in omega_matrix(alg, tag))
 
 
-def antisymmetric(alg: AlgebraParams, tag: str, entry) -> Mat:
-    """The antisymmetric matrix with entry(i, j) above the diagonal."""
-    size = alg.nvars
+def antisymmetric(alg: AlgebraParams, tag: str, entry, size: int = 0) -> Mat:
+    """The size x size (default 2n x 2n) antisymmetric matrix with
+    entry(i, j) above the diagonal."""
+    size = size or alg.nvars
     M = [[poly_zero(alg, tag)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):

@@ -211,7 +211,7 @@ def from_basis(e: Endo, coeffs: dict) -> WeylElem:
     """
     acc = e.alg.zero_elem()
     for m, g in coeffs.items():
-        acc._add_into(_ordered_monomial(e, m) * C.embed_center(g, "k"), 1)
+        acc._add_into(_ordered_monomial(e, m) * C.embed_center(g), 1)
     return acc
 
 

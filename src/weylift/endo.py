@@ -7,9 +7,18 @@ matrix has entries
 
     c_ij = ad(u_i)^{p-1} ad(u_j)^{p-1} (u_ij)      (central, antisymmetric)
 
-with p c_ij = [U_i^p, U_j^p] + p omega_{ij} as the independent oracle route.
 phi lifts to W_2(k) iff every c_ij vanishes, iff the induced map on the
 center is a Poisson morphism.
+
+The paper also defines c_ij by p c_ij = [U_i^p, U_j^p] + p omega_{ij}.  The
+oracle route computes that value without the W_2 p-th powers U_i^p.  Since
+U_i^p = [u_i^p] mod p and u_j^p is central in A_n(k), and p [X, Y] depends
+only on X, Y mod p, [U_i^p, U_j^p] = [[u_i^p], [u_j^p]] exactly in
+A_n(W_2(k)).  So the oracle commutes the Teichmuller lifts of the center
+images u_i^p, through center.witt_brackets.  It stays independent of the
+ad-chain route and shares no intermediate value with it: obstruction_C
+reads u_ij off the W_2 commutators [U_i, U_j] of validate and runs ad chains
+over k, while the oracle reads u_i^p and commutes over W_2.
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from operator import mul
 from . import center as C
 from .errors import (
     InternalInconsistency,
-    NotDivisibleByP,
     ParamsMismatch,
     RelationViolation,
     ResourceLimit,
@@ -127,30 +135,26 @@ class Endo:
     def obstruction_C_oracle(self) -> C.Mat:
         """c_ij via p c_ij = [U_i^p, U_j^p] + p omega_{ij} over W_2(k).
 
-        Only the unit terms T_i of U_i^p = T_i + p R_i are commuted: T_i mod
-        p = u_i^p is central in A_n(k), so p [R_i, T_j] = p [R_i mod p, u_j^p]
-        = 0, likewise p [T_i, R_j], and p^2 [R_i, R_j] = 0; hence [U_i^p,
-        U_j^p] = [T_i, T_j].  A non-central T_i raises InternalInconsistency.
+        [U_i^p, U_j^p] = [[u_i^p], [u_j^p]]: U_i^p - [u_i^p] = p R_i, and
+        p [R_i, X] = p [R_i mod p, X mod p] vanishes for X = [u_j^p], whose
+        reduction u_j^p is central (likewise p [X, R_j], and p^2 = 0).  So
+        c_ij = [[u_i^p], [u_j^p]] / p + omega_{ij}, the bracket
+        {phi(x_i), phi(x_j)} read upstairs plus omega_{ij}.  A non-central
+        u_i^p raises InternalInconsistency.
         """
-        alg = self.alg
-        pows = [U.p_power() for U in self._teich]
-        units = [P._like({k: c for k, c in P.data.items() if P.ctx.res.unit(c)}) for P in pows]
-        if not all(T.is_central() for T in units):
-            raise InternalInconsistency("U_i^p mod p is not central")
+        if not all(P.is_central() for P in self._image_powers):
+            raise InternalInconsistency("u_i^p is not central")
+        return C.mat_add(C.witt_brackets(self._image_powers), C.omega_matrix(self.alg, "x"))
 
-        def entry(i: int, j: int) -> C.Poly:
-            D = commutator(units[i], units[j]) + alg.const(alg.field.p * alg.omega_int(i, j), "w2")
-            d1, d2 = w2_decompose_elem(D)
-            if not d1.is_zero():
-                raise NotDivisibleByP("[U_i^p, U_j^p] + p omega not in p*W_2")
-            return d2.to_center_poly()
-
-        return C.antisymmetric(alg, "x", entry)
+    @cached_property
+    def _image_powers(self) -> list[WeylElem]:
+        """u_i^p over k, read by center_images and the oracle."""
+        return [u.p_power() for u in self.images]
 
     @cached_property
     def center_images(self) -> list[C.Poly]:
         """phi(x_i) = u_i^p written in the x coordinates."""
-        return [u.p_power().to_center_poly() for u in self.images]
+        return [P.to_center_poly() for P in self._image_powers]
 
     @cached_property
     def center_jacobian(self) -> C.Mat:

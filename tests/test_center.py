@@ -72,7 +72,7 @@ def test_embed_center_is_central(a1):
     rng = random.Random(3)
     for _ in range(6):
         f = _rand_poly(a1, rng)
-        F = C.embed_center(f, "k")
+        F = C.embed_center(f)
         assert F.is_central()
         assert F.to_center_poly() == f
         g = a1.gen(0) + a1.gen(1)

@@ -301,7 +301,7 @@ GOLDEN_SPEC_DIGESTS = {
     },
 }
 # (p, n, count) of ``corpus --seed 7``; the n = 2 corpus carries the largest
-# W_2 p-th powers of the oracle
+# W_2 commutators of the oracle
 GOLDEN_CORPUS_DIGESTS = {
     (3, 1, 15): "d19336d7bfab931a398361510f5dea27599282b97f1c99c4ca39747bd4215180",
     (5, 1, 15): "8e7a1b53563ccf3d2af37f126cf2fb09c308c6876a01813a1805b0ee1b6c2036",
@@ -340,10 +340,11 @@ def test_reports_do_not_depend_on_product_term_order(capsys, monkeypatch):
 
 
 def test_corpus_with_vanishing_w2_pairs():
-    """corpus p = 5, n = 2, seed 7: most W_2 term pairs of the oracle
-    commutators are two multiples of p (769,560 of 799,839 in one of them).
-    Visiting them took about 6 s on a 2-CPU Xeon; skipping them about 1 s.
-    The report is byte for byte what it was before the skip."""
+    """corpus p = 5, n = 2, seed 7: when the oracle took W_2 p-th powers,
+    most of their W_2 term pairs were two multiples of p (769,560 of 799,839
+    in one product).  Visiting them took about 6 s on a 2-CPU Xeon, skipping
+    them about 1 s.  The report is byte for byte what it was before the skip
+    and before the oracle stopped taking W_2 powers."""
     start = time.perf_counter()
     report, code = run_corpus(5, 2, count=4, seed=7, budget=None, timings=False)
     assert time.perf_counter() - start < 5
@@ -351,6 +352,25 @@ def test_corpus_with_vanishing_w2_pairs():
     text = json.dumps(report, indent=2) + "\n"
     want = "e4bc964cb9ae7c020167bea5e63d5f00bd13a161742ab2a2a7239cfc6e26c728"
     assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 1)])
+def test_corpus_takes_one_p_th_power_per_image(monkeypatch, p, n):
+    """The center images and the W_2 oracle share one p-th power over k of
+    each image; the oracle takes no W_2 power."""
+    from weylift.weyl import WeylElem
+
+    rings = []
+    p_power = WeylElem.p_power
+
+    def counted(self):
+        rings.append(self.ring)
+        return p_power(self)
+
+    monkeypatch.setattr(WeylElem, "p_power", counted)
+    _, code = run_corpus(p, n, 5, 7, None, False)
+    assert code == 0
+    assert rings == ["k"] * (5 * 2 * n)
 
 
 def _check_golden_digests(capsys) -> None:

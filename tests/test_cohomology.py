@@ -328,7 +328,7 @@ def test_psi_properties(a1_f3, corpus):
 
 def test_psi_on_center(a1_f3):
     e = etale_family(a1_f3, 1, a1_f3.field.one)
-    f = C.embed_center(C.poly_var(a1_f3, "x", 0), "k")  # z1^p as an element
+    f = C.embed_center(C.poly_var(a1_f3, "x", 0))  # z1^p as an element
     assert coh.psi_forward(e, f) == C.poly_from_terms(a1_f3, "y", {(3, 0): a1_f3.field.one})
 
 
@@ -364,9 +364,9 @@ def test_harmonic_part_matches_obstruction_matrix(corpus):
             mono = coh._ordered_monomial(
                 e, tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars))
             )
-            resid = C.embed_center(Cm[i][j], "k") * mono
+            resid = C.embed_center(Cm[i][j]) * mono
             back = ad_pow(e.u(i), p - 1, ad_pow(e.u(j), p - 1, resid))
-            assert back == C.embed_center(Cm[i][j], "k")
+            assert back == C.embed_center(Cm[i][j])
             checked += 1
     assert checked >= 3
 

@@ -186,21 +186,21 @@ def test_bracket_matrix_matches_the_matrix_product(reference_maps):
         assert C.is_poisson_morphism(e.center_brackets) == C.mat_eq(want, inv)
 
 
-def test_oracle_unit_terms_match_the_full_commutator(reference_maps):
-    """[T_i, T_j] over the unit terms of U_i^p, U_j^p equals [U_i^p, U_j^p],
-    and the oracle matches c_ij read off the full commutator."""
-    from weylift.weyl import w2_decompose_elem
+def test_oracle_lifts_of_center_images_match_the_full_commutator(reference_maps):
+    """[[u_i^p], [u_j^p]] equals [U_i^p, U_j^p] with U_i^p the full W_2 p-th
+    power, and the oracle is c_ij read off p c_ij = [U_i^p, U_j^p] + p omega."""
+    from weylift.weyl import teich_lift, w2_decompose_elem
 
     pairs = 0
     for e in reference_maps:
         alg = e.alg
         p = alg.field.p
         pows = [U.p_power() for U in e._teich]
-        units = [P._like({k: c for k, c in P.data.items() if P.ctx.res.unit(c)}) for P in pows]
+        lifts = [teich_lift(u.p_power()) for u in e.images]
         for i in range(alg.nvars):
             for j in range(i + 1, alg.nvars):
                 full = commutator(pows[i], pows[j])
-                assert commutator(units[i], units[j]) == full
+                assert commutator(lifts[i], lifts[j]) == full
                 D = full + alg.const(p * alg.omega_int(i, j), "w2")
                 d1, d2 = w2_decompose_elem(D)
                 assert d1.is_zero()

@@ -220,7 +220,7 @@ def test_p_power_and_center_poly_round_trip():
     g = fp.to_center_poly()
     from weylift import center as C
 
-    back = C.embed_center(g, "k")
+    back = C.embed_center(g)
     assert back == fp
     with pytest.raises(WeyliftError):
         alg.gen(0).to_center_poly()
