@@ -73,9 +73,6 @@ class Poly(SparseElem):
     def is_constant(self) -> bool:
         return not any(self.data)
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.alg.nvars, self.alg.field.zero)
-
     def homogeneous_slice(self, d: int) -> Poly:
         exps = self.ctx.exps
         return self._like({k: c for k, c in self.data.items() if sum(exps(k)) == d})
@@ -132,10 +129,6 @@ def poly_var(alg: AlgebraParams, tag: str, i: int) -> Poly:
     exps = [0] * alg.nvars
     exps[i] = 1
     return Poly(alg, tag, {tuple(exps): alg.field.one})
-
-
-def poly_from_terms(alg: AlgebraParams, tag: str, terms: dict) -> Poly:
-    return Poly(alg, tag, terms)
 
 
 # -- coordinate changes ------------------------------------------------------
@@ -328,11 +321,6 @@ def mat_eq(A: Mat, B: Mat) -> bool:
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def mat_frobenius_twist(M: Mat) -> Mat:
-    """Entrywise p-th power of a y-matrix, re-tagged to x via y_i^p = x_i."""
-    return tuple(tuple(pth_power_retag(f) for f in row) for row in M)
-
-
 # -- exact division and determinants -----------------------------------------
 
 
@@ -357,7 +345,15 @@ def divexact(f: Poly, g: Poly) -> Poly:
 
 
 def det(M: Mat) -> Poly:
-    """Determinant: cofactor expansion for size <= 4, Bareiss beyond."""
+    """Determinant: cofactor expansion for size <= 4, Bareiss beyond.
+
+    Measured on a 2-CPU Xeon, Python 3.11.  is_etale's 2n x 2n Jacobians:
+    on the 199 of the perfbench corpus workload (n <= 2), cofactor takes
+    0.011 s and Bareiss 0.048 s, where one warm pass over that workload
+    takes 0.27 s.  The conjugator's p^n x p^n G: cofactor expansion grows
+    like size! on dense rows; on the 7 x 7 G of map 1 of the F_7, n = 1
+    corpus generate_corpus(alg, 8, 3) it takes 2.6 s and Bareiss 0.019 s.
+    """
     size = len(M)
     if size == 0:
         raise WeyliftError("empty matrix")

@@ -11,7 +11,8 @@ correspondence
 intertwines ad(u_i) with d/dy_i.  The same intertwining computes the
 expansion itself: basis_expand peels the coefficients off with exact ad
 chains, one generator at a time, and solves no linear system (the
-bounded-degree solve survives only as basis_expand_oracle, for tests).
+bounded-degree linear solve it is checked against is a test oracle, in
+tests/test_cohomology.py).
 from_basis is its inverse: it sums g_m(z^p) u^^m with one product per basis
 monomial, and is the one place that builds such a sum (psi_inverse and the
 right side of construct_lift's residual identity go through it).
@@ -38,11 +39,10 @@ This is deterministic, so h is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from . import center as C
 from .endo import Endo
-from .errors import InternalInconsistency, NotClosed, SolveFailure, WeyliftError
+from .errors import InternalInconsistency, NotClosed, WeyliftError
 from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, times_p_elem
 
 
@@ -138,58 +138,6 @@ def top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
     if not f.is_central():
         raise InternalInconsistency("the top coefficient is not central")
     return f.to_center_poly()
-
-
-def _exps_bounded(nvars: int, total: int):
-    """All exponent vectors with given coordinate count and sum <= total."""
-    if nvars == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for tail in _exps_bounded(nvars - 1, total - head):
-            yield (head,) + tail
-
-
-def basis_expand_oracle(e: Endo, f: WeylElem) -> dict:
-    """Test oracle for basis_expand by linear algebra instead of ad chains.
-
-    Solves a bounded-degree linear system over k against the free-module
-    basis; the degree bound starts at deg f and grows by p until the system
-    is consistent (freeness guarantees termination for elements of A_n(k)).
-    The candidates are distinct basis elements, so the solution is unique.
-    """
-    from . import linsolve
-
-    alg = e.alg
-    p = alg.field.p
-    n2 = alg.nvars
-    if f.is_zero():
-        return {}
-    gens_deg = [int(e.u_hat(i).degree()) for i in range(n2)]
-    D = max(int(f.degree()), 0)
-    cap = int(f.degree()) + (p - 1) * sum(gens_deg) + 2 * p
-    while True:
-        cands = []
-        cols = []
-        for m in iter_product(range(p), repeat=n2):
-            base_deg = sum(mi * di for mi, di in zip(m, gens_deg))
-            if base_deg > D:
-                continue
-            mono = _ordered_monomial(e, m)
-            for a in _exps_bounded(n2, (D - base_deg) // p):
-                cands.append((m, a))
-                cols.append((mono * alg.monomial(tuple(p * x for x in a))).terms)
-        sol = linsolve.solve(alg.field, cols, f.terms)
-        if sol is not None:
-            out: dict = {}
-            for (m, a), c in zip(cands, sol):
-                if c:
-                    g = out.setdefault(m, {})
-                    g[a] = c
-            return {m: C.Poly(alg, "x", g) for m, g in out.items()}
-        D += p
-        if D > cap:
-            raise SolveFailure(f"no expansion of degree <= {cap} found")
 
 
 def psi_forward(e: Endo, f: WeylElem) -> C.Poly:
@@ -302,17 +250,6 @@ class Form:
             f"({f!r}) dy{'dy'.join(str(i + 1) for i in I)}" for I, f in sorted(self.coeffs.items())
         ]
         return " + ".join(bits)
-
-
-def form_from_coeffs(alg: AlgebraParams, degree: int, coeffs: dict) -> Form:
-    clean = {}
-    for I, f in coeffs.items():
-        I = tuple(I)
-        if len(I) != degree or list(I) != sorted(set(I)):
-            raise WeyliftError(f"index tuple {I} is not strictly increasing")
-        if f:
-            clean[I] = f
-    return Form(alg, degree, clean)
 
 
 # ---------------------------------------------------------------------------

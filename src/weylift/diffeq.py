@@ -49,11 +49,6 @@ def _rhs(images: list[C.Poly], i: int) -> C.Poly:
     return acc.pderiv_iter(i, alg.field.p - 1)
 
 
-def rhs_gamma(e: Endo, i: int) -> C.Poly:
-    """Right side of the gamma equation in coordinate i (0-based)."""
-    return _rhs(phi_S_all(e), i)
-
-
 def _pth_root_termwise(f: C.Poly) -> C.Poly:
     """Termwise root: c y^(p b) -> c^(1/p) y^b; None if some exponent resists."""
     field, res = f.alg.field, f.ctx.res
@@ -130,21 +125,6 @@ def gamma_solution(e: Endo) -> GammaSolution:
         J_f=Jf,
         symmetric=C.mat_eq(Jf, C.mat_transpose(Jf)),
     )
-
-
-def solve_f(e: Endo, i: int) -> C.Poly:
-    """Solve the x-level equation directly from the center images.
-
-    The right side is the x-level analogue of rhs_gamma; by Frobenius
-    equivariance of the equation its solution equals pth_power_retag of
-    gamma_i, which the tests cross-check.
-    """
-    return solve_gamma(_rhs(e.center_images, i), i)
-
-
-def symmetry_criterion(e: Endo) -> bool:
-    """Liftability via the Jacobian of (f_i): symmetric iff liftable."""
-    return gamma_solution(e).symmetric
 
 
 def check_matrix_id(e: Endo, sol: GammaSolution) -> bool:

@@ -113,11 +113,6 @@ class Endo:
             return self._u_ij_upper[(i, j)]
         return -self._u_ij_upper[(j, i)]
 
-    def u_ij_matrix(self) -> list[list[WeylElem]]:
-        """The full antisymmetric matrix (u_ij) over A_n(k)."""
-        size = self.alg.nvars
-        return [[self.u_ij(i, j) for j in range(size)] for i in range(size)]
-
     @cached_property
     def obstruction_C(self) -> C.Mat:
         """The antisymmetric matrix c_ij, as polynomials on the center."""

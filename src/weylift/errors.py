@@ -61,7 +61,10 @@ class NoSolution(WeyliftError):
 
 
 class SolveFailure(WeyliftError):
-    """A basis expansion that must exist for valid input could not be found."""
+    """A basis expansion that must exist for valid input could not be found.
+
+    Raised by the linear-solve expansion oracle in tests/test_cohomology.py.
+    """
 
 
 class NotAHomomorphism(WeyliftError):

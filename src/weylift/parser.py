@@ -84,12 +84,18 @@ def _tokenize(src: str) -> list[_Token]:
 # recursive descent
 
 
+# Deeper nesting is rejected with a ParseError: each level takes four Python
+# frames, and about 250 levels reach the interpreter's recursion limit.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, alg: AlgebraParams, toks: list[_Token], ring: str):
         self.alg = alg
         self.toks = toks
         self.pos = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -148,8 +154,12 @@ class _Parser:
         if t.kind == "INT":
             return self.alg.const(t.value, self.ring)
         if t.kind == "LP":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", t.line, t.col)
+            self.depth += 1
             v = self.expr()
             self.expect("RP", "a closing parenthesis")
+            self.depth -= 1
             return v
         raise ParseError("expected a generator, integer, or parenthesis", t.line, t.col)
 
@@ -174,19 +184,13 @@ def format_coeff(c) -> str:
 
 
 def format_elem(f: WeylElem) -> str:
-    """Deterministic in-grammar rendering; parse_expr(format_elem(f)) == f."""
+    """Deterministic in-grammar rendering; parse_expr(format_elem(f)) == f.
+
+    Terms come in ascending exponent order as c*z1^e1*..., "0" when empty.
+    """
     if f.ring != "k":
         raise WeyliftError("only elements over k can be rendered in the grammar")
-    return _format_terms(f.terms, "z")
-
-
-def format_poly(g, var: str = "x") -> str:
-    """Render a center polynomial with x<i> or y<i> variables (reports only)."""
-    return _format_terms(g.terms, var)
-
-
-def _format_terms(terms: dict, var: str) -> str:
-    """Terms in ascending exponent order as c*<var>1^e1*..., "0" when empty."""
+    terms = f.terms
     if not terms:
         return "0"
     parts = []
@@ -197,7 +201,7 @@ def _format_terms(terms: dict, var: str) -> str:
             bits.append(cs)
         for i, x in enumerate(exps):
             if x:
-                bits.append(f"{var}{i + 1}" + (f"^{x}" if x > 1 else ""))
+                bits.append(f"z{i + 1}" + (f"^{x}" if x > 1 else ""))
         parts.append("*".join(bits))
     return " + ".join(parts)
 

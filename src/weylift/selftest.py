@@ -78,7 +78,7 @@ def fixture_bkk() -> None:
     assert not sol.symmetric
     want = (
         C.poly_var(alg, "x", 0)
-        + C.poly_from_terms(alg, "x", {(0, 3, 2, 0): field.one})
+        + C.Poly(alg, "x", {(0, 3, 2, 0): field.one})
         - C.poly_var(alg, "x", 1)
     )
     assert e.center_images[0] == want

@@ -90,9 +90,6 @@ class AlgebraParams:
 
     # -- coefficient-ring helpers (ring is "k" or "w2") ----------------------
 
-    def ring_zero(self, ring: str):
-        return self.field.zero if ring == "k" else self.field.w2_zero()
-
     def ring_one(self, ring: str):
         return self.field.one if ring == "k" else self.field.w2_one()
 
@@ -329,9 +326,6 @@ class SparseElem:
         if not self.data:
             return NEG_INF
         return max(map(sum, map(self.ctx.exps, self.data)))
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.alg.ring_zero(self.ring))
 
     def __repr__(self) -> str:
         if not self.data:

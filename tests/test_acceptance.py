@@ -71,10 +71,10 @@ def test_criterion_01_bkk_obstruction_and_gamma(gate):
                         assert rep.C[i][j] == one
                     else:
                         assert rep.C[i][j].is_zero()
-            y2 = C.poly_from_terms(alg, "y", {(0, 1, 0, 0): k.one})
+            y2 = C.Poly(alg, "y", {(0, 1, 0, 0): k.one})
             assert sol.gamma == [C.poly_zero(alg, "y"), C.poly_zero(alg, "y"),
                                  y2, C.poly_zero(alg, "y")]
-            want_x1 = C.poly_from_terms(alg, "x", {
+            want_x1 = C.Poly(alg, "x", {
                 (1, 0, 0, 0): k.one,
                 (0, p, p - 1, 0): k.one,
                 (0, 1, 0, 0): k.from_int(-1),

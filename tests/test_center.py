@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylift import center as C
+from weylift import trivialization as TV
+from weylift.endo import etale_family
 from weylift.errors import DivisionByZero, WeyliftError
 from weylift.scalars import FieldParams
 from weylift.weyl import AlgebraParams, commutator
@@ -18,7 +20,7 @@ def _rand_poly(alg, rng, tag="x", max_deg=3, nterms=3):
     for _ in range(rng.randint(1, nterms)):
         exps = tuple(rng.randint(0, max_deg) for _ in range(alg.nvars))
         terms[exps] = alg.field.from_int(rng.randint(1, alg.field.p - 1))
-    return C.poly_from_terms(alg, tag, terms)
+    return C.Poly(alg, tag, terms)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +45,7 @@ def test_pderiv_product_rule(a2):
 
 
 def test_pderiv_kills_p_th_powers(a1):
-    f = C.poly_from_terms(a1, "x", {(3, 0): a1.field.one, (0, 6): a1.field.from_int(2)})
+    f = C.Poly(a1, "x", {(3, 0): a1.field.one, (0, 6): a1.field.from_int(2)})
     assert f.pderiv(0).is_zero()
     assert f.pderiv(1).is_zero()
 
@@ -89,19 +91,27 @@ def test_retag_round_trips(a1):
         assert C.x_to_y(fp) == f**3
 
 
-def test_det_routes_agree():
-    # cofactor expansion vs fraction-free elimination on random matrices
+def test_det_routes_agree(corpus):
+    """Cofactor expansion vs fraction-free elimination on random matrices and
+    on conjugators G of the size Bareiss serves (5 x 5 and 9 x 9)."""
     f5 = FieldParams(5)
+    mats = []
     for n in (1, 2):
         alg = AlgebraParams(n, f5)
         rng = random.Random(50 + n)
         size = alg.nvars
         for _ in range(6):
-            M = [
+            mats.append([
                 [_rand_poly(alg, rng, max_deg=1, nterms=2) for _ in range(size)]
                 for _ in range(size)
-            ]
-            assert C._det_cofactor(M, alg, "x") == C._det_bareiss(M, alg, "x")
+            ])
+    p3_n2 = [e for e in corpus if (e.alg.field.p, e.alg.n) == (3, 2)]
+    for e in (etale_family(AlgebraParams(1, f5), 4, f5.one), p3_n2[1]):
+        mats.append(TV.conjugator_for_endo(e).G)
+    for M in mats:
+        alg, tag = M[0][0].alg, M[0][0].tag
+        assert C._det_cofactor(M, alg, tag) == C._det_bareiss(M, alg, tag)
+    assert [len(M) for M in mats[-2:]] == [5, 9]
 
 
 def test_det_of_omega(a2):
@@ -129,13 +139,11 @@ def test_divexact(a1):
 
 def test_frobenius_twist(a1):
     rng = random.Random(7)
-    M = [[_rand_poly(a1, rng, tag="y") for _ in range(2)] for _ in range(2)]
-    T = C.mat_frobenius_twist(M)
-    for i in range(2):
-        for j in range(2):
-            assert C.x_to_y(T[i][j]) == M[i][j] ** 3
+    for _ in range(4):
+        f = _rand_poly(a1, rng, tag="y")
+        assert C.x_to_y(C.pth_power_retag(f)) == f**3
     with pytest.raises(WeyliftError):
-        C.mat_frobenius_twist([[C.poly_var(a1, "x", 0)]])
+        C.pth_power_retag(C.poly_var(a1, "x", 0))
 
 
 def test_is_poisson_and_etale_on_coordinates(a2):
@@ -157,8 +165,8 @@ def test_poly_add_mul_commute_hypothesis(termspec):
     terms = {}
     for a, b, c in termspec:
         terms[(a, b)] = f3.from_int(c)
-    f = C.poly_from_terms(alg, "x", terms)
-    g = C.poly_from_terms(alg, "x", {(1, 0): f3.one, (0, 2): f3.from_int(2)})
+    f = C.Poly(alg, "x", terms)
+    g = C.Poly(alg, "x", {(1, 0): f3.one, (0, 2): f3.from_int(2)})
     assert f * g == g * f
     assert f + g == g + f
     assert (f + g) * g == f * g + g * g

@@ -189,6 +189,14 @@ def test_syntax_error_exits_2(capsys, tmp_path):
     assert err == "error: line 3, col 13: expected a generator, integer, or parenthesis\n"
 
 
+def test_deep_nesting_exits_2(capsys, tmp_path):
+    deep = "(" * 3000 + "z1" + ")" * 3000
+    bad = _write(tmp_path, "deep.spec", f"p = 3\nn = 1\nphi.1 = {deep}\nphi.2 = z2\n")
+    code, out, err = _run(capsys, ["validate", "--input", bad])
+    assert code == 2
+    assert err == "error: line 3, col 209: parentheses nested deeper than 200\n"
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["analyze", "--input", str(tmp_path / "nope.spec")])
     assert code == 2

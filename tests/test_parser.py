@@ -7,14 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from weylift import center as C
 from weylift.endo import bkk_family, etale_family, fourier, identity_endo
 from weylift.errors import ParseError, UnknownVariable, WeyliftError
 from weylift.parser import (
+    MAX_NESTING,
     SpecFile,
     format_coeff,
     format_elem,
-    format_poly,
     load_spec,
     parse_expr,
     parse_spec_text,
@@ -102,15 +101,13 @@ def test_error_positions(a1_f3):
         parse_expr(a1_f3, "z1^")
 
 
-def test_format_poly(a2_f3):
-    g = C.poly_from_terms(
-        a2_f3,
-        "x",
-        {(0, 3, 2, 0): a2_f3.field.one, (1, 0, 0, 0): a2_f3.field.from_int(2)},
-    )
-    s = format_poly(g)
-    assert "x2^3" in s and "x3^2" in s and "2*x1" in s
-    assert format_poly(C.poly_zero(a2_f3, "x")) == "0"
+def test_nesting_depth_is_bounded(a1_f3):
+    """200 nested parentheses parse; the 201st raises a ParseError at its
+    own position instead of exhausting the interpreter's stack."""
+    assert parse_expr(a1_f3, "(" * MAX_NESTING + "z1" + ")" * MAX_NESTING) == a1_f3.gen(0)
+    with pytest.raises(ParseError) as exc:
+        parse_expr(a1_f3, "z2 + " + "(" * 3000 + "z1" + ")" * 3000)
+    assert (exc.value.line, exc.value.col) == (1, 6 + MAX_NESTING)
 
 
 def test_format_coeff_accepts_only_field_elements():

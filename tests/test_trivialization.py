@@ -24,7 +24,7 @@ from weylift.weyl import AlgebraParams, ad_pow
 
 
 def _poly(alg, terms):
-    return C.poly_from_terms(alg, "y", {e: alg.field.from_int(c) for e, c in terms.items()})
+    return C.Poly(alg, "y", {e: alg.field.from_int(c) for e, c in terms.items()})
 
 
 # -- representation and trace ---------------------------------------------

@@ -307,7 +307,7 @@ def _split_bracket(u: WeylElem, v: WeylElem) -> tuple[Witt2, WeylElem]:
     alg = u.alg
     B = commutator(u, v)
     d1, d2 = w2_decompose_elem(B)
-    const = d1.coefficient((0,) * alg.nvars)
+    const = d1.terms.get((0,) * alg.nvars, alg.field.zero)
     assert d1 == alg.from_terms({(0,) * alg.nvars: const}), "pair is not admissible"
     return teichmuller(const), teich_lift(d2)
 
@@ -828,7 +828,7 @@ def test_constructors_reject_malformed_exponent_vectors(exps):
         lambda: C.Poly(alg, "x", {exps: one}),
         lambda: alg.monomial(exps),
         lambda: alg.from_terms({exps: one}, "w2"),
-        lambda: C.poly_from_terms(alg, "y", {exps: one}),
+        lambda: C.Poly(alg, "y", {exps: one}),
     ]
     for build in builds:
         with pytest.raises(WeyliftError):
@@ -862,7 +862,7 @@ def test_terms_is_a_fresh_decoded_dict(q, ring):
         built[tuple(rng.randrange(4) for _ in range(4))] = _random_coeff(alg.field, rng, ring)
     elems = [alg.from_terms(built, ring)]
     if ring == "k":
-        elems.append(C.poly_from_terms(alg, "y", built))
+        elems.append(C.Poly(alg, "y", built))
     for f in elems:
         terms = f.terms
         assert type(terms) is dict
