@@ -19,7 +19,6 @@ from .errors import (
     ResourceLimit,
     NotClosed,
     NoSolution,
-    SolveFailure,
     NotAHomomorphism,
     ParseError,
     UnknownVariable,
@@ -46,7 +45,6 @@ __all__ = [
     "ResourceLimit",
     "NotClosed",
     "NoSolution",
-    "SolveFailure",
     "NotAHomomorphism",
     "ParseError",
     "UnknownVariable",

@@ -9,9 +9,9 @@ The Poisson bracket on Z is {f, g} = sum_l (df/dx_l dg/dx_{n+l}
 routine witt_brackets recomputes it upstairs as [F~, G~]/p in A_n(W_2(k))
 for central F, G over k, with F~, G~ their Teichmuller lifts: any lifts
 give the same value, since p [X, Y] depends only on X, Y mod p.  It is
-kept as an independent route, both as the commutator oracle
-poisson_witt_oracle and as the endo module's obstruction oracle, which
-feeds it the center images u_i^p.
+kept as an independent route: the tests compare it with poisson on
+embedded polynomials, and the endo module's obstruction oracle feeds it
+the center images u_i^p.
 
 A map x_i -> F_i is judged from its Jacobian J: is_etale reads det J and
 is_poisson_morphism compares bracket_matrix(J) = J omega^{-1} J^T, summed
@@ -186,11 +186,6 @@ def _bracket(df: tuple, dg: tuple) -> Poly:
             if a and b:
                 acc._add_into(a * b, r)
     return acc
-
-
-def poisson_witt_oracle(f: Poly, g: Poly) -> Poly:
-    """{f, g} recomputed as [f(z^p)~, g(z^p)~] / p over W_2(k)."""
-    return witt_brackets([embed_center(f), embed_center(g)])[0][1]
 
 
 def witt_brackets(elems: list[WeylElem]) -> Mat:

@@ -31,7 +31,6 @@ from .errors import (
     ParseError,
     RelationViolation,
     ResourceLimit,
-    SolveFailure,
     WeyliftError,
 )
 from .parser import KNOWN_TASKS, SpecFile, format_elem, load_spec
@@ -385,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimit as ex:
         print(f"resource limit: {ex}", file=sys.stderr)
         return 3
-    except (InternalInconsistency, NotClosed, NoSolution, SolveFailure, NotAHomomorphism) as ex:
+    except (InternalInconsistency, NotClosed, NoSolution, NotAHomomorphism) as ex:
         print(f"internal inconsistency: {ex}", file=sys.stderr)
         return 4
     except WeyliftError as ex:

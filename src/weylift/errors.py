@@ -60,13 +60,6 @@ class NoSolution(WeyliftError):
     """The characteristic-p differential equation has no polynomial solution."""
 
 
-class SolveFailure(WeyliftError):
-    """A basis expansion that must exist for valid input could not be found.
-
-    Raised by the linear-solve expansion oracle in tests/test_cohomology.py.
-    """
-
-
 class NotAHomomorphism(WeyliftError):
     """Matrix-unit images do not come from an algebra homomorphism."""
 

@@ -59,7 +59,7 @@ def _tokenize(src: str) -> list[_Token]:
             continue
         if ch == "z":
             j = i + 1
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise ParseError("generator needs an index, like z1", line, col)
@@ -67,9 +67,9 @@ def _tokenize(src: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             toks.append(_Token("INT", int(src[i:j]), line, col))
             col += j - i
@@ -90,11 +90,10 @@ MAX_NESTING = 200
 
 
 class _Parser:
-    def __init__(self, alg: AlgebraParams, toks: list[_Token], ring: str):
+    def __init__(self, alg: AlgebraParams, toks: list[_Token]):
         self.alg = alg
         self.toks = toks
         self.pos = 0
-        self.ring = ring
         self.depth = 0
 
     def peek(self) -> _Token:
@@ -150,9 +149,9 @@ class _Parser:
                     t.line,
                     t.col,
                 )
-            return self.alg.gen(t.value - 1, self.ring)
+            return self.alg.gen(t.value - 1)
         if t.kind == "INT":
-            return self.alg.const(t.value, self.ring)
+            return self.alg.const(t.value)
         if t.kind == "LP":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", t.line, t.col)
@@ -164,9 +163,9 @@ class _Parser:
         raise ParseError("expected a generator, integer, or parenthesis", t.line, t.col)
 
 
-def parse_expr(alg: AlgebraParams, src: str, ring: str = "k") -> WeylElem:
-    """Parse an expression in the grammar into a normal-ordered element."""
-    return _Parser(alg, _tokenize(src), ring).parse()
+def parse_expr(alg: AlgebraParams, src: str) -> WeylElem:
+    """Parse an expression in the grammar into a normal-ordered element over k."""
+    return _Parser(alg, _tokenize(src)).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -329,5 +328,15 @@ def parse_spec_text(text: str) -> SpecFile:
 
 
 def load_spec(path: str) -> SpecFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_spec_text(fh.read())
+    """Read and parse a spec file; a byte that is not UTF-8 is a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as ex:
+        # "x" marks the bad byte, so its line and column count as parse_spec_text counts
+        lines = (data[: ex.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(
+            f"invalid UTF-8 byte {data[ex.start]:#04x}", len(lines), len(lines[-1])
+        ) from None
+    return parse_spec_text(text)

@@ -138,12 +138,6 @@ class FieldParams:
 
     # -- Witt constructors ---------------------------------------------------
 
-    def witt(self, a1: FieldElem, a2: FieldElem) -> Witt2:
-        return Witt2(a1, a2)
-
-    def w2_zero(self) -> Witt2:
-        return self.w2_from_int(0)
-
     def w2_one(self) -> Witt2:
         return self.w2_from_int(1)
 

@@ -135,13 +135,15 @@ def fixture_trace() -> None:
 
 
 def fixture_conjugator() -> None:
-    """Conjugator recovery on the identity and an etale twist."""
+    """Conjugator recovery on the identity, an etale twist and, at n = 2
+    (9 x 9, two A's and two B's), the bkk map j = 2."""
     field = _f3()
     alg = AlgebraParams(1, field)
     cj = TV.conjugator_for_endo(identity_endo(alg))
     assert C.mat_eq(cj.G, C.mat_identity(alg, "y", 3))
-    cj = TV.conjugator_for_endo(etale_family(alg, 1, field.one))
-    assert cj.det.is_constant() and not cj.det.is_zero()
+    for e in (etale_family(alg, 1, field.one), bkk_family(AlgebraParams(2, field), 2, field.one)):
+        cj = TV.conjugator_for_endo(e)
+        assert cj.det.is_constant() and not cj.det.is_zero()
 
 
 def fixture_parser() -> None:

@@ -28,17 +28,17 @@ For an endomorphism with images u_i, A_l = rep(u_l) - ybar_l and B_l =
 rep(u_{n+l}) - ybar_{n+l} are twisted creation and annihilation operators,
 and their vacuum projector is the twisted image of the matrix unit E_00.
 A primitive column r0 of the projector generates a conjugator G, with
-columns A^m r0, such that F_ij G = G E_ij for the twisted matrix units
-F_ij = A^(m_i) proj B^(m_j) / m_j!.  The relations are checked in column
-form, without forming any F_ij and without inverting anything.  G also
-pins down the twisted scalars: rep(u_i) G = G (nu_i + ybar_i), so ybar_i
-falls out by exact division.
+columns A^m r0, which is verified once by intertwining: A_l G = G nu_l,
+B_l G = G nu_{n+l} and proj G = G E_00.  With ybar_i moved across, the
+first two say rep(u_i) G = G (nu_i + ybar_i), so G also certifies the
+twisted scalars.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import product
 from math import factorial
 
 from . import center as C
@@ -64,45 +64,24 @@ def trace(A: C.Mat) -> C.Poly:
 # the representation
 
 
-def _basis_index(alg: AlgebraParams, exps: tuple) -> int:
-    """Lex position of T^exps, first exponent most significant."""
-    p = alg.field.p
-    r = 0
-    for x in exps:
-        r = r * p + x
-    return r
-
-
-def _basis_exps(alg: AlgebraParams, r: int) -> tuple:
-    p = alg.field.p
-    out = []
-    for _ in range(alg.n):
-        out.append(r % p)
-        r //= p
-    return tuple(reversed(out))
-
-
 @functools.cache
 def nu(alg: AlgebraParams, i: int) -> C.Mat:
     """Matrix of multiplication by T_i (i < n) or d/dT_{i-n} (i >= n).
 
-    This and the generator matrices below are memoised by value, shared by
-    every equal algebra.
+    The basis T^e is in lex order, first exponent most significant, so
+    moving e_l by one moves the index by p^(n-1-l).  This and the generator
+    matrices below are memoised by value, shared by every equal algebra.
     """
-    p = alg.field.p
+    p, n = alg.field.p, alg.n
     N = mat_size(alg)
+    l = i % n
+    step = p ** (n - 1 - l)
     rows = [[C.poly_zero(alg, "y") for _ in range(N)] for _ in range(N)]
-    for c in range(N):
-        e = _basis_exps(alg, c)
-        if i < alg.n:
-            if e[i] < p - 1:
-                r = _basis_index(alg, tuple(x + 1 if t == i else x for t, x in enumerate(e)))
-                rows[r][c] = C.poly_one(alg, "y")
-        else:
-            l = i - alg.n
-            if e[l] > 0:
-                r = _basis_index(alg, tuple(x - 1 if t == l else x for t, x in enumerate(e)))
-                rows[r][c] = C.poly_const(alg, "y", alg.field.from_int(e[l]))
+    for c, e in enumerate(product(range(p), repeat=n)):
+        if i < n and e[l] < p - 1:
+            rows[c + step][c] = C.poly_one(alg, "y")
+        elif i >= n and e[l] > 0:
+            rows[c - step][c] = C.poly_const(alg, "y", alg.field.from_int(e[l]))
     return tuple(tuple(row) for row in rows)
 
 
@@ -282,12 +261,6 @@ class Conjugator:
     ybar: list
 
 
-def _exps_iter(alg: AlgebraParams):
-    N = mat_size(alg)
-    for r in range(N):
-        yield r, _basis_exps(alg, r)
-
-
 def _twisted_generators(e: Endo):
     """A_l, B_l (twisted creation/annihilation) and the vacuum projector.
 
@@ -319,13 +292,6 @@ def _twisted_generators(e: Endo):
     return A, B, proj, ybar
 
 
-def _inv_factorial(alg: AlgebraParams, m: tuple):
-    inv = alg.field.one
-    for x in m:
-        inv = inv * alg.field.from_int(factorial(x)).inverse()
-    return inv
-
-
 def _chain(mats: list, memo: dict, m: tuple) -> list:
     """mats_1^(m_1) .. mats_n^(m_n) applied to memo[(0,..,0)], memoised.
 
@@ -346,73 +312,49 @@ def recover_conjugator(A: list, B: list, proj: C.Mat) -> C.Mat:
     F_ij = A^(m_i) proj B^(m_j) / m_j! is the image of the matrix unit
     E_ij, m_i the basis exponents of index i.  A primitive column r0 of
     proj generates its rank-one image and the columns of G are v_m = A^m r0.
-    The relations are verified in column form, proj B^(m_j) v_k / m_j! =
-    delta_jk r0 for all j, k: that is F_0j G = G E_0j column by column, and
-    applying A^(m_i) on the left gives every F_ij G = G E_ij.  Constructive
-    and inverse-free; raises NotAHomomorphism if proj vanishes or any
-    relation fails.
+    G is verified by intertwining, A_l G = G nu_l, B_l G = G nu_{n+l} and
+    proj G = G E_00, which gives every relation:
+
+        F_ij G = A^(m_i) proj B^(m_j) G / m_j! = A^(m_i) proj G d^(m_j) / m_j!
+               = A^(m_i) G E_00 d^(m_j) / m_j! = G T^(m_i) E_00 d^(m_j) / m_j!
+               = G E_ij,
+
+    with T^(m) = nu_1^(m_1) .. nu_n^(m_n), d^(m) the same in nu_{n+l}, and
+    the last step because E_00 d^(m_j) / m_j! sends T^(m_k) to delta_jk and
+    T^(m_i) sends 1 to T^(m_i).  Constructive and inverse-free; raises
+    NotAHomomorphism if proj vanishes or an identity fails.
     """
     alg = proj[0][0].alg
     N = len(proj)
-    origin = (0,) * alg.n
     col = next((col for col in zip(*proj) if any(col)), None)
     if col is None:
         raise NotAHomomorphism("twisted vacuum projector vanishes")
     cont = column_content(col)
     r0 = [C.divexact(entry, cont) if entry else entry for entry in col]
-    vmemo = {origin: r0}
-    cols = [_chain(A, vmemo, m) for _, m in _exps_iter(alg)]
+    vmemo = {(0,) * alg.n: r0}
+    cols = [_chain(A, vmemo, m) for m in product(range(alg.field.p), repeat=alg.n)]
     G = tuple(tuple(v[r] for v in cols) for r in range(N))
+    for i, M in enumerate(A + B):
+        if not C.mat_eq(C.mat_mul(M, G), C.mat_mul(G, nu(alg, i))):
+            raise NotAHomomorphism(f"conjugator does not intertwine generator {i + 1}")
     zero = [C.poly_zero(alg, "y")] * N
-    for k, mk in _exps_iter(alg):
-        bmemo = {origin: cols[k]}
-        for j, mj in _exps_iter(alg):
-            inv = _inv_factorial(alg, mj)
-            w = [entry.scale(inv) for entry in C.mat_vec(proj, _chain(B, bmemo, mj))]
-            if w != (r0 if j == k else zero):
-                raise NotAHomomorphism(f"matrix-unit relation fails at (j={mj}, k={mk})")
+    for k, v in enumerate(cols):
+        if C.mat_vec(proj, v) != (r0 if k == 0 else zero):
+            raise NotAHomomorphism(f"projector is not E_00 at column {k}")
     return G
-
-
-def extract_twisted_scalar(G: C.Mat, M: C.Mat) -> C.Poly:
-    """The scalar s with M = s G, by exact division; NotAHomomorphism if none."""
-    s = None
-    for r in range(len(G)):
-        for c in range(len(G)):
-            if G[r][c]:
-                s = C.divexact(M[r][c], G[r][c]) if M[r][c] else C.poly_zero(G[0][0].alg, "y")
-                break
-        if s is not None:
-            break
-    if s is None:
-        raise WeyliftError("cannot extract a scalar against the zero matrix")
-    if not C.mat_eq(M, C.mat_scale(G, s)):
-        raise NotAHomomorphism("matrix is not a scalar multiple")
-    return s
 
 
 def conjugator_for_endo(e: Endo) -> Conjugator:
     """Build and verify the conjugator of the twisted trivialization.
 
-    recover_conjugator on the twisted generators, then a determinant check
-    and the twisted scalars, checked against the p-power route.  Any
-    failure raises NotAHomomorphism.
+    recover_conjugator on the twisted generators, then a determinant check.
+    Its intertwining check is rep(u_i) G = G (nu_i + ybar_i), so the p-power
+    route's ybar_i are the twisted scalars.  Any failure raises
+    NotAHomomorphism.
     """
-    alg = e.alg
     A, B, proj, ybar = _twisted_generators(e)
     G = recover_conjugator(A, B, proj)
     detG = C.det(G)
     if detG.is_zero() or not detG.is_constant():
         raise NotAHomomorphism("conjugator determinant is not a nonzero constant")
-    # twisted-scalar extraction: rep(u_i) G - G nu_i = ybar_i G
-    extracted = []
-    for i in range(alg.nvars):
-        M = C.mat_sub(C.mat_mul(rep(alg, e.u(i)), G), C.mat_mul(G, nu(alg, i)))
-        try:
-            s = extract_twisted_scalar(G, M)
-        except NotAHomomorphism:
-            raise NotAHomomorphism("twisted scalars do not act uniformly")
-        extracted.append(s)
-    if extracted != ybar:
-        raise NotAHomomorphism("extracted scalars disagree with the p-power route")
-    return Conjugator(G=G, det=detG, ybar=extracted)
+    return Conjugator(G=G, det=detG, ybar=ybar)

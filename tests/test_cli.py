@@ -25,7 +25,7 @@ def _run(capsys, argv):
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -187,6 +187,11 @@ def test_syntax_error_exits_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["validate", "--input", bad])
     assert code == 2
     assert err == "error: line 3, col 13: expected a generator, integer, or parenthesis\n"
+    # a superscript is a digit to str.isdigit but not to int()
+    bad = _write(tmp_path, "sup.spec", "p = 3\nn = 1\nphi.1 = z1\u00b2\nphi.2 = z2\n")
+    code, out, err = _run(capsys, ["validate", "--input", bad])
+    assert code == 2
+    assert err == "error: line 3, col 11: unexpected character '\u00b2'\n"
 
 
 def test_deep_nesting_exits_2(capsys, tmp_path):
@@ -200,6 +205,15 @@ def test_deep_nesting_exits_2(capsys, tmp_path):
 def test_missing_file_exits_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["analyze", "--input", str(tmp_path / "nope.spec")])
     assert code == 2
+
+
+def test_invalid_utf8_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bytes.spec"
+    bad.write_bytes(b"p = 3\nn = 1\n# comment\nphi.1 = z1\nphi.2 = z2 \xff\n")
+    for task in ("validate", "analyze"):
+        code, out, err = _run(capsys, [task, "--input", str(bad)])
+        assert code == 2
+        assert err == "error: line 5, col 12: invalid UTF-8 byte 0xff\n"
 
 
 def test_budget_exits_3(capsys):

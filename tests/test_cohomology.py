@@ -20,7 +20,7 @@ from weylift import cli
 from weylift import cohomology as coh
 from weylift import diffeq
 from weylift.endo import Endo, bkk_family, etale_family, generate_corpus, identity_endo
-from weylift.errors import InternalInconsistency, NotClosed, SolveFailure
+from weylift.errors import InternalInconsistency, NotClosed
 from weylift.scalars import FieldParams
 from weylift.weyl import AlgebraParams, WeylElem, ad_pow, commutator, teich_lift, times_p_elem
 
@@ -374,7 +374,7 @@ def basis_expand_oracle(e: Endo, f: WeylElem) -> dict:
             return {m: C.Poly(alg, "x", g) for m, g in out.items()}
         D += p
         if D > cap:
-            raise SolveFailure(f"no expansion of degree <= {cap} found")
+            raise AssertionError(f"oracle found no expansion of degree <= {cap}")
 
 
 def _expansion_inputs(e):

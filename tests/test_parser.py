@@ -18,7 +18,7 @@ from weylift.parser import (
     parse_expr,
     parse_spec_text,
 )
-from weylift.scalars import FieldParams
+from weylift.scalars import FieldParams, Witt2
 from weylift.weyl import AlgebraParams
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -68,13 +68,6 @@ def test_grammar_precedence(a1_f3):
     assert parse_expr(a1_f3, "z1+z2*z1^2") != (a1_f3.gen(0) + a1_f3.gen(1)) * a1_f3.monomial((2, 0))
 
 
-def test_w2_ring_parsing(a1_f3):
-    f = parse_expr(a1_f3, "2*z1 + 1", ring="w2")
-    field = a1_f3.field
-    want = a1_f3.from_terms({(1, 0): field.w2_from_int(2), (0, 0): field.w2_one()}, "w2")
-    assert f == want
-
-
 def test_juxtaposition_is_an_error(a1_f3):
     with pytest.raises(ParseError):
         parse_expr(a1_f3, "z1 z2")
@@ -99,6 +92,15 @@ def test_error_positions(a1_f3):
         parse_expr(a1_f3, "")
     with pytest.raises(ParseError):
         parse_expr(a1_f3, "z1^")
+    # str.isdigit accepts superscripts and circled digits, which int() cannot read
+    for src, col, msg in (
+        ("z1\u00b2", 3, "unexpected character '\u00b2'"),
+        ("z\u00b2", 1, "generator needs an index, like z1"),
+        ("\u2460*z1", 1, "unexpected character '\u2460'"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(a1_f3, src)
+        assert (exc.value.line, exc.value.col, exc.value.message) == (1, col, msg)
 
 
 def test_nesting_depth_is_bounded(a1_f3):
@@ -114,7 +116,7 @@ def test_format_coeff_accepts_only_field_elements():
     """A Witt vector also stores residues in coeffs; it has no literal and raises."""
     field = FieldParams(3)
     assert format_coeff(field.from_int(2)) == "2"
-    for c in (field.w2_from_int(2), field.witt(field.one, field.one), 2):
+    for c in (field.w2_from_int(2), Witt2(field.one, field.one), 2):
         with pytest.raises(WeyliftError):
             format_coeff(c)
 

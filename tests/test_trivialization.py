@@ -5,11 +5,13 @@ vacuum projector.
 The conjugator round trip plants G as a product of elementary matrices
 with small polynomial entries, feeds A_l = G nu_l G^{-1}, B_l =
 G nu_{n+l} G^{-1} and proj = G E_00 G^{-1} to the recovery, and accepts
-equality up to a scalar unit (checked by cross-multiplication).
+equality up to a scalar unit (checked by cross-multiplication).  The
+conjugators of three fixed maps are also pinned exactly, by digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -309,6 +311,11 @@ def test_recover_conjugator_rejects_non_units():
     # B = 1 + nu_2 keeps [B, A] = 1, but E_00 is not its vacuum: proj B r0 = r0 where 0 is wanted
     with pytest.raises(NotAHomomorphism):
         TV.recover_conjugator([nu1], [C.mat_add(C.mat_identity(alg, "y", N), nu2)], _e00(alg, N))
+    # A and B are the untwisted nu, but proj = E_00 + E_01 is not their vacuum projector
+    proj = [list(row) for row in _e00(alg, N)]
+    proj[0][1] = C.poly_one(alg, "y")
+    with pytest.raises(NotAHomomorphism):
+        TV.recover_conjugator([nu1], [nu2], tuple(tuple(row) for row in proj))
 
 
 def test_conjugator_for_endo_identity(a1_f3):
@@ -336,10 +343,45 @@ def test_extract_twisted_scalar(a1_f3):
     cj = TV.conjugator_for_endo(e)
     alg = e.alg
     for i in range(alg.nvars):
-        # rep(u_i) G - G nu_i = ybar_i G, so extraction against G yields ybar_i
         lhs = C.mat_sub(C.mat_mul(TV.rep(alg, e.u(i)), cj.G), C.mat_mul(cj.G, TV.nu(alg, i)))
-        got = TV.extract_twisted_scalar(cj.G, lhs)
-        assert got == cj.ybar[i]
+        assert C.mat_eq(lhs, C.mat_scale(cj.G, cj.ybar[i]))
+
+
+def _mat_digest(M) -> str:
+    entries = [[sorted((e, c.coeffs) for e, c in x.terms.items()) for x in row] for row in M]
+    return hashlib.sha256(repr(entries).encode()).hexdigest()
+
+
+# SHA-256 of G and of det G, entries as sorted (exponent, coefficient) lists.
+CONJUGATOR_DIGESTS = {
+    "bkk-p5-j4": (
+        "dc3d95eb18e09d1f9bdda6dda02b81e2b841e8be9c398d160b894b91f0902a23",
+        "ec8417fcaf92d3189de7db49f51b0c3d2647aa4e51c9c24aa952fd6d7b38e993",
+    ),
+    "etale-p5-i4": (
+        "74cc7302323a6be885b663078fb3cc18b5b7dff3ec1dba9a8861e099645c424c",
+        "e51692972174df7e232d35b22537ccb9b8f81389084567cc7497394f903b6e8b",
+    ),
+    "corpus-p3-n2-1": (
+        "15e0c87ba71569442188267fb6ce027929e121e1c4dd8fe562dd9d404e8d832c",
+        "5abd55e6837947b2ad1d276b61e11a0424588476195f662ece4d5f5a703ee556",
+    ),
+}
+
+
+def test_conjugator_is_pinned(corpus):
+    """G and det exactly, not only up to a unit: the 25 x 25 bkk conjugator,
+    an etale twist and the 9 x 9 corpus conjugator of test_det_routes_agree."""
+    f5 = FieldParams(5)
+    p3_n2 = [e for e in corpus if (e.alg.field.p, e.alg.n) == (3, 2)]
+    maps = {
+        "bkk-p5-j4": bkk_family(AlgebraParams(2, f5), 4, f5.one),
+        "etale-p5-i4": etale_family(AlgebraParams(1, f5), 4, f5.one),
+        "corpus-p3-n2-1": p3_n2[1],
+    }
+    for name, e in maps.items():
+        cj = TV.conjugator_for_endo(e)
+        assert (_mat_digest(cj.G), _mat_digest([[cj.det]])) == CONJUGATOR_DIGESTS[name], name
 
 
 def test_conjugator_rejects_invalid_images(a1_f3):
