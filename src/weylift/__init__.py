@@ -7,7 +7,7 @@ center, the characteristic-p differential equation solutions gamma_i / f_i,
 and, when the obstruction vanishes, an explicit lift.
 """
 
-from .scalars import FieldParams, FieldElem, Witt2, teichmuller, times_p, w2_decompose
+from .scalars import FieldParams, FieldElem, Witt2, teichmuller
 from .weyl import AlgebraParams, WeylElem
 from .errors import (
     WeyliftError,
@@ -32,8 +32,6 @@ __all__ = [
     "FieldElem",
     "Witt2",
     "teichmuller",
-    "times_p",
-    "w2_decompose",
     "AlgebraParams",
     "WeylElem",
     "WeyliftError",

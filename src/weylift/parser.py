@@ -14,6 +14,7 @@ keys p, n, field, phi.1 .. phi.2n, budget, tasks; `#` starts a comment.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 
 from .endo import Endo
@@ -328,9 +329,10 @@ def parse_spec_text(text: str) -> SpecFile:
 
 
 def load_spec(path: str) -> SpecFile:
-    """Read and parse a spec file; a byte that is not UTF-8 is a ParseError."""
+    """Read and parse a spec file; a leading UTF-8 byte order mark is dropped
+    and a byte that is not UTF-8 is a ParseError."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as ex:

@@ -412,11 +412,3 @@ def teichmuller(a: FieldElem) -> Witt2:
     pa = a.params
     w2 = residue_ring(pa.p, pa.m, pa.modulus, "w2")
     return Witt2._of(pa, w2.pow(a.r, pa.q), w2)
-
-
-def times_p(x: Witt2) -> Witt2:
-    return x.times_p()
-
-
-def w2_decompose(x: Witt2) -> tuple[FieldElem, FieldElem]:
-    return x.decompose()

@@ -27,11 +27,11 @@ matrix route, trace(rep(f)), is kept as its test oracle.
 For an endomorphism with images u_i, A_l = rep(u_l) - ybar_l and B_l =
 rep(u_{n+l}) - ybar_{n+l} are twisted creation and annihilation operators,
 and their vacuum projector is the twisted image of the matrix unit E_00.
-A primitive column r0 of the projector generates a conjugator G, with
-columns A^m r0, which is verified once by intertwining: A_l G = G nu_l,
-B_l G = G nu_{n+l} and proj G = G E_00.  With ybar_i moved across, the
-first two say rep(u_i) G = G (nu_i + ybar_i), so G also certifies the
-twisted scalars.
+It is only ever applied to vectors: its first nonzero column, made
+primitive, is r0, and the conjugator G has columns A^m r0.  G is verified
+once by intertwining, A_l G = G nu_l and B_l G = G nu_{n+l}, which implies
+proj G = G E_00.  With ybar_i moved across, the intertwining says
+rep(u_i) G = G (nu_i + ybar_i), so G also certifies the twisted scalars.
 """
 
 from __future__ import annotations
@@ -261,35 +261,22 @@ class Conjugator:
     ybar: list
 
 
-def _twisted_generators(e: Endo):
-    """A_l, B_l (twisted creation/annihilation) and the vacuum projector.
+def _project(A: list, B: list, v: list) -> list:
+    """The vacuum projector prod_l sum_{t<p} (-1)^t/t! A_l^t B_l^t applied to v.
 
-    A_l = rep(u_l) - ybar_l, B_l = rep(u_{n+l}) - ybar_{n+l}; the projector
-    is the product over l of sum_t (-1)^t/t! A_l^t B_l^t, the twisted image
-    of the matrix unit E_00.
+    Matrix-vector products only: the l-factors act right to left, each as
+    the B_l-powers of its input followed by Horner in A_l.
     """
-    alg = e.alg
-    p = alg.field.p
-    n = alg.n
-    N = mat_size(alg)
-    ybar = DQ.phi_S_all(e)
-    A = [C.mat_sub(rep(alg, e.u(l)), C.mat_scalar(ybar[l], N)) for l in range(n)]
-    B = [C.mat_sub(rep(alg, e.u(n + l)), C.mat_scalar(ybar[n + l], N)) for l in range(n)]
-    proj = C.mat_identity(alg, "y", N)
-    for l in range(n):
-        acc = C.mat_zero(alg, "y", N)
-        Apow = C.mat_identity(alg, "y", N)
-        Bpow = C.mat_identity(alg, "y", N)
-        for t in range(p):
-            c = alg.field.from_int(factorial(t)).inverse()
-            if t % 2:
-                c = -c
-            acc = C.mat_add(acc, C.mat_scale(C.mat_mul(Apow, Bpow), C.poly_const(alg, "y", c)))
-            if t + 1 < p:
-                Apow = C.mat_mul(Apow, A[l])
-                Bpow = C.mat_mul(Bpow, B[l])
-        proj = C.mat_mul(proj, acc)
-    return A, B, proj, ybar
+    field = v[0].alg.field
+    c = [field.from_int((-1) ** t * factorial(t)).inverse() for t in range(field.p)]
+    for a, b in zip(reversed(A), reversed(B)):
+        w = [v]
+        for _ in range(field.p - 1):
+            w.append(C.mat_vec(b, w[-1]))
+        v = [x.scale(c[-1]) for x in w[-1]]
+        for t in reversed(range(field.p - 1)):
+            v = [x + y.scale(c[t]) for x, y in zip(C.mat_vec(a, v), w[t])]
+    return v
 
 
 def _chain(mats: list, memo: dict, m: tuple) -> list:
@@ -306,14 +293,16 @@ def _chain(mats: list, memo: dict, m: tuple) -> list:
     return got
 
 
-def recover_conjugator(A: list, B: list, proj: C.Mat) -> C.Mat:
-    """Rebuild G with F_ij G = G E_ij from twisted generators and projector.
+def recover_conjugator(A: list, B: list) -> C.Mat:
+    """Rebuild G with F_ij G = G E_ij from the twisted generators A_l, B_l.
 
     F_ij = A^(m_i) proj B^(m_j) / m_j! is the image of the matrix unit
-    E_ij, m_i the basis exponents of index i.  A primitive column r0 of
-    proj generates its rank-one image and the columns of G are v_m = A^m r0.
-    G is verified by intertwining, A_l G = G nu_l, B_l G = G nu_{n+l} and
-    proj G = G E_00, which gives every relation:
+    E_ij, m_i the basis exponents of index i and proj = P(A, B) the vacuum
+    projector of _project.  Its first nonzero column, made primitive, is r0:
+    it generates the rank-one image of proj, and the columns of G are
+    v_m = A^m r0.  G is verified by intertwining, A_l G = G nu_l and
+    B_l G = G nu_{n+l}.  These give P(A, B) G = G P(nu) = G E_00, since
+    sum_t (-T)^t D^t f / t! = f(0) on k[T]/(T^p), and so every relation:
 
         F_ij G = A^(m_i) proj B^(m_j) G / m_j! = A^(m_i) proj G d^(m_j) / m_j!
                = A^(m_i) G E_00 d^(m_j) / m_j! = G T^(m_i) E_00 d^(m_j) / m_j!
@@ -324,10 +313,14 @@ def recover_conjugator(A: list, B: list, proj: C.Mat) -> C.Mat:
     T^(m_i) sends 1 to T^(m_i).  Constructive and inverse-free; raises
     NotAHomomorphism if proj vanishes or an identity fails.
     """
-    alg = proj[0][0].alg
-    N = len(proj)
-    col = next((col for col in zip(*proj) if any(col)), None)
-    if col is None:
+    alg = A[0][0][0].alg
+    N = len(A[0])
+    zero, one = C.poly_zero(alg, "y"), C.poly_one(alg, "y")
+    for j in range(N):
+        col = _project(A, B, [one if k == j else zero for k in range(N)])
+        if any(col):
+            break
+    else:
         raise NotAHomomorphism("twisted vacuum projector vanishes")
     cont = column_content(col)
     r0 = [C.divexact(entry, cont) if entry else entry for entry in col]
@@ -337,23 +330,22 @@ def recover_conjugator(A: list, B: list, proj: C.Mat) -> C.Mat:
     for i, M in enumerate(A + B):
         if not C.mat_eq(C.mat_mul(M, G), C.mat_mul(G, nu(alg, i))):
             raise NotAHomomorphism(f"conjugator does not intertwine generator {i + 1}")
-    zero = [C.poly_zero(alg, "y")] * N
-    for k, v in enumerate(cols):
-        if C.mat_vec(proj, v) != (r0 if k == 0 else zero):
-            raise NotAHomomorphism(f"projector is not E_00 at column {k}")
     return G
 
 
 def conjugator_for_endo(e: Endo) -> Conjugator:
     """Build and verify the conjugator of the twisted trivialization.
 
-    recover_conjugator on the twisted generators, then a determinant check.
-    Its intertwining check is rep(u_i) G = G (nu_i + ybar_i), so the p-power
+    recover_conjugator on the twisted generators A_l = rep(u_l) - ybar_l and
+    B_l = rep(u_{n+l}) - ybar_{n+l}, then a determinant check.  Its
+    intertwining check is rep(u_i) G = G (nu_i + ybar_i), so the p-power
     route's ybar_i are the twisted scalars.  Any failure raises
     NotAHomomorphism.
     """
-    A, B, proj, ybar = _twisted_generators(e)
-    G = recover_conjugator(A, B, proj)
+    alg, N = e.alg, mat_size(e.alg)
+    ybar = DQ.phi_S_all(e)
+    T = [C.mat_sub(rep(alg, e.u(i)), C.mat_scalar(y, N)) for i, y in enumerate(ybar)]
+    G = recover_conjugator(T[: alg.n], T[alg.n :])
     detG = C.det(G)
     if detG.is_zero() or not detG.is_constant():
         raise NotAHomomorphism("conjugator determinant is not a nonzero constant")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import os
@@ -214,6 +215,39 @@ def test_invalid_utf8_exits_2(capsys, tmp_path):
         code, out, err = _run(capsys, [task, "--input", str(bad)])
         assert code == 2
         assert err == "error: line 5, col 12: invalid UTF-8 byte 0xff\n"
+
+
+@pytest.mark.parametrize("drop_comment", [False, True])
+def test_bom_spec_reports_like_its_copy(capsys, tmp_path, drop_comment):
+    """A leading UTF-8 byte order mark, as some editors write, changes
+    nothing: before a comment line, and before a first line p = 3."""
+    text = (SPEC_DIR / "identity_p3.spec").read_bytes()
+    if drop_comment:
+        text = text.split(b"\n", 1)[1]
+    plain, bom = tmp_path / "plain.spec", tmp_path / "bom.spec"
+    plain.write_bytes(text)
+    bom.write_bytes(codecs.BOM_UTF8 + text)
+    want = _run(capsys, ["validate", "--input", str(plain)])
+    assert want[0] == 0
+    assert _run(capsys, ["validate", "--input", str(bom)]) == want
+
+
+@pytest.mark.parametrize(
+    "data,where",
+    [
+        (b"p = 3\nn = 1\n# comment\nphi.1 = z1\nphi.2 = z2 \xff\n", "line 5, col 12"),
+        (b"p = 3\nn\xff", "line 2, col 2"),
+        (b"p = 3\xff\n", "line 1, col 6"),
+    ],
+    ids=["line-5", "line-2", "line-1"],
+)
+def test_invalid_utf8_after_bom_keeps_its_position(capsys, tmp_path, data, where):
+    """The bad byte is placed as in the same file without the mark."""
+    want = f"error: {where}: invalid UTF-8 byte 0xff\n"
+    for prefix in (b"", codecs.BOM_UTF8):
+        bad = tmp_path / "bytes.spec"
+        bad.write_bytes(prefix + data)
+        assert _run(capsys, ["validate", "--input", str(bad)]) == (2, "", want)
 
 
 def test_budget_exits_3(capsys):
