@@ -34,38 +34,36 @@ from .errors import (
     WeyliftError,
 )
 from .parser import KNOWN_TASKS, SpecFile, format_elem, load_spec
-from .scalars import FieldParams, Witt2
-from .weyl import AlgebraParams, WeylElem
+from .scalars import FieldParams
+from .weyl import AlgebraParams, SparseElem, WeylElem
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def ser_scalar(c) -> int | list:
-    vals = list(c.coeffs)
-    return vals[0] if len(vals) == 1 else vals
+def _scalar(digits: tuple) -> int | list:
+    return digits[0] if len(digits) == 1 else list(digits)
 
 
-def ser_w2(c: Witt2) -> list:
-    return [ser_scalar(c.a1), ser_scalar(c.a2)]
-
-
-def ser_terms(terms: dict, wrap) -> list:
-    return [[list(e), wrap(c)] for e, c in sorted(terms.items())]
-
-
-def ser_poly(g: C.Poly) -> list:
-    return ser_terms(g.terms, ser_scalar)
-
-
-def ser_elem(f: WeylElem) -> list:
-    wrap = ser_w2 if f.ring == "w2" else ser_scalar
-    return ser_terms(f.terms, wrap)
+def ser_elem(f: SparseElem) -> list:
+    """[exponents, coefficient] per term, sorted by exponents, read off the
+    residues: a coefficient of k is an int (m = 1) or its m residues, one of
+    W_2(k) its Witt components [a1, a2] = [b1, b2^p] (ResidueRing.split)."""
+    res, p = f.ctx.res, f.alg.field.p
+    out = []
+    for e, r in sorted(f._items()):
+        if f.ring == "w2":
+            b1, b2 = res.split(r)
+            c = [_scalar(res.digits(b1)), _scalar(res.digits(res.k.pow(b2, p)))]
+        else:
+            c = _scalar(res.digits(r))
+        out.append([list(e), c])
+    return out
 
 
 def ser_matrix(M) -> list:
-    return [[ser_poly(c) for c in row] for row in M]
+    return [[ser_elem(c) for c in row] for row in M]
 
 
 def field_block(field: FieldParams) -> dict:
@@ -162,8 +160,8 @@ def run(spec: SpecFile, tasks: list[str], budget: int | None = None, seed: int =
         if not DQ.check_matrix_id(endo, sol):
             raise InternalInconsistency("the Jacobian matrix identity fails")
         report["gamma"] = {
-            "gamma": [ser_poly(g) for g in sol.gamma],
-            "f": [ser_poly(f) for f in sol.f],
+            "gamma": [ser_elem(g) for g in sol.gamma],
+            "f": [ser_elem(f) for f in sol.f],
             "symmetric": sol.symmetric,
         }
     if "lift" in order:
@@ -182,7 +180,7 @@ def run(spec: SpecFile, tasks: list[str], budget: int | None = None, seed: int =
                 "liftable": False,
                 "C": ser_matrix(outcome.C),
                 "harmonic": [
-                    [i + 1, j + 1, ser_poly(g)] for (i, j), g in sorted(outcome.harmonic.items())
+                    [i + 1, j + 1, ser_elem(g)] for (i, j), g in sorted(outcome.harmonic.items())
                 ],
             }
         if report["lift"]["liftable"] != need_analysis().liftable:

@@ -6,18 +6,17 @@ u^_{n+i} = u_i satisfy [u_i, u^_j] = delta_ij, and the ordered monomials
 u^^m with exponents < p form a basis of A_n(k) over the center Z.  The
 correspondence
 
-    psi( f(x) u^^m ) = f(y^p) y^m      (S = k[y_1..y_2n])
+    psi( z^b u^^m ) = y^(b+m)      (z^b central, S = k[y_1..y_2n])
 
 intertwines ad(u_i) with d/dy_i.  The same intertwining computes the
-expansion itself: basis_expand peels the coefficients off with exact ad
-chains, one generator at a time, and solves no linear system (the
-bounded-degree linear solve it is checked against is a test oracle, in
-tests/test_cohomology.py).
-from_basis is its inverse: it sums g_m(z^p) u^^m with one product per basis
-monomial, and is the one place that builds such a sum (psi_inverse and the
-right side of construct_lift's residual identity go through it).
-top_coefficient reads the one coefficient the trace route recovers, that
-of u^^(p-1,..,p-1), with a single ad chain and no peel.
+expansion itself: basis_expand peels the central coefficients off with
+exact ad chains, one generator at a time, and solves no linear system (the
+linear solve it is checked against is a test oracle, in
+tests/test_cohomology.py).  Its inverse from_basis sums u^^m g_m by
+Horner's rule in u^_1 .. u^_2n, one product by an image per step; psi^{-1}
+packs each g_m straight from the y-exponents.  top_coefficient reads the
+one coefficient the trace route recovers, that of u^^(p-1,..,p-1), with a
+single ad chain and no peel.
 
 The obstruction terms u_ij assemble into a closed 2-form
 F = sum_{i<j} psi(u_ij) dy_i dy_j; splitting F into an exact part d(h)
@@ -38,35 +37,23 @@ This is deterministic, so h is reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import add, sub
 
 from . import center as C
 from .endo import Endo
 from .errors import InternalInconsistency, NotClosed, WeyliftError
-from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, times_p_elem
+from .weyl import AlgebraParams, WeylElem, _pack, _weyl, ad_pow, commutator, relation_defects
+from .weyl import times_p_elem
 
 
 # ---------------------------------------------------------------------------
 # basis expansion in the twisted generator monomials
 
 
-def _ordered_monomial(e: Endo, m: tuple) -> WeylElem:
-    """The ordered product u^_1^{m_1} ... u^_2n^{m_2n}, cached on the map."""
-    cache = e.__dict__.setdefault("_monomials", {})
-    got = cache.get(m)
-    if got is None:
-        if any(m):
-            i = max(j for j, x in enumerate(m) if x)
-            prev = _ordered_monomial(e, tuple(x - (1 if j == i else 0) for j, x in enumerate(m)))
-            got = prev * e.u_hat(i)
-        else:
-            got = e.alg.one_elem()
-        cache[m] = got
-    return got
-
-
 def basis_expand(e: Endo, f: WeylElem) -> dict:
-    """Write f as sum_m g_m(x) * u^^m; returns {m: Poly(x)}.
+    """Write f as sum_m u^^m g_m with g_m central; returns {m: g_m}.
 
     Exact ad-chain peel, no linear algebra.  [u_i, u^_j] = delta_ij, so
     ad(u_i) acts on ordered monomials as d/du^_i.  Writing
@@ -79,48 +66,44 @@ def basis_expand(e: Endo, f: WeylElem) -> dict:
     all 2n generators is the central coefficient.  A non-central leaf or
     ad(u_i)^p h != 0 would put f outside the span, which freeness rules out.
     """
-    alg = e.alg
-    p = alg.field.p
-    n2 = alg.nvars
-    fact = [1]  # k! and 1/k! mod p, extended as far as the chains reach
-    inv_fact = [1]
     out: dict = {}
-
-    def peel(h: WeylElem, i: int, m: tuple) -> None:
-        if i == n2:
-            if not h.is_central():
-                raise InternalInconsistency(f"expansion coefficient of {m} is not central")
-            out[m] = h.to_center_poly()
-            return
-        chain = [h]
-        for _ in range(p):
-            nxt = commutator(e.u(i), chain[-1])
-            if nxt.is_zero():
-                break
-            chain.append(nxt)
-        if len(chain) > p:
-            raise InternalInconsistency(f"ad(u_{i + 1})^p does not kill the element")
-        while len(fact) < len(chain):
-            fact.append(fact[-1] * len(fact) % p)
-            inv_fact.append(pow(fact[-1], p - 2, p))
-        unit = [0] * n2
-        F: dict = {}
-        for k in range(len(chain) - 1, -1, -1):
-            # chain[k] - sum_j u^_i^(j-k) F_j j!/(j-k)!, summed in place
-            acc = chain[k]._like(dict(chain[k].data)) if F else chain[k]
-            for j, Fj in F.items():
-                unit[i] = j - k
-                g_pow = _ordered_monomial(e, tuple(unit))
-                acc._add_into(g_pow * Fj, -fact[j] * inv_fact[j - k] % p)
-            Fk = acc._scale(inv_fact[k])
-            if Fk:
-                F[k] = Fk
-        for k in sorted(F):
-            peel(F[k], i + 1, m + (k,))
-
     if f:
-        peel(f, 0, ())
+        _peel(e, f, 0, (), out)
     return out
+
+
+def _peel(e: Endo, h: WeylElem, i: int, m: tuple, out: dict) -> None:
+    """Expand h over u^_i .. u^_2n into out, each key prefixed by m.
+
+    u^_i^d = s^d u_j^d (Endo.dual) is read from the map's power cache.
+    """
+    p = e.alg.field.p
+    if i == e.alg.nvars:
+        if not h.is_central():
+            raise InternalInconsistency(f"expansion coefficient of {m} is not central")
+        out[m] = h
+        return
+    chain = [h]
+    for _ in range(p):
+        nxt = commutator(e.u(i), chain[-1])
+        if nxt.is_zero():
+            break
+        chain.append(nxt)
+    if len(chain) > p:
+        raise InternalInconsistency(f"ad(u_{i + 1})^p does not kill the element")
+    j_dual, s = e.dual(i)
+    F: dict = {}
+    for k in range(len(chain) - 1, -1, -1):
+        # chain[k] - sum_j u^_i^(j-k) F_j j!/(j-k)!, summed in place
+        acc = chain[k]._like(dict(chain[k].data)) if F else chain[k]
+        for j, Fj in F.items():
+            r = -math.perm(j, k) * s ** (j - k) % p
+            acc._add_into(e.power(j_dual, j - k) * Fj, r)
+        Fk = acc._scale(pow(math.factorial(k), -1, p))
+        if Fk:
+            F[k] = Fk
+    for k in sorted(F):
+        _peel(e, F[k], i + 1, m + (k,), out)
 
 
 def top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
@@ -141,37 +124,55 @@ def top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
 
 
 def psi_forward(e: Endo, f: WeylElem) -> C.Poly:
-    """psi(f) in S = k[y]: each basis term c x^a u^^m maps to c y^(pa+m)."""
-    p = e.alg.field.p
+    """psi(f) in S = k[y]: each basis term c z^b u^^m (z^b central) maps to c y^(b+m)."""
     items = [
-        (tuple(p * ai + mi for ai, mi in zip(a, m)), c)
+        (tuple(map(add, b, m)), c)
         for m, g in basis_expand(e, f).items()
-        for a, c in g._items()
+        for b, c in g._items()
     ]
     return C.poly_items(e.alg, "y", items)
 
 
 def from_basis(e: Endo, coeffs: dict) -> WeylElem:
-    """sum_m g_m(z^p) u^^m for {m: Poly(x)}; the inverse of basis_expand.
+    """sum_m u^^m g_m for {m: central g_m}; the inverse of basis_expand."""
+    if not coeffs:
+        return e.alg.zero_elem()
+    return _horner(e, list(coeffs.items()), 0)
 
-    One kernel product per basis monomial: g_m(z^p) is central, so the
-    product contracts nothing and shifts the exponents of u^^m.
-    """
-    acc = e.alg.zero_elem()
-    for m, g in coeffs.items():
-        acc._add_into(_ordered_monomial(e, m) * C.embed_center(g), 1)
+
+def _horner(e: Endo, items: list, i: int) -> WeylElem:
+    """sum u^_i^(m_i) .. u^_2n^(m_2n) g_m over the (m, g_m) of items: with
+    u^_i = s u_j (Endo.dual) and G_r the same sum over the m with m_i = r,
+    sum_r u^_i^r G_r = G_0 + u_j (s G_1 + u_j (s^2 G_2 + ...))."""
+    if i == e.alg.nvars:
+        return items[0][1]
+    groups: dict = {}
+    for m, g in items:
+        groups.setdefault(m[i], []).append((m, g))
+    j, s = e.dual(i)
+    top = max(groups)
+    acc = _horner(e, groups[top], i + 1)
+    if s**top < 0:
+        acc = -acc
+    for r in range(top - 1, -1, -1):
+        acc = e.u(j) * acc
+        if r in groups:
+            acc._add_into(_horner(e, groups[r], i + 1), s**r % acc.ctx.res.N)
     return acc
 
 
 def psi_inverse(e: Endo, s: C.Poly) -> WeylElem:
-    """psi^{-1}: y^(pa+m) -> x^a u^^m, the y-terms grouped by m = exponent mod p."""
+    """psi^{-1}: y^b -> z^(b-m) u^^m for m = b mod p, each group's central
+    factor packed straight from the y-exponents b."""
     if s.tag != "y":
         raise WeyliftError("psi_inverse expects a y-polynomial")
-    p = e.alg.field.p
+    alg = e.alg
+    p = alg.field.p
     groups: dict = {}
     for b, c in s._items():
-        groups.setdefault(tuple(x % p for x in b), []).append((tuple(x // p for x in b), c))
-    return from_basis(e, {m: C.poly_items(e.alg, "x", items) for m, items in groups.items()})
+        m = tuple(x % p for x in b)
+        groups.setdefault(m, []).append((tuple(map(sub, b, m)), c))
+    return from_basis(e, {m: _weyl(alg, "k", *_pack(alg, "k", g)) for m, g in groups.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -377,47 +378,37 @@ class ObstructionWitness:
     v: list[WeylElem]
 
 
-def harmonic_to_center(alg: AlgebraParams, poly_ypow: C.Poly) -> C.Poly:
-    """k[y^p] coefficient -> polynomial on the center (divide exponents by p)."""
-    p = alg.field.p
-    items = list(poly_ypow._items())
-    if any(x % p for e, _ in items for x in e):
-        raise WeyliftError("harmonic coefficient is not a polynomial in y^p")
-    return C.poly_items(alg, "x", [(tuple(x // p for x in e), c) for e, c in items])
-
-
 def construct_lift(e: Endo):
     """Split the obstruction 2-form; return a verified Lift or a witness.
 
-    In both cases the residual identity
+    The splitting gives corrections v_i, and on both branches
+    Phi_i = [u_i] + p [v_i] is built and its relation defects read once
+    (weyl.relation_defects): [Phi_i, Phi_j] - omega_ij = [d1] + p [d2] with
+    d1 = 0 and
 
-        u_ij + [u_i, v_j] - [u_j, v_i] = c_ij u^_i^{p-1} u^_j^{p-1}
+        d2 = u_ij + [u_i, v_j] - [u_j, v_i] = c_ij(z^p) u^_i^(p-1) u^_j^(p-1),
 
-    is asserted exactly, with c_ij read off the harmonic part.
+    c_ij read off the harmonic part, is asserted exactly.  When the
+    obstruction vanishes every d2 is 0 and Phi is a lift.
     """
     alg = e.alg
     p = alg.field.p
-    F = obstruction_2form(e)
-    h, harmonic = split_closed_2form(F)
+    h, harmonic = split_closed_2form(obstruction_2form(e))
     v = [psi_inverse(e, -h.slot((i,))) for i in range(alg.nvars)]
-    # residual identity, all pairs
-    for i in range(alg.nvars):
-        for j in range(i + 1, alg.nvars):
-            lhs = (
-                e.u_ij(i, j)
-                + commutator(e.u(i), v[j])
-                - commutator(e.u(j), v[i])
-            )
-            hp = harmonic.get((i, j))
-            m = tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars))
-            rhs = from_basis(e, {} if hp is None else {m: harmonic_to_center(alg, hp)})
-            if lhs != rhs:
-                raise InternalInconsistency("the residual identity fails")
+    Phi = [U + times_p_elem(v_i) for U, v_i in zip(e._teich, v)]
+    for i, j, d1, d2 in relation_defects(alg, Phi):
+        want = {}
+        hp = harmonic.get((i, j))
+        if hp is not None:
+            # c_ij(z^p) has the exponents of its k[y^p] coefficient
+            c = _weyl(alg, "k", hp.ctx, hp.data)
+            if not c.is_central():
+                raise InternalInconsistency("harmonic coefficient is not a polynomial in y^p")
+            want = {tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars)): c}
+        if d1 or d2 != from_basis(e, want):
+            raise InternalInconsistency("the residual identity fails")
     if harmonic:
         return ObstructionWitness(C=e.obstruction_C, harmonic=harmonic, v=v)
-    Phi = [U + times_p_elem(v_i) for U, v_i in zip(e._teich, v)]
-    if not verify_lift(alg, Phi):
-        raise InternalInconsistency("constructed lift violates a relation")
     return Lift(v=v, Phi=Phi)
 
 
@@ -428,8 +419,4 @@ def verify_lift(alg: AlgebraParams, Phi: list[WeylElem]) -> bool:
     for F in Phi:
         if F.alg != alg or F.ring != "w2":
             return False
-    for i in range(alg.nvars):
-        for j in range(i + 1, alg.nvars):
-            if commutator(Phi[i], Phi[j]) != alg.const(alg.omega_int(i, j), "w2"):
-                return False
-    return True
+    return not any(d1 or d2 for _, _, d1, d2 in relation_defects(alg, Phi))

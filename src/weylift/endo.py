@@ -36,7 +36,7 @@ from .errors import (
     ResourceLimit,
     WeyliftError,
 )
-from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, teich_lift, w2_decompose_elem
+from .weyl import AlgebraParams, WeylElem, ad_pow, relation_defects, teich_lift
 
 # Default term budget for the analyze guardrail.  The estimate
 # p^{2n} (p deg phi)^{2n} reaches 2.6e9 on the standard degree-9 n=2 p=5
@@ -75,12 +75,15 @@ class Endo:
     def u(self, i: int) -> WeylElem:
         return self.images[i]
 
-    def u_hat(self, i: int) -> WeylElem:
-        """The dual family: u^_i = -u_{n+i} for i < n, u^_i = u_{i-n} for i >= n."""
+    def dual(self, i: int) -> tuple[int, int]:
+        """(j, s) with u^_i = s u_j: u^_i = -u_{n+i} for i < n, u^_i = u_{i-n} for i >= n."""
         n = self.alg.n
-        if i < n:
-            return -self.images[n + i]
-        return self.images[i - n]
+        return (n + i, -1) if i < n else (i - n, 1)
+
+    def u_hat(self, i: int) -> WeylElem:
+        """The dual generator u^_i = s u_j, (j, s) = dual(i)."""
+        j, s = self.dual(i)
+        return self.images[j] if s > 0 else -self.images[j]
 
     @cached_property
     def _teich(self) -> list[WeylElem]:
@@ -90,20 +93,16 @@ class Endo:
 
     @cached_property
     def _u_ij_upper(self) -> dict:
-        """u_ij for i < j, from [U_i, U_j] - omega_{ij} = d1 + p u_ij.
+        """u_ij for i < j: the d2 of [U_i, U_j] - omega_{ij} = [d1] + p [d2].
 
-        d1 = ([U_i, U_j] - omega_{ij}) mod p is [u_i, u_j] - omega_{ij}; the
-        first pair (i, j) with d1 != 0 raises RelationViolation(i, j, d1).
+        d1 is [u_i, u_j] - omega_{ij}; the first pair (i, j) with d1 != 0
+        raises RelationViolation(i, j, d1).
         """
-        alg = self.alg
         out = {}
-        for i in range(alg.nvars):
-            for j in range(i + 1, alg.nvars):
-                om = alg.const(alg.omega_int(i, j), "w2")
-                d1, d2 = w2_decompose_elem(commutator(self._teich[i], self._teich[j]) - om)
-                if d1:
-                    raise RelationViolation(i, j, d1)
-                out[(i, j)] = d2
+        for i, j, d1, d2 in relation_defects(self.alg, self._teich):
+            if d1:
+                raise RelationViolation(i, j, d1)
+            out[(i, j)] = d2
         return out
 
     def u_ij(self, i: int, j: int) -> WeylElem:
@@ -180,22 +179,22 @@ class Endo:
         """phi(f): substitute the images into a normally ordered element."""
         if f.alg != self.alg or f.ring != "k":
             raise ParamsMismatch("apply expects an element of A_n(k)")
-
-        def power(i: int, e: int) -> WeylElem:
-            got = self._powers[i].get(e)
-            if got is None:
-                got = self._powers[i][e] = power(i, e - 1) * self.images[i]
-            return got
-
         acc = self.alg.zero_elem()
         for exps, c in f._items():
-            factors = [power(i, x) for i, x in enumerate(exps) if x] or [power(0, 0)]
+            factors = [self.power(i, x) for i, x in enumerate(exps) if x] or [self.power(0, 0)]
             acc._add_into(reduce(mul, factors), c)
         return acc
 
+    def power(self, i: int, e: int) -> WeylElem:
+        """u_i^e, from the cache of powers that every call fills and shares."""
+        cache = self._powers[i]
+        while e >= len(cache):
+            cache[len(cache)] = cache[len(cache) - 1] * self.images[i]
+        return cache[e]
+
     @cached_property
     def _powers(self) -> list[dict[int, WeylElem]]:
-        """{e: u_i^e} per image, filled and shared by every apply call."""
+        """{e: u_i^e} per image, for e = 0, 1, .. as far as power reached."""
         return [{0: self.alg.one_elem(), 1: u} for u in self.images]
 
     def compose(self, other: Endo) -> Endo:

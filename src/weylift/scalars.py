@@ -186,7 +186,8 @@ class ResidueRing:
     takes any such sum to canonical form: digits mod N, polynomial mod F~.
     An integer t is the residue t mod N, equal residues are equal ints, 0
     is zero, and x - y is reduce(x - y + bias) with ``bias`` N in every
-    digit.  ``unit`` is nonzero exactly on the units.
+    digit.  ``unit`` is nonzero exactly on the units; ``k`` is the ring of k
+    of the same field.
     """
 
     def __init__(self, p: int, m: int, modulus, ring: str):
@@ -195,6 +196,7 @@ class ResidueRing:
         self.p, self.m, self.N = p, m, N
         self.unit = bool if ring == "k" else p.__rmod__ if m == 1 else self._unit
         self.elem = FieldElem if ring == "k" else Witt2
+        self.k = self if ring == "k" else residue_ring(p, m, modulus, "k")
         if m == 1:
             self.D = 0
             self.bias = 0
@@ -234,6 +236,13 @@ class ResidueRing:
         if self.m == 1:
             return pow(x, e, self.N)
         return square_multiply(x, e, lambda a, b: self.reduce(a * b)) if e else 1
+
+    def split(self, x: int) -> tuple:
+        """(b1, b2), residues of k (ring ``k``), with the W_2 residue
+        x = [b1] + p*[b2]: x lifts b1, so [b1] = b1^q and b2 = (x - b1^q)/p
+        mod p.  The Witt components of x are (b1, b2^p)."""
+        b1 = self.k.reduce(x)
+        return b1, self.reduce(x - self.pow(b1, self.p**self.m) + self.bias) // self.p
 
     def _unit(self, x: int) -> int:
         return any(d % self.p for d in self.digits(x))
@@ -383,8 +392,7 @@ class Witt2(_Residues):
 
     @property
     def a1(self) -> FieldElem:
-        pa = self.params
-        return FieldElem._of(pa, residue_ring(pa.p, pa.m, pa.modulus, "k").reduce(self.r))
+        return self.decompose()[0]
 
     @property
     def a2(self) -> FieldElem:
@@ -395,13 +403,9 @@ class Witt2(_Residues):
         return self._with(self.res.reduce(self.params.p * self.r))
 
     def decompose(self) -> tuple[FieldElem, FieldElem]:
-        """The unique (b1, b2) with self = [b1] + p*[b2].
-
-        self lifts b1, so [b1] = self^q and b2 = (self - self^q)/p mod p.
-        """
-        res, p = self.res, self.params.p
-        teich = res.pow(self.r, self.params.q)
-        return self.a1, FieldElem._of(self.params, res.reduce(self.r - teich + res.bias) // p)
+        """The unique (b1, b2) with self = [b1] + p*[b2] (ResidueRing.split)."""
+        k = self.res.k
+        return tuple(FieldElem._of(self.params, b, k) for b in self.res.split(self.r))
 
     def __repr__(self) -> str:
         return f"({self.a1!r},{self.a2!r})"

@@ -662,20 +662,31 @@ def times_p_elem(F: WeylElem) -> WeylElem:
 
 
 def w2_decompose_elem(F: WeylElem) -> tuple[WeylElem, WeylElem]:
-    """Coefficientwise Witt decomposition F = teich(f1) + p * teich(f2).
-
-    f1 is F mod p digitwise, and f2 = (F - [f1]) / p with [f1] = f1^q.
-    """
+    """Coefficientwise Witt decomposition F = teich(f1) + p * teich(f2)
+    (ResidueRing.split of each coefficient)."""
     if F.ring != "w2":
         raise WeyliftError("decompose expects an element over W_2(k)")
-    ctx, k = _with_ring(F, "k")
-    w2, p, q = F.ctx.res, F.alg.field.p, F.alg.field.q
-    t1 = {}
-    t2 = {}
+    ctx, _ = _with_ring(F, "k")
+    split = F.ctx.res.split
+    t1, t2 = {}, {}
     for key, c in F.data.items():
-        b1 = k.reduce(c)
+        b1, b2 = split(c)
         if b1:
             t1[key] = b1
-        if b2 := w2.reduce(c - w2.pow(b1, q) + w2.bias) // p:
+        if b2:
             t2[key] = b2
     return _weyl(F.alg, "k", ctx, t1), _weyl(F.alg, "k", ctx, t2)
+
+
+def relation_defects(alg: AlgebraParams, lifts: list[WeylElem]):
+    """(i, j, d1, d2) for i < j in (i, j) order, with d1, d2 over k such that
+
+        [L_i, L_j] - omega_{ij} = [d1] + p [d2]      in A_n(W_2(k)).
+
+    The one loop over the defining relations of lifts L_i over W_2: the
+    relations hold mod p iff every d1 is 0, and exactly iff d2 is 0 too.
+    """
+    for i in range(alg.nvars):
+        for j in range(i + 1, alg.nvars):
+            om = alg.const(alg.omega_int(i, j), "w2")
+            yield (i, j) + w2_decompose_elem(commutator(lifts[i], lifts[j]) - om)

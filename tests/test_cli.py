@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import gc
 import hashlib
 import json
 import os
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from weylift.cli import main, run_corpus
+from weylift.cli import main, run, run_corpus
+from weylift.parser import KNOWN_TASKS, load_spec
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -334,6 +336,10 @@ GOLDEN_SPEC_DIGESTS = {
         ("lift",): "aab91bccaeec12606ac9dcb5beba96e9def42254329f70a39434b3f33d6f3cc4",
         ("trace-check",): "48253ebff12e94b266bb6af204ff30fdeae3664e181bb4f94b4c0ecea3e7dadd",
     },
+    # over F_9: coefficients serialize as lists of m = 2 residues
+    "etale_f9": {
+        ("analyze", "gamma", "lift"): "63de9eee21ad755afc771c32b68ad990c1e72bf1a04a6f47cb5fff13d8496ef6",
+    },
     "etale_i0": {
         ("analyze", "gamma", "lift"): "07f9c9160c7cf6d5e477b04679d830ddb28753ca12dda042f4bbf3c5bfdfbd1e",
         ("trace-check",): "4187a46d126653f4fe21cfc5da7f323e0f7548aeb169e055605cd9a9e620dd88",
@@ -349,6 +355,11 @@ GOLDEN_SPEC_DIGESTS = {
     "fourier_p3": {
         ("analyze", "gamma", "lift"): "810a1cc56048bcd2ba3de196aa315f975c402dc2c89cbbf857c4dfeb4a2e98cf",
         ("trace-check",): "63f80640484944c39d2fc78f8749826f9c8dd1a7817c0b4cb3873a926dde461c",
+    },
+    # a p = 3, n = 2 corpus map, the family that dominates perfbench's lift
+    # workload; its corrections v have 40-88 terms
+    "map_p3_n2": {
+        ("analyze", "gamma", "lift"): "b6f6d3d39ae918a9cefff8c3310cc993b21f5d519f1c9fc626169377cc8e5860",
     },
     "identity_p3": {
         ("analyze", "gamma", "lift", "trace-check"): (
@@ -427,6 +438,25 @@ def test_corpus_takes_one_p_th_power_per_image(monkeypatch, p, n):
     _, code = run_corpus(p, n, 5, 7, None, False)
     assert code == 0
     assert rings == ["k"] * (5 * 2 * n)
+
+
+def test_runs_leave_no_reference_cycles():
+    """A pipeline run and a corpus run leave nothing for the cyclic collector:
+    the expansion's peel and Endo.power are plain calls, not self-referencing
+    closures, whose function-cell cycles kept every intermediate alive until
+    the collector ran.  etale_i0's lift runs the peel (the identity's
+    obstruction 2-form is zero), the corpus's compositions fill the power
+    cache."""
+    specs = [load_spec(SPEC_DIR / f"{name}.spec") for name in ("identity_p3", "etale_i0")]
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(specs[0], list(KNOWN_TASKS))[1] == 0
+        assert run(specs[1], ["lift"])[1] == 0
+        assert run_corpus(3, 2, 4, 7, None, False)[1] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _check_golden_digests(capsys) -> None:

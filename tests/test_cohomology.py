@@ -12,6 +12,7 @@ import random
 import time
 from itertools import combinations
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +22,11 @@ from weylift import cohomology as coh
 from weylift import diffeq
 from weylift.endo import Endo, bkk_family, etale_family, generate_corpus, identity_endo
 from weylift.errors import InternalInconsistency, NotClosed
-from weylift.scalars import FieldParams
+from weylift.parser import load_spec
+from weylift.scalars import FieldParams, Witt2
 from weylift.weyl import AlgebraParams, WeylElem, ad_pow, commutator, teich_lift, times_p_elem
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 
 def _rand_coeff(field, rng):
@@ -337,6 +341,14 @@ def _exps_bounded(nvars: int, total: int):
             yield (head,) + tail
 
 
+def _ordered_monomial(e: Endo, m: tuple) -> WeylElem:
+    """The ordered product u^_1^{m_1} ... u^_2n^{m_2n}."""
+    out = e.alg.one_elem()
+    for i, x in enumerate(m):
+        out = out * e.u_hat(i) ** x
+    return out
+
+
 def basis_expand_oracle(e: Endo, f: WeylElem) -> dict:
     """Test oracle for basis_expand by linear algebra instead of ad chains.
 
@@ -360,7 +372,7 @@ def basis_expand_oracle(e: Endo, f: WeylElem) -> dict:
             base_deg = sum(mi * di for mi, di in zip(m, gens_deg))
             if base_deg > D:
                 continue
-            mono = coh._ordered_monomial(e, m)
+            mono = _ordered_monomial(e, m)
             for a in _exps_bounded(n2, (D - base_deg) // p):
                 cands.append((m, a))
                 cols.append((mono * alg.monomial(tuple(p * x for x in a))).terms)
@@ -371,7 +383,7 @@ def basis_expand_oracle(e: Endo, f: WeylElem) -> dict:
                 if c:
                     g = out.setdefault(m, {})
                     g[a] = c
-            return {m: C.Poly(alg, "x", g) for m, g in out.items()}
+            return {m: C.embed_center(C.Poly(alg, "x", g)) for m, g in out.items()}
         D += p
         if D > cap:
             raise AssertionError(f"oracle found no expansion of degree <= {cap}")
@@ -412,7 +424,7 @@ def test_top_coefficient_matches_expansion(corpus):
     for e in seeded + _f9_family_maps():
         top = (e.alg.field.p - 1,) * e.alg.nvars
         for f in _expansion_inputs(e):
-            want = coh.basis_expand(e, f).get(top, C.poly_zero(e.alg, "x"))
+            want = coh.basis_expand(e, f).get(top, e.alg.zero_elem()).to_center_poly()
             assert coh.top_coefficient(e, f) == want
             checked += 1
             nonzero += not want.is_zero()
@@ -483,9 +495,9 @@ def test_harmonic_part_matches_obstruction_matrix(corpus):
         }
         assert set(harmonic) == nonzero
         for (i, j), g in harmonic.items():
-            assert coh.harmonic_to_center(alg, g) == Cm[i][j]
+            assert g == C.x_to_y(Cm[i][j])
             # extraction through the ad-chain on the twisted monomial
-            mono = coh._ordered_monomial(
+            mono = _ordered_monomial(
                 e, tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars))
             )
             resid = C.embed_center(Cm[i][j]) * mono
@@ -564,6 +576,67 @@ def test_families_over_f9_with_non_prime_coefficient(family, n, p, m, modulus, c
         assert isinstance(coh.construct_lift(e), coh.Lift) == rep.liftable
 
 
+def _ser_scalar(c) -> int | list:
+    vals = list(c.coeffs)
+    return vals[0] if len(vals) == 1 else vals
+
+
+def _ser_w2(c: Witt2) -> list:
+    # the Witt components rebuild the vector through the Witt2 constructor
+    assert Witt2(c.a1, c.a2) == c
+    return [_ser_scalar(c.a1), _ser_scalar(c.a2)]
+
+
+def ser_terms(terms: dict, wrap) -> list:
+    return [[list(e), wrap(c)] for e, c in sorted(terms.items())]
+
+
+def _reference_serialization(f) -> list:
+    """The report form of a sparse element read off FieldElem / Witt2 objects,
+    the reference for cli.ser_elem's residue-level reading."""
+    return ser_terms(f.terms, _ser_w2 if f.ring == "w2" else _ser_scalar)
+
+
+def test_serialization_matches_the_object_reference():
+    """cli.ser_elem equals the object-level serialization on v, Phi, gamma, f
+    and C of the families with coefficients outside F_p."""
+    lift_elems = other = 0
+    for p, m, modulus, c in _NON_PRIME_COEFFICIENTS.values():
+        field = FieldParams(p, m, modulus)
+        for family, n in ((etale_family, 1), (bkk_family, 2)):
+            alg = AlgebraParams(n, field)
+            for i in range(p):
+                e = family(alg, i, field.element(c))
+                out = coh.construct_lift(e)
+                elems = out.v + (out.Phi if isinstance(out, coh.Lift) else [])
+                lift_elems += len(elems)
+                sol = diffeq.gamma_solution(e)
+                polys = sol.gamma + sol.f + [g for row in e.obstruction_C for g in row]
+                other += len(polys)
+                for f in elems + polys:
+                    assert cli.ser_elem(f) == _reference_serialization(f)
+    assert lift_elems == 132 and other > 0
+
+
+@pytest.mark.parametrize("name", ["etale_i0", "bkk_p3"])
+def test_construct_lift_certificate_catches_a_wrong_correction(name, monkeypatch):
+    """One wrong monomial in v_1 breaks the certificate on either branch:
+    liftable (etale_i0) and obstructed (bkk_p3)."""
+    e = load_spec(SPEC_DIR / f"{name}.spec").endo()
+    psi_inverse = coh.psi_inverse
+    calls = []
+
+    def wrong_v1(e, s):
+        calls.append(s)
+        v = psi_inverse(e, s)
+        return v + e.alg.gen(0) if len(calls) == 1 else v
+
+    monkeypatch.setattr(coh, "psi_inverse", wrong_v1)
+    with pytest.raises(InternalInconsistency, match="residual identity"):
+        coh.construct_lift(e)
+    assert calls
+
+
 def test_construct_lift_at_p61():
     """z2 -> z2 + z2^61 lifts and the lift verifies, in bounded time."""
     alg = AlgebraParams(1, FieldParams(61))
@@ -586,6 +659,4 @@ def test_construct_lift_bkk_witness(a2_f3):
     out = coh.construct_lift(e)
     assert isinstance(out, coh.ObstructionWitness)
     assert list(out.harmonic) == [(0, 3)]
-    assert coh.harmonic_to_center(a2_f3, out.harmonic[(0, 3)]) == C.poly_const(
-        a2_f3, "x", -a2_f3.field.one
-    )
+    assert out.harmonic[(0, 3)] == C.poly_const(a2_f3, "y", -a2_f3.field.one)

@@ -50,10 +50,10 @@ def test_validate_checks_once(a2_f3, monkeypatch):
     e = bkk_family(a2_f3, 2, a2_f3.field.one)
     e.validate()
 
-    def no_commutator(f, g):
+    def no_defects(alg, lifts):
         raise AssertionError("relations checked again")
 
-    monkeypatch.setattr(endo_module, "commutator", no_commutator)
+    monkeypatch.setattr(endo_module, "relation_defects", no_defects)
     e.validate()
 
 

@@ -154,8 +154,8 @@ def test_trace_top_coefficient_three_routes(corpus):
         for f in samples:
             via_trace = TV.trace_top_coefficient(e, f)
             expansion = coh.basis_expand(e, f)
-            top = expansion.get((p - 1,) * alg.nvars, C.poly_zero(alg, "x"))
-            assert via_trace == C.x_to_y(top)
+            top = expansion.get((p - 1,) * alg.nvars, alg.zero_elem())
+            assert via_trace == C.x_to_y(top.to_center_poly())
 
 
 def test_trace_of_identity_and_top_product(a1_f3):
