@@ -33,7 +33,6 @@ from .weyl import (
     _encode,
     _layout,
     _pack,
-    _weyl,
     commutator,
     teich_lift,
     w2_decompose_elem,
@@ -156,15 +155,6 @@ def pth_root_retag(f: Poly) -> Poly:
         raise WeyliftError("expected an x-polynomial")
     res, root = f.ctx.res, f.alg.field.p ** (f.alg.field.m - 1)
     return Poly._make(f.alg, "y", f.ctx, {k: res.pow(c, root) for k, c in f.data.items()})
-
-
-def embed_center(f: Poly) -> WeylElem:
-    """Send f(x) to the central element f(z^p) of A_n(k)."""
-    if f.tag != "x":
-        raise WeyliftError("expected an x-polynomial")
-    p = f.alg.field.p
-    items = [(tuple(p * a for a in e), c) for e, c in f._items()]
-    return _weyl(f.alg, "k", *_pack(f.alg, "k", items))
 
 
 # -- Poisson structure -------------------------------------------------------

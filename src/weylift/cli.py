@@ -18,7 +18,6 @@ import random
 import sys
 import time
 
-from . import center as C
 from . import cohomology as coh
 from . import diffeq as DQ
 from . import trivialization as TV
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .parser import KNOWN_TASKS, SpecFile, format_elem, load_spec
 from .scalars import FieldParams
-from .weyl import AlgebraParams, SparseElem, WeylElem
+from .weyl import AlgebraParams, SparseElem, WeylElem, _pack, _weyl
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +74,9 @@ def field_block(field: FieldParams) -> dict:
 
 
 def _trace_samples(e: Endo, seed: int) -> list[WeylElem]:
+    """trace-check's samples: 1, a top element and six seeded random sums of
+    1-3 monomials, each summed as residues mod p (an integer's residue for
+    every m, as in AlgebraParams.const) in one dict and packed once."""
     alg = e.alg
     p = alg.field.p
     rng = random.Random(("trace", seed, p, alg.n).__repr__())
@@ -90,11 +92,11 @@ def _trace_samples(e: Endo, seed: int) -> list[WeylElem]:
         top = alg.monomial((p - 1,) * alg.nvars, alg.field.one, "k")
     samples = [alg.one_elem(), top]
     for _ in range(6):
-        f = alg.zero_elem()
+        coeffs: dict = {}
         for _ in range(rng.randint(1, 3)):
             exps = tuple(rng.randint(0, p - 1) for _ in range(alg.nvars))
-            f = f + alg.monomial(exps, alg.field.from_int(rng.randint(1, p - 1)), "k")
-        samples.append(f)
+            coeffs[exps] = (coeffs.get(exps, 0) + rng.randint(1, p - 1)) % p
+        samples.append(_weyl(alg, "k", *_pack(alg, "k", list(coeffs.items()))))
     return samples
 
 
@@ -190,7 +192,7 @@ def run(spec: SpecFile, tasks: list[str], budget: int | None = None, seed: int =
         samples = _trace_samples(endo, seed)
         for f in samples:
             via_trace = TV.trace_top_coefficient(endo, f)
-            via_expansion = C.x_to_y(coh.top_coefficient(endo, f))
+            via_expansion = coh.top_coefficient(endo, f)
             if via_trace != via_expansion:
                 raise InternalInconsistency("trace route disagrees with the expansion route")
         clocks["trace-check"] = time.monotonic() - t0

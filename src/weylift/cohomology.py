@@ -16,7 +16,7 @@ tests/test_cohomology.py).  Its inverse from_basis sums u^^m g_m by
 Horner's rule in u^_1 .. u^_2n, one product by an image per step; psi^{-1}
 packs each g_m straight from the y-exponents.  top_coefficient reads the
 one coefficient the trace route recovers, that of u^^(p-1,..,p-1), with a
-single ad chain and no peel.
+single ad chain and no peel, in y as the trace route returns it.
 
 The obstruction terms u_ij assemble into a closed 2-form
 F = sum_{i<j} psi(u_ij) dy_i dy_j; splitting F into an exact part d(h)
@@ -107,7 +107,8 @@ def _peel(e: Endo, h: WeylElem, i: int, m: tuple, out: dict) -> None:
 
 
 def top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
-    """basis_expand(e, f)[(p-1,..,p-1)] as ad(u_1)^(p-1) ... ad(u_2n)^(p-1) f.
+    """basis_expand(e, f)[(p-1,..,p-1)] as ad(u_1)^(p-1) ... ad(u_2n)^(p-1) f,
+    read in y: z^(pc) -> y^(pc) keeps every packed key.
 
     ad(u_i) acts as d/du^_i, so ad(u_i)^(p-1) kills u^_i^j F_j for j < p-1
     and sends u^_i^(p-1) F to (p-1)! F = -F (Wilson).  The ad(u_i) commute,
@@ -120,7 +121,7 @@ def top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
         f = ad_pow(e.u(i), p - 1, f)
     if not f.is_central():
         raise InternalInconsistency("the top coefficient is not central")
-    return f.to_center_poly()
+    return C.Poly._make(e.alg, "y", f.ctx, f.data)
 
 
 def psi_forward(e: Endo, f: WeylElem) -> C.Poly:

@@ -80,11 +80,6 @@ class Endo:
         n = self.alg.n
         return (n + i, -1) if i < n else (i - n, 1)
 
-    def u_hat(self, i: int) -> WeylElem:
-        """The dual generator u^_i = s u_j, (j, s) = dual(i)."""
-        j, s = self.dual(i)
-        return self.images[j] if s > 0 else -self.images[j]
-
     @cached_property
     def _teich(self) -> list[WeylElem]:
         return [teich_lift(u) for u in self.images]

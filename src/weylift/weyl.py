@@ -21,7 +21,9 @@ vector is one int with a fixed-width field per variable (8, 16, 32 or 64
 bits), after Monagan and Pearce (CASC 2007); each element carries the
 width its largest exponent needs, and an operation re-packs the narrower
 operand, or both when a product could overflow (exponent sums of 2^64 or
-more raise WeyliftError).  A coefficient is a scalars.ResidueRing int: mod
+more raise WeyliftError).  Operands on one set-up object, with one algebra
+object, type and letter, skip _aligned's checks and width logic, except a
+product's overflow test.  A coefficient is a scalars.ResidueRing int: mod
 p or p^2 for m = 1, Kronecker-packed digits for m > 1.  So a monomial
 product is one addition, a k-fold contraction of pair l subtracts
 k * pack(e_l + e_{n+l}), coefficient products sum unreduced in a dict
@@ -63,6 +65,7 @@ from .errors import NotCentral, ParamsMismatch, WeyliftError
 from .scalars import FieldParams, residue_ring, square_multiply
 
 NEG_INF = float("-inf")
+_or_keys = functools.partial(functools.reduce, operator.or_)  # the OR of a store's keys
 
 
 @dataclass(frozen=True)
@@ -243,12 +246,17 @@ def _aligned(A: SparseElem, B: SparseElem, product: bool = False) -> tuple:
     Widths double, so only the wider operand can hold an exponent with the
     top bit of its field set; only then are the largest exponents read.
     """
-    A._require_compatible(B)
     ca, cb = A.ctx, B.ctx
+    if ca is cb and A.alg is B.alg and type(A) is type(B) and A.var == B.var:
+        # one set-up: nothing to check, and nothing to re-pack unless a
+        # product may overflow a field
+        if not product or not (_or_keys(A.data) | _or_keys(B.data)) & ca.high:
+            return ca, A.data, B.data
+    A._require_compatible(B)
     ctx = ca if ca.width >= cb.width else cb
     if product and (
-        (ca.width == ctx.width and functools.reduce(operator.or_, A.data) & ctx.high)
-        or (cb.width == ctx.width and functools.reduce(operator.or_, B.data) & ctx.high)
+        (ca.width == ctx.width and _or_keys(A.data) & ctx.high)
+        or (cb.width == ctx.width and _or_keys(B.data) & ctx.high)
     ):
         top = max(map(max, map(ca.exps, A.data))) + max(map(max, map(cb.exps, B.data)))
         ctx = _layout(A.alg, A.ring, top)

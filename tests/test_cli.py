@@ -124,6 +124,55 @@ def test_trace_gate_exits_4(capsys, monkeypatch):
     assert "internal inconsistency" in err and "trace route disagrees" in err
 
 
+def _trace_samples_by_terms(e, seed):
+    """trace-check's samples built one WeylElem per drawn monomial and
+    chained with +: the reference for the packed cli._trace_samples."""
+    import random
+
+    alg = e.alg
+    p = alg.field.p
+    rng = random.Random(("trace", seed, p, alg.n).__repr__())
+    if e.deg * (p - 1) * alg.nvars <= 10:
+        top = alg.one_elem()
+        for i in range(alg.nvars):
+            top = top * e.u(i) ** (p - 1)
+    else:
+        top = alg.monomial((p - 1,) * alg.nvars, alg.field.one, "k")
+    samples = [alg.one_elem(), top]
+    for _ in range(6):
+        f = alg.zero_elem()
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(0, p - 1) for _ in range(alg.nvars))
+            f = f + alg.monomial(exps, alg.field.from_int(rng.randint(1, p - 1)), "k")
+        samples.append(f)
+    return samples
+
+
+def test_trace_samples_equal_the_term_by_term_construction():
+    """Seeds 0-3 on every shipped spec (F_9 and n = 2 included) and on
+    corpus maps at p in {2, 3, 5, 7}, n in {1, 2}.  At p = 2 every
+    coefficient is 1, so a monomial drawn twice cancels and must drop."""
+    from weylift import cli
+    from weylift.endo import generate_corpus
+    from weylift.scalars import FieldParams
+    from weylift.weyl import AlgebraParams
+
+    maps = [load_spec(path).endo() for path in sorted(SPEC_DIR.glob("*.spec"))]
+    assert len(maps) >= 9
+    for p in (2, 3, 5, 7):
+        for n in (1, 2):
+            maps.extend(generate_corpus(AlgebraParams(n, FieldParams(p)), 3, 11))
+    checked = emptied = 0
+    for e in maps:
+        for seed in range(4):
+            got, want = cli._trace_samples(e, seed), _trace_samples_by_terms(e, seed)
+            assert [f.terms for f in got] == [f.terms for f in want]
+            checked += 1
+            emptied += sum(not f for f in want[2:])
+    assert checked == 4 * len(maps)
+    assert emptied >= 1  # some samples' draws cancelled to 0
+
+
 def test_verdict_gate_exits_4(capsys, monkeypatch):
     """A symmetry verdict flipped against the obstruction matrix: exit 4."""
     import dataclasses

@@ -31,6 +31,7 @@ maximal Kronecker digits onto one key, agree with term-wise references.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from itertools import product
 from math import comb, factorial
@@ -218,9 +219,9 @@ def test_p_power_and_center_poly_round_trip():
     fp = f.p_power()
     assert fp.is_central()
     g = fp.to_center_poly()
-    from weylift import center as C
+    from test_center import embed_center
 
-    back = C.embed_center(g)
+    back = embed_center(g)
     assert back == fp
     with pytest.raises(WeyliftError):
         alg.gen(0).to_center_poly()
@@ -683,6 +684,55 @@ def test_different_algebras_keep_their_own_set_up():
                 assert f * alg.monomial(eb, ring=ring) == mono_mul_naive(alg, ea, eb, ring).scale(c)
     # all exponent sums stay below 2^8: one set-up per field, n and ring
     assert weyl._context.cache_info().currsize == len(algs) * 2
+
+
+def test_tagged_polys_on_one_set_up_still_refuse_to_mix():
+    """x- and y-polynomials (and Weyl elements) of one algebra share one
+    set-up object, so _aligned's direct path must not let them combine."""
+    from weylift import center as C
+
+    alg = AlgebraParams(1, FieldParams(3))
+    x = C.poly_var(alg, "x", 0) + C.poly_one(alg, "x")
+    y = C.poly_var(alg, "y", 1) + C.poly_one(alg, "y")
+    z = alg.gen(0) + alg.one_elem()
+    assert x.ctx is y.ctx is z.ctx
+    for a, b in ((x, y), (y, x), (x, z), (z, x)):
+        for combine in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ParamsMismatch):
+                combine(a, b)
+    assert x != y and x != z
+
+
+def test_equal_but_distinct_algebras_still_combine():
+    """Two equal AlgebraParams objects share a set-up but not the algebra
+    object: their elements add, multiply and compare as within one."""
+    a, b = AlgebraParams(1, FieldParams(3)), AlgebraParams(1, FieldParams(3))
+    assert a is not b and a == b
+    f = a.gen(0) + a.monomial((2, 1))
+    g_a = a.gen(1) ** 2 + a.monomial((1, 1), a.field.from_int(2))
+    g_b = b.gen(1) ** 2 + b.monomial((1, 1), b.field.from_int(2))
+    assert f.ctx is g_b.ctx
+    assert f + g_b == f + g_a and f - g_b == f - g_a
+    assert f * g_b == f * g_a and g_b * f == g_a * f
+    assert g_b == g_a and g_a == g_b and f != g_b
+    assert commutator(f, g_b) == commutator(f, g_a)
+
+
+def test_one_set_up_product_widens_past_the_field():
+    """z_1^200 * z_1^100 on one 8-bit set-up overflows its fields: the
+    product still moves to 16 bits, for Weyl elements and polynomials."""
+    from weylift import center as C
+
+    alg = AlgebraParams(1, FieldParams(3))
+    a, b = alg.monomial((200, 0)), alg.monomial((100, 0))
+    assert a.ctx is b.ctx and a.ctx.width == 8
+    prod = a * b
+    assert prod.ctx.width == 16 and prod.terms == {(300, 0): alg.field.one}
+    pa = C.Poly(alg, "x", {(200, 0): alg.field.one})
+    pb = C.Poly(alg, "x", {(100, 0): alg.field.one})
+    assert pa.ctx is pb.ctx
+    prod = pa * pb
+    assert prod.ctx.width == 16 and prod.terms == {(300, 0): alg.field.one}
 
 
 @pytest.mark.parametrize("q", [5, 9])
