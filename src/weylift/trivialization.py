@@ -122,8 +122,9 @@ def trace_top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
     By the closed form in the module docstring, (-1)^n Tr rep(c z^e) is
     c y^(e - (p-1,..,p-1)) when every exponent of e is p-1 mod p and 0
     otherwise (the n signs -1 cancel against (-1)^n).  Distinct monomials
-    give distinct y-monomials, so no terms merge.  trace(rep(f)) computes
-    the same value with p^n by p^n matrices and is the test oracle.
+    give distinct y-monomials, so no terms merge, and a kept packed key only
+    loses the packed (p-1,..,p-1).  trace(rep(f)) computes the same value
+    with p^n by p^n matrices and is the test oracle.
 
     By conjugation invariance of the trace this is the coefficient of the
     top monomial u^_1^{p-1} .. u^_2n^{p-1} in the expansion of f over the
@@ -133,13 +134,12 @@ def trace_top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
     """
     if f.ring != "k":
         raise WeyliftError("the trace is defined over k, not W_2")
-    p = e.alg.field.p
-    items = [
-        (tuple(x - p + 1 for x in exps), c)
-        for exps, c in f._items()
-        if all(x % p == p - 1 for x in exps)
-    ]
-    return C.poly_items(e.alg, "y", items)
+    p, ctx = e.alg.field.p, f.ctx
+    exps = ctx.exps
+    kept = {k: c for k, c in f.data.items() if all(x % p == p - 1 for x in exps(k))}
+    # every kept exponent is at least p - 1, so (p-1,..,p-1) packs at this width
+    shift = ctx.key((p - 1,) * e.alg.nvars) if kept else 0
+    return C.Poly._make(e.alg, "y", ctx, {k - shift: c for k, c in kept.items()})
 
 
 # ---------------------------------------------------------------------------
