@@ -133,14 +133,6 @@ def poly_var(alg: AlgebraParams, tag: str, i: int) -> Poly:
 # -- coordinate changes ------------------------------------------------------
 
 
-def x_to_y(f: Poly) -> Poly:
-    """f(x) -> f(y^p): multiply exponents by p."""
-    if f.tag != "x":
-        raise WeyliftError("expected an x-polynomial")
-    p = f.alg.field.p
-    return poly_items(f.alg, "y", [(tuple(p * a for a in e), c) for e, c in f._items()])
-
-
 def pth_power_retag(f: Poly) -> Poly:
     """f(y)^p rewritten through y_i^p = x_i: exponents kept, coefficients^p."""
     if f.tag != "y":

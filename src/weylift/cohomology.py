@@ -13,10 +13,12 @@ expansion itself: basis_expand peels the central coefficients off with
 exact ad chains, one generator at a time, and solves no linear system (the
 linear solve it is checked against is a test oracle, in
 tests/test_cohomology.py).  Its inverse from_basis sums u^^m g_m by
-Horner's rule in u^_1 .. u^_2n, one product by an image per step; psi^{-1}
-packs each g_m straight from the y-exponents.  top_coefficient reads the
-one coefficient the trace route recovers, that of u^^(p-1,..,p-1), with a
-single ad chain and no peel, in y as the trace route returns it.
+Horner's rule in u^_1 .. u^_2n, and the peel its Taylor shifts, through one
+Horner step: one product by an image per step, never by a power of one.
+psi^{-1} packs each g_m straight from the y-exponents.  top_coefficient
+reads the one coefficient the trace route recovers, that of
+u^^(p-1,..,p-1), with a single ad chain and no peel, in y as the trace
+route returns it.
 
 The obstruction terms u_ij assemble into a closed 2-form
 F = sum_{i<j} psi(u_ij) dy_i dy_j; splitting F into an exact part d(h)
@@ -57,13 +59,14 @@ def basis_expand(e: Endo, f: WeylElem) -> dict:
 
     Exact ad-chain peel, no linear algebra.  [u_i, u^_j] = delta_ij, so
     ad(u_i) acts on ordered monomials as d/du^_i.  Writing
-    h = sum_j u^_i^j F_j with F_j free of u^_1 .. u^_i,
+    h = sum_j u^_i^j F_j with F_j free of u^_1 .. u^_i (j < p),
 
-        ad(u_i)^k h = sum_{j >= k} j!/(j-k)! u^_i^{j-k} F_j      (j < p),
+        ad(u_i)^k h = sum_{j >= k} j!/(j-k)! u^_i^{j-k} F_j,
+        F_k = 1/k! sum_r (-u^_i)^r / r! ad(u_i)^(k+r) h,
 
-    so the F_k come out top-down, divided by k! (a unit since k < p), and
-    each nonzero F_k is peeled in the next generator.  What is left after
-    all 2n generators is the central coefficient.  A non-central leaf or
+    the second a Taylor shift, as sum_r (-1)^r binom(j-k, r) = delta_jk.
+    Each nonzero F_k is peeled in the next generator; what is left after all
+    2n generators is the central coefficient.  A non-central leaf or
     ad(u_i)^p h != 0 would put f outside the span, which freeness rules out.
     """
     out: dict = {}
@@ -75,7 +78,8 @@ def basis_expand(e: Endo, f: WeylElem) -> dict:
 def _peel(e: Endo, h: WeylElem, i: int, m: tuple, out: dict) -> None:
     """Expand h over u^_i .. u^_2n into out, each key prefixed by m.
 
-    u^_i^d = s^d u_j^d (Endo.dual) is read from the map's power cache.
+    F_k = sum_r (-s)^r / (r! k!) u_j^r ad(u_i)^(k+r) h for u^_i = s u_j
+    (Endo.dual), by _horner_step: one product by the image u_j per step.
     """
     p = e.alg.field.p
     if i == e.alg.nvars:
@@ -91,19 +95,13 @@ def _peel(e: Endo, h: WeylElem, i: int, m: tuple, out: dict) -> None:
         chain.append(nxt)
     if len(chain) > p:
         raise InternalInconsistency(f"ad(u_{i + 1})^p does not kill the element")
-    j_dual, s = e.dual(i)
-    F: dict = {}
-    for k in range(len(chain) - 1, -1, -1):
-        # chain[k] - sum_j u^_i^(j-k) F_j j!/(j-k)!, summed in place
-        acc = chain[k]._like(dict(chain[k].data)) if F else chain[k]
-        for j, Fj in F.items():
-            r = -math.perm(j, k) * s ** (j - k) % p
-            acc._add_into(e.power(j_dual, j - k) * Fj, r)
-        Fk = acc._scale(pow(math.factorial(k), -1, p))
+    j, s = e.dual(i)
+    inv = [pow(math.factorial(r), -1, p) for r in range(len(chain))]
+    for k in range(len(chain)):
+        shift = {r: ((-s) ** r * inv[r] * inv[k], G) for r, G in enumerate(chain[k:])}
+        Fk = _horner_step(e.u(j), shift)
         if Fk:
-            F[k] = Fk
-    for k in sorted(F):
-        _peel(e, F[k], i + 1, m + (k,), out)
+            _peel(e, Fk, i + 1, m + (k,), out)
 
 
 def top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
@@ -144,21 +142,29 @@ def from_basis(e: Endo, coeffs: dict) -> WeylElem:
 def _horner(e: Endo, items: list, i: int) -> WeylElem:
     """sum u^_i^(m_i) .. u^_2n^(m_2n) g_m over the (m, g_m) of items: with
     u^_i = s u_j (Endo.dual) and G_r the same sum over the m with m_i = r,
-    sum_r u^_i^r G_r = G_0 + u_j (s G_1 + u_j (s^2 G_2 + ...))."""
+    sum_r u^_i^r G_r = sum_r s^r u_j^r G_r."""
     if i == e.alg.nvars:
         return items[0][1]
     groups: dict = {}
     for m, g in items:
         groups.setdefault(m[i], []).append((m, g))
     j, s = e.dual(i)
-    top = max(groups)
-    acc = _horner(e, groups[top], i + 1)
-    if s**top < 0:
-        acc = -acc
+    return _horner_step(e.u(j), {r: (s**r, _horner(e, g, i + 1)) for r, g in groups.items()})
+
+
+def _horner_step(u: WeylElem, terms: dict) -> WeylElem:
+    """sum_r w_r u^r G_r over {r: (w_r, G_r)} with integer weights w_r, as
+    w_0 G_0 + u (w_1 G_1 + u (w_2 G_2 + ...)): one product by u per step."""
+    N = u.ctx.res.N
+    top = max(terms)
+    w, acc = terms[top]
+    if w % N != 1:
+        acc = acc._scale(w % N)
     for r in range(top - 1, -1, -1):
-        acc = e.u(j) * acc
-        if r in groups:
-            acc._add_into(_horner(e, groups[r], i + 1), s**r % acc.ctx.res.N)
+        acc = u * acc
+        if r in terms:
+            w, G = terms[r]
+            acc._add_into(G, w % N)
     return acc
 
 

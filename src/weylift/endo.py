@@ -181,7 +181,7 @@ class Endo:
         return acc
 
     def power(self, i: int, e: int) -> WeylElem:
-        """u_i^e, from the cache of powers that every call fills and shares."""
+        """u_i^e from the map's cache of powers, whose one reader is apply."""
         cache = self._powers[i]
         while e >= len(cache):
             cache[len(cache)] = cache[len(cache) - 1] * self.images[i]

@@ -401,6 +401,11 @@ GOLDEN_SPEC_DIGESTS = {
         ("analyze", "gamma", "lift"): "c7aa3192a9741f5ec9905842713e074cb9057ee9260d32245fa5a2c186c1061f",
         ("trace-check",): "1779d8a6054e0e4317ceecce28d42e024102ac08850cc0d95bd19504e5ac8793",
     },
+    # p = 31, i = p - 1: obstructed, with ad chains of p - 1 = 30 steps
+    "etale_p31": {
+        ("analyze", "gamma", "lift"): "eb17f4ddf6617a7715e13efa11704cf13248fb6ff9eae26205105df465109245",
+        ("trace-check",): "4b57360cdabf68eef050f17fb28a1b4487e97aed1269310d5afc3af1106a71e5",
+    },
     "fourier_p3": {
         ("analyze", "gamma", "lift"): "810a1cc56048bcd2ba3de196aa315f975c402dc2c89cbbf857c4dfeb4a2e98cf",
         ("trace-check",): "63f80640484944c39d2fc78f8749826f9c8dd1a7817c0b4cb3873a926dde461c",
@@ -491,11 +496,11 @@ def test_corpus_takes_one_p_th_power_per_image(monkeypatch, p, n):
 
 def test_runs_leave_no_reference_cycles():
     """A pipeline run and a corpus run leave nothing for the cyclic collector:
-    the expansion's peel and Endo.power are plain calls, not self-referencing
-    closures, whose function-cell cycles kept every intermediate alive until
-    the collector ran.  etale_i0's lift runs the peel (the identity's
-    obstruction 2-form is zero), the corpus's compositions fill the power
-    cache."""
+    the expansion's peel, its Horner step and Endo.power are plain calls, not
+    self-referencing closures, whose function-cell cycles kept every
+    intermediate alive until the collector ran.  etale_i0's lift runs the
+    peel (the identity's obstruction 2-form is zero); the corpus's
+    compositions fill the power cache through apply, its one reader."""
     specs = [load_spec(SPEC_DIR / f"{name}.spec") for name in ("identity_p3", "etale_i0")]
     gc.collect()
     gc.disable()

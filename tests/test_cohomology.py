@@ -15,7 +15,7 @@ from itertools import product as iter_product
 from pathlib import Path
 
 import pytest
-from test_center import embed_center
+from test_center import embed_center, x_to_y
 
 from weylift import center as C
 from weylift import cli
@@ -413,26 +413,32 @@ def _f9_family_maps():
 
 
 def test_basis_expand_matches_oracle(corpus):
-    """The ad-chain peel and the linear-system oracle give the same expansion."""
+    """The ad-chain peel and the linear-system oracle give the same expansion.
+    The p = 7 etale maps at i = 5, 6 have chains of p - 1 steps, so the
+    Taylor weights 1/r! of the peel run up to 6!."""
     seeded = [e for e in corpus if (e.alg.field.p, e.alg.n) in {(3, 1), (3, 2), (5, 1)}]
-    checked = 0
-    for e in seeded[::4] + _f9_family_maps():
+    a7 = AlgebraParams(1, FieldParams(7))
+    p7 = [etale_family(a7, i) for i in (5, 6)]
+    checked = top7 = 0
+    for e in seeded[::4] + _f9_family_maps() + p7:
         for f in _expansion_inputs(e):
-            assert coh.basis_expand(e, f) == basis_expand_oracle(e, f)
+            got = coh.basis_expand(e, f)
+            assert got == basis_expand_oracle(e, f)
             checked += 1
-    assert checked >= 200
+            top7 += e.alg.field.p == 7 and any(6 in m for m in got)
+    assert checked >= 200 and top7 >= 10
 
 
 def test_top_coefficient_matches_expansion(corpus):
     """The single ad chain reads the top coefficient of the full peel."""
-    # the p = 5, n = 2 peels take about 11 s; the other sizes cover the claim
+    # the 168 p = 5, n = 2 expansions take about 1.5 s; the other sizes cover the claim
     seeded = [e for e in corpus if (e.alg.field.p, e.alg.n) != (5, 2)]
     checked = nonzero = 0
     for e in seeded + _f9_family_maps():
         top = (e.alg.field.p - 1,) * e.alg.nvars
         for f in _expansion_inputs(e):
             want = coh.basis_expand(e, f).get(top, e.alg.zero_elem()).to_center_poly()
-            assert coh.top_coefficient(e, f) == C.x_to_y(want)
+            assert coh.top_coefficient(e, f) == x_to_y(want)
             checked += 1
             nonzero += not want.is_zero()
     assert checked >= 1000 and nonzero >= 150
@@ -502,7 +508,7 @@ def test_harmonic_part_matches_obstruction_matrix(corpus):
         }
         assert set(harmonic) == nonzero
         for (i, j), g in harmonic.items():
-            assert g == C.x_to_y(Cm[i][j])
+            assert g == x_to_y(Cm[i][j])
             # extraction through the ad-chain on the twisted monomial
             mono = _ordered_monomial(
                 e, tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars))
@@ -654,6 +660,14 @@ def test_construct_lift_at_p61():
     assert isinstance(out, coh.Lift)
     assert coh.verify_lift(alg, out.Phi)
 
+
+def test_expansion_takes_no_powers_of_the_images():
+    """The obstructed p = 31 spec peels 30-step ad chains, yet construct_lift
+    leaves each image's power cache at u^0 and u^1: the peel's Taylor shift
+    multiplies by the image itself, one Horner step at a time."""
+    e = load_spec(SPEC_DIR / "etale_p31.spec").endo()
+    assert isinstance(coh.construct_lift(e), coh.ObstructionWitness)
+    assert [sorted(cache) for cache in e._powers] == [[0, 1], [0, 1]]
 
 def test_verify_lift_rejects_wrong_images(a1_f3):
     z1 = a1_f3.gen(0, "w2")

@@ -17,6 +17,7 @@ import random
 from math import factorial
 
 import pytest
+from test_center import x_to_y
 
 from weylift import center as C
 from weylift import diffeq as DQ
@@ -155,7 +156,7 @@ def test_trace_top_coefficient_three_routes(corpus):
             via_trace = TV.trace_top_coefficient(e, f)
             expansion = coh.basis_expand(e, f)
             top = expansion.get((p - 1,) * alg.nvars, alg.zero_elem())
-            assert via_trace == C.x_to_y(top.to_center_poly())
+            assert via_trace == x_to_y(top.to_center_poly())
 
 
 def test_trace_of_identity_and_top_product(a1_f3):
