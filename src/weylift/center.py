@@ -1,8 +1,10 @@
 """The center Z = k[x_1..x_2n] of A_n(k), x_i = z_i^p, and its Poisson structure.
 
-Polynomials carry a tag: "x" for center coordinates, "y" for coordinates on
-the polynomial algebra S = k[y_1..y_2n] with x_i = y_i^p.  The tag only
-guards against mixing the two coordinate systems; arithmetic is identical.
+Polynomials (weyl.Poly, built by the poly_* constructors there) carry a
+letter ``var``: "x" for center coordinates, "y" for coordinates on the
+polynomial algebra S = k[y_1..y_2n] with x_i = y_i^p.  This module holds
+the Poisson bracket, the change between the two letters, matrices of
+polynomials and their determinants, and the morphism criteria.
 
 The Poisson bracket on Z is {f, g} = sum_l (df/dx_l dg/dx_{n+l}
 - df/dx_{n+l} dg/dx_l), normalized so {x_i, x_j} = -omega_{ij}.  The
@@ -24,110 +26,8 @@ import functools
 
 from .errors import DivisionByZero, NotDivisibleByP, WeyliftError
 from .scalars import square_multiply
-from .weyl import (
-    AlgebraParams,
-    SparseElem,
-    WeylElem,
-    _aligned,
-    _Context,
-    _encode,
-    _layout,
-    _pack,
-    commutator,
-    teich_lift,
-    w2_decompose_elem,
-)
-
-
-class Poly(SparseElem):
-    """Sparse polynomial over k in 2n tagged commuting variables.
-
-    Poly(alg, tag, terms) takes {exponent vector: FieldElem} and drops zero
-    coefficients; a malformed vector raises WeyliftError.  The store is
-    SparseElem's.
-    """
-
-    __slots__ = ("tag",)
-    ring = "k"
-
-    def __init__(self, alg: AlgebraParams, tag: str, terms: dict):
-        if tag not in ("x", "y"):
-            raise WeyliftError(f"unknown variable tag {tag!r}")
-        self.alg, self.tag = alg, tag
-        self.ctx, self.data = _encode(alg, "k", terms)
-
-    @staticmethod
-    def _make(alg: AlgebraParams, tag: str, ctx: _Context, data: dict) -> Poly:
-        x = object.__new__(Poly)
-        x.alg, x.tag, x.ctx, x.data = alg, tag, ctx, data
-        return x
-
-    @property
-    def var(self) -> str:
-        return self.tag
-
-    def _like(self, data: dict, ctx: _Context | None = None) -> Poly:
-        return Poly._make(self.alg, self.tag, ctx or self.ctx, data)
-
-    def is_constant(self) -> bool:
-        return not any(self.data)
-
-    def homogeneous_slice(self, d: int) -> Poly:
-        exps = self.ctx.exps
-        return self._like({k: c for k, c in self.data.items() if sum(exps(k)) == d})
-
-    def __mul__(self, other: Poly) -> Poly:
-        """Term pairs by key addition; the coefficient sums reduce once per term."""
-        if not self.data or not other.data:
-            self._require_compatible(other)
-            return self._like({})
-        ctx, da, db = _aligned(self, other, True)
-        out: dict = {}
-        get = out.get
-        for ka, ca in da.items():
-            for kb, cb in db.items():
-                k, v = ka + kb, ca * cb
-                s = get(k)
-                out[k] = v if s is None else s + v
-        reduce = ctx.res.reduce
-        return self._like({k: r for k, v in out.items() if (r := reduce(v))}, ctx)
-
-    def pderiv_iter(self, i: int, r: int) -> Poly:
-        f = self
-        for _ in range(r):
-            f = f.pderiv(i)
-        return f
-
-    def lex_leading(self):
-        """(exponent, coefficient) of the lex-largest monomial."""
-        e, r = max(self._items())
-        return e, self.ctx.res.decode(self.alg.field, r)
-
-
-def poly_items(alg: AlgebraParams, tag: str, items: list) -> Poly:
-    """The polynomial of (exponent tuple, residue) pairs; zero residues drop."""
-    return Poly._make(alg, tag, *_pack(alg, "k", items))
-
-
-# -- constructors -----------------------------------------------------------
-
-
-def poly_zero(alg: AlgebraParams, tag: str) -> Poly:
-    return Poly._make(alg, tag, _layout(alg, "k"), {})
-
-
-def poly_one(alg: AlgebraParams, tag: str) -> Poly:
-    return Poly._make(alg, tag, _layout(alg, "k"), {0: 1})
-
-
-def poly_const(alg: AlgebraParams, tag: str, c) -> Poly:
-    return Poly(alg, tag, {(0,) * alg.nvars: c})
-
-
-def poly_var(alg: AlgebraParams, tag: str, i: int) -> Poly:
-    exps = [0] * alg.nvars
-    exps[i] = 1
-    return Poly(alg, tag, {tuple(exps): alg.field.one})
+from .weyl import AlgebraParams, Poly, WeylElem, commutator, teich_lift, w2_decompose_elem
+from .weyl import poly_const, poly_items, poly_one, poly_var, poly_zero  # also read as center.*
 
 
 # -- coordinate changes ------------------------------------------------------
@@ -135,18 +35,18 @@ def poly_var(alg: AlgebraParams, tag: str, i: int) -> Poly:
 
 def pth_power_retag(f: Poly) -> Poly:
     """f(y)^p rewritten through y_i^p = x_i: exponents kept, coefficients^p."""
-    if f.tag != "y":
+    if f.var != "y":
         raise WeyliftError("expected a y-polynomial")
     res, p = f.ctx.res, f.alg.field.p
-    return Poly._make(f.alg, "x", f.ctx, {k: res.pow(c, p) for k, c in f.data.items()})
+    return f._as("x", {k: res.pow(c, p) for k, c in f.data.items()})
 
 
 def pth_root_retag(f: Poly) -> Poly:
     """The y-polynomial g with g(y)^p = f(y^p): exponents kept, coefficient roots."""
-    if f.tag != "x":
+    if f.var != "x":
         raise WeyliftError("expected an x-polynomial")
     res, root = f.ctx.res, f.alg.field.p ** (f.alg.field.m - 1)
-    return Poly._make(f.alg, "y", f.ctx, {k: res.pow(c, root) for k, c in f.data.items()})
+    return f._as("y", {k: res.pow(c, root) for k, c in f.data.items()})
 
 
 # -- Poisson structure -------------------------------------------------------
@@ -161,7 +61,7 @@ def poisson(f: Poly, g: Poly) -> Poly:
 def _bracket(df: tuple, dg: tuple) -> Poly:
     """{f, g} from the gradients df, dg of f and g."""
     n = len(df) // 2
-    acc = poly_zero(df[0].alg, df[0].tag)
+    acc = poly_zero(df[0].alg, df[0].var)
     minus = acc.ctx.res.N - 1
     for l in range(n):
         for a, b, r in ((df[l], dg[n + l], 1), (df[n + l], dg[l], minus)):
@@ -192,14 +92,14 @@ def witt_brackets(elems: list[WeylElem]) -> Mat:
 # -- matrices of polynomials -------------------------------------------------
 #
 # A matrix is a tuple of row tuples of Poly, so matrices can be cached and
-# shared; every entry of one matrix has the same algebra and tag.
+# shared; every entry of one matrix has the same algebra and letter.
 
 Mat = tuple
 
 
 def mat_scalar(s: Poly, N: int) -> Mat:
     """The N x N matrix s * Id."""
-    z = poly_zero(s.alg, s.tag)
+    z = poly_zero(s.alg, s.var)
     return tuple(tuple(s if i == j else z for j in range(N)) for i in range(N))
 
 
@@ -245,7 +145,7 @@ def antisymmetric(alg: AlgebraParams, tag: str, entry, size: int = 0) -> Mat:
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
     """Matrix product; a pair with a zero factor costs nothing."""
-    zero = poly_zero(A[0][0].alg, A[0][0].tag)
+    zero = poly_zero(A[0][0].alg, A[0][0].var)
     cols = tuple(zip(*B))
     out = []
     for row in A:
@@ -261,7 +161,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 
 def mat_vec(A: Mat, v: list) -> list:
-    zero = poly_zero(A[0][0].alg, A[0][0].tag)
+    zero = poly_zero(A[0][0].alg, A[0][0].var)
     out = []
     for row in A:
         acc = zero
@@ -274,7 +174,7 @@ def mat_vec(A: Mat, v: list) -> list:
 
 def mat_pow(A: Mat, e: int) -> Mat:
     if not e:
-        return mat_identity(A[0][0].alg, A[0][0].tag, len(A))
+        return mat_identity(A[0][0].alg, A[0][0].var, len(A))
     return square_multiply(A, e, mat_mul)
 
 
@@ -317,8 +217,8 @@ def divexact(f: Poly, g: Poly) -> Poly:
             raise WeyliftError("division is not exact")
         qc = rc * gcinv
         quot[qe] = qc
-        rem = rem - Poly(f.alg, f.tag, {qe: qc}) * g
-    return Poly(f.alg, f.tag, quot)
+        rem = rem - Poly(f.alg, f.var, {qe: qc}) * g
+    return Poly(f.alg, f.var, quot)
 
 
 def det(M: Mat) -> Poly:
@@ -334,7 +234,7 @@ def det(M: Mat) -> Poly:
     size = len(M)
     if size == 0:
         raise WeyliftError("empty matrix")
-    alg, tag = M[0][0].alg, M[0][0].tag
+    alg, tag = M[0][0].alg, M[0][0].var
     if size <= 4:
         return _det_cofactor(M, alg, tag)
     return _det_bareiss(M, alg, tag)
@@ -380,12 +280,12 @@ def _det_bareiss(M, alg, tag) -> Poly:
 def bracket_matrix(J: Mat) -> Mat:
     """({F_i, F_j}) = J omega^{-1} J^T for the Jacobian J of (F_i), one
     bracket of two rows per entry above the diagonal."""
-    return antisymmetric(J[0][0].alg, J[0][0].tag, lambda i, j: _bracket(J[i], J[j]))
+    return antisymmetric(J[0][0].alg, J[0][0].var, lambda i, j: _bracket(J[i], J[j]))
 
 
 def is_poisson_morphism(B: Mat) -> bool:
     """Whether x_i -> F_i preserves {,}: B = J omega^{-1} J^T = omega^{-1}."""
-    return mat_eq(B, omega_inv_matrix(B[0][0].alg, B[0][0].tag))
+    return mat_eq(B, omega_inv_matrix(B[0][0].alg, B[0][0].var))
 
 
 def is_etale(J: Mat) -> bool:

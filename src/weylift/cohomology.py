@@ -46,7 +46,7 @@ from operator import add, sub
 from . import center as C
 from .endo import Endo
 from .errors import InternalInconsistency, NotClosed, WeyliftError
-from .weyl import AlgebraParams, WeylElem, _pack, _weyl, ad_pow, commutator, relation_defects
+from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, relation_defects
 from .weyl import times_p_elem
 
 
@@ -119,7 +119,7 @@ def top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
         f = ad_pow(e.u(i), p - 1, f)
     if not f.is_central():
         raise InternalInconsistency("the top coefficient is not central")
-    return C.Poly._make(e.alg, "y", f.ctx, f.data)
+    return f._as("y")
 
 
 def psi_forward(e: Endo, f: WeylElem) -> C.Poly:
@@ -171,7 +171,7 @@ def _horner_step(u: WeylElem, terms: dict) -> WeylElem:
 def psi_inverse(e: Endo, s: C.Poly) -> WeylElem:
     """psi^{-1}: y^b -> z^(b-m) u^^m for m = b mod p, each group's central
     factor packed straight from the y-exponents b."""
-    if s.tag != "y":
+    if s.var != "y":
         raise WeyliftError("psi_inverse expects a y-polynomial")
     alg = e.alg
     p = alg.field.p
@@ -179,7 +179,7 @@ def psi_inverse(e: Endo, s: C.Poly) -> WeylElem:
     for b, c in s._items():
         m = tuple(x % p for x in b)
         groups.setdefault(m, []).append((tuple(map(sub, b, m)), c))
-    return from_basis(e, {m: _weyl(alg, "k", *_pack(alg, "k", g)) for m, g in groups.items()})
+    return from_basis(e, {m: alg.from_items(g) for m, g in groups.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,7 @@ def construct_lift(e: Endo):
         hp = harmonic.get((i, j))
         if hp is not None:
             # c_ij(z^p) has the exponents of its k[y^p] coefficient
-            c = _weyl(alg, "k", hp.ctx, hp.data)
+            c = hp._as("z")
             if not c.is_central():
                 raise InternalInconsistency("harmonic coefficient is not a polynomial in y^p")
             want = {tuple(p - 1 if t in (i, j) else 0 for t in range(alg.nvars)): c}

@@ -43,7 +43,7 @@ def _rhs(images: list[C.Poly], i: int) -> C.Poly:
     """
     alg = images[0].alg
     n = alg.n
-    acc = C.poly_zero(alg, images[0].tag)
+    acc = C.poly_zero(alg, images[0].var)
     for l in range(n):
         acc = acc + images[l].pderiv(i) * images[n + l]
     return acc.pderiv_iter(i, alg.field.p - 1)
@@ -58,7 +58,7 @@ def _pth_root_termwise(f: C.Poly) -> C.Poly:
         if any(x % p for x in exps):
             return None
         items.append((tuple(x // p for x in exps), res.pow(c, root)))
-    return C.poly_items(f.alg, f.tag, items)
+    return C.poly_items(f.alg, f.var, items)
 
 
 def solve_gamma(rhs: C.Poly, i: int) -> C.Poly:
@@ -69,7 +69,7 @@ def solve_gamma(rhs: C.Poly, i: int) -> C.Poly:
     """
     alg = rhs.alg
     p = alg.field.p
-    gamma = C.poly_zero(alg, rhs.tag)
+    gamma = C.poly_zero(alg, rhs.var)
     R = rhs
     while not R.is_zero():
         D = int(R.degree())

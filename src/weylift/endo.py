@@ -51,8 +51,8 @@ class Endo:
         if len(images) != alg.nvars:
             raise WeyliftError(f"expected {alg.nvars} images, got {len(images)}")
         for u in images:
-            if u.alg != alg or u.ring != "k":
-                raise ParamsMismatch("images must live in A_n(k) for this algebra")
+            if not isinstance(u, WeylElem) or u.alg != alg or u.ring != "k":
+                raise ParamsMismatch("images must be Weyl elements of A_n(k) for this algebra")
         self.alg = alg
         self.images = list(images)
 

@@ -54,7 +54,7 @@ def mat_size(alg: AlgebraParams) -> int:
 
 
 def trace(A: C.Mat) -> C.Poly:
-    acc = C.poly_zero(A[0][0].alg, A[0][0].tag)
+    acc = C.poly_zero(A[0][0].alg, A[0][0].var)
     for i in range(len(A)):
         acc = acc + A[i][i]
     return acc
@@ -139,7 +139,7 @@ def trace_top_coefficient(e: Endo, f: WeylElem) -> C.Poly:
     kept = {k: c for k, c in f.data.items() if all(x % p == p - 1 for x in exps(k))}
     # every kept exponent is at least p - 1, so (p-1,..,p-1) packs at this width
     shift = ctx.key((p - 1,) * e.alg.nvars) if kept else 0
-    return C.Poly._make(e.alg, "y", ctx, {k - shift: c for k, c in kept.items()})
+    return f._as("y", {k - shift: c for k, c in kept.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def _as_uni(f: C.Poly, v: int) -> dict:
     out: dict = {}
     for e, c in f._items():
         out.setdefault(e[v], []).append((e[:v] + (0,) + e[v + 1 :], c))
-    return {d: C.poly_items(f.alg, f.tag, items) for d, items in out.items()}
+    return {d: C.poly_items(f.alg, f.var, items) for d, items in out.items()}
 
 
 def _from_uni(alg, tag, v: int, coeffs: dict) -> C.Poly:
@@ -181,7 +181,7 @@ def mv_gcd(f: C.Poly, g: C.Poly) -> C.Poly:
     v = _top_var(f)
     w = _top_var(g)
     if v is None or w is None:
-        return C.poly_one(f.alg, f.tag)
+        return C.poly_one(f.alg, f.var)
     v = max(v, w)
     uf, ug = _as_uni(f, v), _as_uni(g, v)
     cont_f = _content(uf)
@@ -232,7 +232,7 @@ def _prem(f: C.Poly, g: C.Poly, v: int) -> C.Poly:
             elif t + d - dg in nf:
                 del nf[t + d - dg]
         uf = {t: c for t, c in nf.items() if c}
-    return _from_uni(f.alg, f.tag, v, uf)
+    return _from_uni(f.alg, f.var, v, uf)
 
 
 def column_content(col: list) -> C.Poly:

@@ -1,9 +1,17 @@
-"""The Weyl algebra A_n over k = F_{p^m} and over W_2(k), in normal order.
+"""The Weyl algebra A_n over k = F_{p^m} and over W_2(k), in normal order,
+and the commutative polynomials over k that share its store.
 
 Generators z_1, ..., z_2n satisfy [z_i, z_j] = omega_{ij} with omega the
 block matrix [[0, -I_n], [I_n, 0]]; the conjugate pairs are (l, n+l).  Every
 element is stored as a sparse map from normally ordered monomials
 z_1^{e_1} ... z_2n^{e_2n} to nonzero coefficients.
+
+Two kinds share that store, and the letter ``var`` names the kind: WeylElem
+in z, and Poly over k in x (the center Z = k[x], x_i = z_i^p) or y (its
+Frobenius twist S = k[y], x_i = y_i^p).  One constructor, _new, builds each
+element from its five fields (algebra, ring, letter, set-up, store);
+f._as(var, data) re-reads a store in another letter on f's set-up, and
+AlgebraParams.from_items builds either kind from (exponent, residue) pairs.
 
 Multiplication uses the closed contraction formula (pairs are independent
 because the brackets are central):
@@ -21,10 +29,11 @@ vector is one int with a fixed-width field per variable (8, 16, 32 or 64
 bits), after Monagan and Pearce (CASC 2007); each element carries the
 width its largest exponent needs, and an operation re-packs the narrower
 operand, or both when a product could overflow (exponent sums of 2^64 or
-more raise WeyliftError).  Operands on one set-up object, with one algebra
-object, type and letter, skip _aligned's checks and width logic, except a
-product's overflow test.  A coefficient is a scalars.ResidueRing int: mod
-p or p^2 for m = 1, Kronecker-packed digits for m > 1.  So a monomial
+more raise WeyliftError).  Operands on one set-up object with one letter
+skip _aligned's checks and width logic, except a product's overflow test:
+the set-up is memoised by value (below), so one set-up object already means
+equal algebras and one ring.  A coefficient is a scalars.ResidueRing int:
+mod p or p^2 for m = 1, Kronecker-packed digits for m > 1.  So a monomial
 product is one addition, a k-fold contraction of pair l subtracts
 k * pack(e_l + e_{n+l}), coefficient products sum unreduced in a dict
 keyed by ints, and each output term is reduced once: one int path for
@@ -113,14 +122,14 @@ class AlgebraParams:
         """The integer t as a constant of A_n(k) or A_n(W_2(k)); 0 is the empty element."""
         ctx = _layout(self, ring)
         r = t % ctx.res.N  # the residue of an integer, for every m
-        return _weyl(self, ring, ctx, {0: r} if r else {})
+        return _new(WeylElem, self, ring, "z", ctx, {0: r} if r else {})
 
     def gen(self, i: int, ring: str = "k") -> WeylElem:
         """The generator z_{i+1} (0-based index i)."""
         if not 0 <= i < self.nvars:
             raise WeyliftError(f"generator index {i} out of range")
         ctx = _layout(self, ring)
-        return _weyl(self, ring, ctx, {1 << (ctx.width * i): 1})
+        return _new(WeylElem, self, ring, "z", ctx, {1 << (ctx.width * i): 1})
 
     def exponents(self, exps) -> tuple:
         """exps as a checked exponent vector: 2n ints >= 0 (no floats or strings)."""
@@ -138,6 +147,11 @@ class AlgebraParams:
 
     def from_terms(self, terms: dict, ring: str = "k") -> WeylElem:
         return WeylElem(self, ring, terms)
+
+    def from_items(self, items, var: str = "z") -> SparseElem:
+        """The element over k in the letter ``var`` ("z": WeylElem, "x" or
+        "y": Poly) of (exponent tuple, residue) pairs; zero residues drop."""
+        return _new(_KINDS[var], self, "k", var, *_pack(self, "k", items))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +261,10 @@ def _aligned(A: SparseElem, B: SparseElem, product: bool = False) -> tuple:
     top bit of its field set; only then are the largest exponents read.
     """
     ca, cb = A.ctx, B.ctx
-    if ca is cb and A.alg is B.alg and type(A) is type(B) and A.var == B.var:
-        # one set-up: nothing to check, and nothing to re-pack unless a
-        # product may overflow a field
+    if ca is cb and A.var == B.var:
+        # one set-up (so equal algebras and one ring) and one letter: nothing
+        # to check, and nothing to re-pack unless a product may overflow a
+        # field
         if not product or not (_or_keys(A.data) | _or_keys(B.data)) & ca.high:
             return ca, A.data, B.data
     A._require_compatible(B)
@@ -268,12 +283,14 @@ def _aligned(A: SparseElem, B: SparseElem, product: bool = False) -> tuple:
 class SparseElem:
     """A sparse map from exponent vectors to nonzero coefficients.
 
-    The arithmetic WeylElem and center.Poly share, on one store: ``data``
-    is {packed exponent int: residue int} at the width of the set-up
-    ``ctx``.  A subclass names its coefficient ring ("k" or "w2") in
-    ``ring`` and the variable letter in ``var``; operands must agree on the
-    algebra, the ring and the letter.  It supplies ``_like`` (an element of
-    its own kind with the given store) and its own product.
+    The arithmetic WeylElem and Poly share, on one store: ``data`` is
+    {packed exponent int: residue int} at the width of the set-up ``ctx``,
+    over the algebra ``alg`` and the coefficient ring ``ring`` ("k" or
+    "w2"), in the letter ``var``, which names the kind ("z": WeylElem, "x"
+    or "y": Poly).  Operands must agree on the algebra, the ring and the
+    letter.  _new builds every element from those five fields; _like keeps
+    all but the store (and set-up), _as all but the letter.  Each subclass
+    supplies its own product.
 
     Every constructor that takes coefficient objects goes through _encode,
     which checks each exponent vector; ``terms`` hands out a fresh decoded
@@ -285,10 +302,18 @@ class SparseElem:
     sharing across threads or caches is safe.
     """
 
-    __slots__ = ("alg", "ctx", "data")
+    __slots__ = ("alg", "ring", "var", "ctx", "data")
 
     def _like(self, data: dict, ctx: _Context | None = None):
-        raise NotImplementedError
+        """An element of this kind, algebra, ring and letter holding ``data``."""
+        return _new(type(self), self.alg, self.ring, self.var, ctx or self.ctx, data)
+
+    def _as(self, var: str, data: dict | None = None):
+        """The element in the letter ``var`` on this set-up, holding ``data``
+        or, by default, this store: a change of coordinates that keeps every
+        packed key."""
+        data = self.data if data is None else data
+        return _new(_KINDS[var], self.alg, self.ring, var, self.ctx, data)
 
     def _require_compatible(self, other) -> None:
         if (
@@ -320,9 +345,11 @@ class SparseElem:
         return bool(self.data)
 
     def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
+        if not isinstance(other, SparseElem):
             return NotImplemented
-        if (self.alg, self.ring, self.var) != (other.alg, other.ring, other.var):
+        if self.var != other.var or (
+            self.ctx is not other.ctx and (self.alg, self.ring) != (other.alg, other.ring)
+        ):
             return False
         _, a, b = _aligned(self, other)
         return a == b
@@ -413,30 +440,28 @@ class SparseElem:
         return self._like(out)
 
 
-def _weyl(alg: AlgebraParams, ring: str, ctx: _Context, data: dict) -> WeylElem:
-    x = object.__new__(WeylElem)
-    x.alg, x.ring, x.ctx, x.data = alg, ring, ctx, data
+def _new(cls, alg: AlgebraParams, ring: str, var: str, ctx: _Context, data: dict):
+    """The element of class ``cls`` on the given fields: the one constructor
+    of every sparse element."""
+    x = object.__new__(cls)
+    x.alg, x.ring, x.var, x.ctx, x.data = alg, ring, var, ctx, data
     return x
 
 
 class WeylElem(SparseElem):
-    """A sparse element of A_n over k ("k") or over W_2(k) ("w2").
+    """A sparse element of A_n over k ("k") or over W_2(k) ("w2"), in z.
 
     WeylElem(alg, ring, terms) takes {exponent vector: FieldElem or Witt2}
     and drops zero coefficients; a malformed vector raises WeyliftError.
     """
 
-    __slots__ = ("ring",)
-    var = "z"
+    __slots__ = ()
 
     def __init__(self, alg: AlgebraParams, ring: str, terms: dict):
         if ring not in ("k", "w2"):
             raise WeyliftError(f"unknown coefficient ring {ring!r}")
-        self.alg, self.ring = alg, ring
+        self.alg, self.ring, self.var = alg, ring, "z"
         self.ctx, self.data = _encode(alg, ring, terms)
-
-    def _like(self, data: dict, ctx: _Context | None = None) -> WeylElem:
-        return _weyl(self.alg, self.ring, ctx or self.ctx, data)
 
     # -- multiplication ------------------------------------------------------
 
@@ -454,18 +479,91 @@ class WeylElem(SparseElem):
         p = self.alg.field.p
         return not any(x % p for e in map(self.ctx.exps, self.data) for x in e)
 
-    def to_center_poly(self):
+    def to_center_poly(self) -> Poly:
         """Rewrite a central element over k as a polynomial in x_i = z_i^p."""
-        from .center import Poly
-
         p = self.alg.field.p
         if self.ring != "k" or not self.is_central():
             raise NotCentral("element has an exponent not divisible by p")
-        ctx = self.ctx
-        key = ctx.key
-        return Poly._make(
-            self.alg, "x", ctx, {key([x // p for x in e]): c for e, c in self._items()}
-        )
+        key = self.ctx.key
+        return self._as("x", {key([x // p for x in e]): c for e, c in self._items()})
+
+
+class Poly(SparseElem):
+    """A sparse polynomial over k in 2n commuting variables, x or y.
+
+    Poly(alg, tag, terms) takes {exponent vector: FieldElem} and drops zero
+    coefficients; a malformed vector raises WeyliftError.  The letter only
+    guards against mixing the two coordinate systems; arithmetic is
+    identical.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, alg: AlgebraParams, tag: str, terms: dict):
+        if tag not in ("x", "y"):
+            raise WeyliftError(f"unknown variable tag {tag!r}")
+        self.alg, self.ring, self.var = alg, "k", tag
+        self.ctx, self.data = _encode(alg, "k", terms)
+
+    def is_constant(self) -> bool:
+        return not any(self.data)
+
+    def homogeneous_slice(self, d: int) -> Poly:
+        exps = self.ctx.exps
+        return self._like({k: c for k, c in self.data.items() if sum(exps(k)) == d})
+
+    def __mul__(self, other: Poly) -> Poly:
+        """Term pairs by key addition; the coefficient sums reduce once per term."""
+        if not self.data or not other.data:
+            self._require_compatible(other)
+            return self._like({})
+        ctx, da, db = _aligned(self, other, True)
+        out: dict = {}
+        get = out.get
+        for ka, ca in da.items():
+            for kb, cb in db.items():
+                k, v = ka + kb, ca * cb
+                s = get(k)
+                out[k] = v if s is None else s + v
+        reduce = ctx.res.reduce
+        return self._like({k: r for k, v in out.items() if (r := reduce(v))}, ctx)
+
+    def pderiv_iter(self, i: int, r: int) -> Poly:
+        f = self
+        for _ in range(r):
+            f = f.pderiv(i)
+        return f
+
+    def lex_leading(self):
+        """(exponent, coefficient) of the lex-largest monomial."""
+        e, r = max(self._items())
+        return e, self.ctx.res.decode(self.alg.field, r)
+
+
+_KINDS = {"z": WeylElem, "x": Poly, "y": Poly}
+
+
+def poly_items(alg: AlgebraParams, tag: str, items) -> Poly:
+    """The polynomial of (exponent tuple, residue) pairs; zero residues drop."""
+    return alg.from_items(items, tag)
+
+
+def poly_zero(alg: AlgebraParams, tag: str) -> Poly:
+    return _new(Poly, alg, "k", tag, _layout(alg, "k"), {})
+
+
+def poly_one(alg: AlgebraParams, tag: str) -> Poly:
+    return _new(Poly, alg, "k", tag, _layout(alg, "k"), {0: 1})
+
+
+def poly_const(alg: AlgebraParams, tag: str, c) -> Poly:
+    return Poly(alg, tag, {(0,) * alg.nvars: c})
+
+
+def poly_var(alg: AlgebraParams, tag: str, i: int) -> Poly:
+    exps = [0] * alg.nvars
+    exps[i] = 1
+    return Poly(alg, tag, {tuple(exps): alg.field.one})
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +753,7 @@ def teich_lift(f: WeylElem) -> WeylElem:
         raise WeyliftError("teich_lift expects an element over k")
     ctx, w2 = _with_ring(f, "w2")
     q = f.alg.field.q
-    return _weyl(f.alg, "w2", ctx, {k: w2.pow(c, q) for k, c in f.data.items()})
+    return _new(WeylElem, f.alg, "w2", "z", ctx, {k: w2.pow(c, q) for k, c in f.data.items()})
 
 
 def times_p_elem(F: WeylElem) -> WeylElem:
@@ -666,7 +764,8 @@ def times_p_elem(F: WeylElem) -> WeylElem:
     """
     ctx, w2 = _with_ring(F, "w2")
     p, reduce = F.alg.field.p, w2.reduce
-    return _weyl(F.alg, "w2", ctx, {k: v for k, c in F.data.items() if (v := reduce(p * c))})
+    data = {k: v for k, c in F.data.items() if (v := reduce(p * c))}
+    return _new(WeylElem, F.alg, "w2", "z", ctx, data)
 
 
 def w2_decompose_elem(F: WeylElem) -> tuple[WeylElem, WeylElem]:
@@ -683,7 +782,7 @@ def w2_decompose_elem(F: WeylElem) -> tuple[WeylElem, WeylElem]:
             t1[key] = b1
         if b2:
             t2[key] = b2
-    return _weyl(F.alg, "k", ctx, t1), _weyl(F.alg, "k", ctx, t2)
+    return _new(WeylElem, F.alg, "k", "z", ctx, t1), _new(WeylElem, F.alg, "k", "z", ctx, t2)
 
 
 def relation_defects(alg: AlgebraParams, lifts: list[WeylElem]):

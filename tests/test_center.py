@@ -17,14 +17,14 @@ from weylift.weyl import AlgebraParams, WeylElem, commutator
 
 def embed_center(f: C.Poly) -> WeylElem:
     """f(x) as the central element f(z^p) of A_n(k)."""
-    assert f.tag == "x"
+    assert f.var == "x"
     p = f.alg.field.p
     return f.alg.from_terms({tuple(p * a for a in e): c for e, c in f.terms.items()})
 
 
 def x_to_y(f: C.Poly) -> C.Poly:
     """f(x) -> f(y^p): the y-polynomial with every exponent multiplied by p."""
-    assert f.tag == "x"
+    assert f.var == "x"
     p = f.alg.field.p
     return C.poly_items(f.alg, "y", [(tuple(p * a for a in e), c) for e, c in f._items()])
 
@@ -101,7 +101,7 @@ def test_retag_round_trips(a1):
     for _ in range(10):
         f = _rand_poly(a1, rng, tag="y")
         fp = C.pth_power_retag(f)
-        assert fp.tag == "x"
+        assert fp.var == "x"
         assert C.pth_root_retag(fp) == f
         assert x_to_y(fp) == f**3
 
@@ -124,7 +124,7 @@ def test_det_routes_agree(corpus):
     for e in (etale_family(AlgebraParams(1, f5), 4, f5.one), p3_n2[1]):
         mats.append(TV.conjugator_for_endo(e).G)
     for M in mats:
-        alg, tag = M[0][0].alg, M[0][0].tag
+        alg, tag = M[0][0].alg, M[0][0].var
         assert C._det_cofactor(M, alg, tag) == C._det_bareiss(M, alg, tag)
     assert [len(M) for M in mats[-2:]] == [5, 9]
 

@@ -124,7 +124,7 @@ def test_bounded_degree_forces_constant_gamma():
 def _bump(M: C.Mat, i: int, j: int) -> C.Mat:
     """M with 1 added to entry (i, j)."""
     rows = [list(row) for row in M]
-    rows[i][j] = rows[i][j] + C.poly_one(rows[i][j].alg, rows[i][j].tag)
+    rows[i][j] = rows[i][j] + C.poly_one(rows[i][j].alg, rows[i][j].var)
     return tuple(map(tuple, rows))
 
 

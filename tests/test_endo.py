@@ -21,7 +21,7 @@ from weylift.endo import (
     identity_endo,
     validate,
 )
-from weylift.errors import InternalInconsistency, RelationViolation, ResourceLimit
+from weylift.errors import InternalInconsistency, ParamsMismatch, RelationViolation, ResourceLimit
 from weylift.scalars import FieldParams
 from weylift.weyl import AlgebraParams, commutator
 
@@ -38,6 +38,16 @@ def test_validate_rejects_degenerate_images(a1_f3):
         validate([z1, z1])
     # [z1, z1] = 0 misses omega_{12} = -1 by exactly 1
     assert exc.value.residual == a1_f3.one_elem()
+
+
+def test_images_must_be_weyl_elements_over_k(a1_f3):
+    """Center polynomials, or Weyl elements over W_2, are not images: their
+    stores would otherwise be read as Weyl elements over k."""
+    polys = [C.poly_var(a1_f3, "x", 0), C.poly_var(a1_f3, "x", 1)]
+    with pytest.raises(ParamsMismatch):
+        validate(polys)
+    with pytest.raises(ParamsMismatch):
+        Endo(a1_f3, [a1_f3.gen(0, "w2"), a1_f3.gen(1, "w2")])
 
 
 def test_validate_bkk(a2_f3):

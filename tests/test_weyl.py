@@ -30,14 +30,17 @@ maximal Kronecker digits onto one key, agree with term-wise references.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import operator
 import random
 from itertools import product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import weylift
 from weylift.endo import generate_corpus
 from weylift.errors import ParamsMismatch, WeyliftError
 from weylift.scalars import FieldParams, Witt2, teichmuller
@@ -688,19 +691,37 @@ def test_different_algebras_keep_their_own_set_up():
 
 def test_tagged_polys_on_one_set_up_still_refuse_to_mix():
     """x- and y-polynomials (and Weyl elements) of one algebra share one
-    set-up object, so _aligned's direct path must not let them combine."""
+    set-up object, so _aligned's direct path must not let them combine,
+    not even a Weyl element and a polynomial on one store."""
     from weylift import center as C
 
     alg = AlgebraParams(1, FieldParams(3))
     x = C.poly_var(alg, "x", 0) + C.poly_one(alg, "x")
     y = C.poly_var(alg, "y", 1) + C.poly_one(alg, "y")
     z = alg.gen(0) + alg.one_elem()
-    assert x.ctx is y.ctx is z.ctx
-    for a, b in ((x, y), (y, x), (x, z), (z, x)):
+    zx = z._as("x")  # z's own store, read in x
+    assert x.ctx is y.ctx is z.ctx is zx.ctx and zx.data is z.data
+    assert type(zx) is C.Poly
+    for a, b in ((x, y), (y, x), (x, z), (z, x), (zx, z), (z, zx)):
         for combine in (operator.add, operator.sub, operator.mul):
             with pytest.raises(ParamsMismatch):
                 combine(a, b)
-    assert x != y and x != z
+    assert x != y and x != z and z != zx and zx != z
+    assert zx == C.poly_var(alg, "x", 0) + C.poly_one(alg, "x")
+
+
+def test_only_weyl_imports_its_private_names():
+    """The packed store stays behind weyl: no other module of the package
+    imports a name starting with _ from it."""
+    src = Path(weylift.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "weyl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("weyl", "weylift.weyl"):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not found
 
 
 def test_equal_but_distinct_algebras_still_combine():
