@@ -96,7 +96,7 @@ def _trace_samples(e: Endo, seed: int) -> list[WeylElem]:
         for _ in range(rng.randint(1, 3)):
             exps = tuple(rng.randint(0, p - 1) for _ in range(alg.nvars))
             coeffs[exps] = (coeffs.get(exps, 0) + rng.randint(1, p - 1)) % p
-        samples.append(alg.from_items(list(coeffs.items())))
+        samples.append(alg.from_items(coeffs.items()))
     return samples
 
 

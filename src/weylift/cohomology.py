@@ -46,8 +46,7 @@ from operator import add, sub
 from . import center as C
 from .endo import Endo
 from .errors import InternalInconsistency, NotClosed, WeyliftError
-from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, relation_defects
-from .weyl import times_p_elem
+from .weyl import AlgebraParams, WeylElem, ad_pow, commutator, relation_defects, times_p_elem
 
 
 # ---------------------------------------------------------------------------

@@ -288,9 +288,9 @@ class SparseElem:
     over the algebra ``alg`` and the coefficient ring ``ring`` ("k" or
     "w2"), in the letter ``var``, which names the kind ("z": WeylElem, "x"
     or "y": Poly).  Operands must agree on the algebra, the ring and the
-    letter.  _new builds every element from those five fields; _like keeps
-    all but the store (and set-up), _as all but the letter.  Each subclass
-    supplies its own product.
+    letter.  _new builds every element from those five fields; _like swaps
+    the store (and set-up), _as the letter (and the store, if given).  Each
+    subclass supplies its own product.
 
     Every constructor that takes coefficient objects goes through _encode,
     which checks each exponent vector; ``terms`` hands out a fresh decoded
