@@ -1,10 +1,11 @@
 """The center Z = k[x_1..x_2n] of A_n(k), x_i = z_i^p, and its Poisson structure.
 
-Polynomials (weyl.Poly, built by the poly_* constructors there) carry a
-letter ``var``: "x" for center coordinates, "y" for coordinates on the
-polynomial algebra S = k[y_1..y_2n] with x_i = y_i^p.  This module holds
-the Poisson bracket, the change between the two letters, matrices of
-polynomials and their determinants, and the morphism criteria.
+Polynomials (weyl.Poly, built by AlgebraParams.const, gen and from_items
+or the Poly class there) carry a letter ``var``: "x" for center
+coordinates, "y" for coordinates on the polynomial algebra
+S = k[y_1..y_2n] with x_i = y_i^p.  This module holds the Poisson
+bracket, the change between the two letters, matrices of polynomials and
+their determinants, and the morphism criteria.
 
 The Poisson bracket on Z is {f, g} = sum_l (df/dx_l dg/dx_{n+l}
 - df/dx_{n+l} dg/dx_l), normalized so {x_i, x_j} = -omega_{ij}.  The
@@ -27,7 +28,6 @@ import functools
 from .errors import DivisionByZero, NotDivisibleByP, WeyliftError
 from .scalars import square_multiply
 from .weyl import AlgebraParams, Poly, WeylElem, commutator, teich_lift, w2_decompose_elem
-from .weyl import poly_const, poly_items, poly_one, poly_var, poly_zero  # also read as center.*
 
 
 # -- coordinate changes ------------------------------------------------------
@@ -61,7 +61,7 @@ def poisson(f: Poly, g: Poly) -> Poly:
 def _bracket(df: tuple, dg: tuple) -> Poly:
     """{f, g} from the gradients df, dg of f and g."""
     n = len(df) // 2
-    acc = poly_zero(df[0].alg, df[0].var)
+    acc = df[0].alg.const(0, var=df[0].var)
     minus = acc.ctx.res.N - 1
     for l in range(n):
         for a, b, r in ((df[l], dg[n + l], 1), (df[n + l], dg[l], minus)):
@@ -99,16 +99,16 @@ Mat = tuple
 
 def mat_scalar(s: Poly, N: int) -> Mat:
     """The N x N matrix s * Id."""
-    z = poly_zero(s.alg, s.var)
+    z = s.alg.const(0, var=s.var)
     return tuple(tuple(s if i == j else z for j in range(N)) for i in range(N))
 
 
-def mat_zero(alg: AlgebraParams, tag: str, N: int) -> Mat:
-    return mat_scalar(poly_zero(alg, tag), N)
+def mat_zero(alg: AlgebraParams, var: str, N: int) -> Mat:
+    return mat_scalar(alg.const(0, var=var), N)
 
 
-def mat_identity(alg: AlgebraParams, tag: str, N: int) -> Mat:
-    return mat_scalar(poly_one(alg, tag), N)
+def mat_identity(alg: AlgebraParams, var: str, N: int) -> Mat:
+    return mat_scalar(alg.const(1, var=var), N)
 
 
 def jacobian(images: list[Poly]) -> Mat:
@@ -117,25 +117,25 @@ def jacobian(images: list[Poly]) -> Mat:
 
 
 @functools.cache
-def omega_matrix(alg: AlgebraParams, tag: str) -> Mat:
+def omega_matrix(alg: AlgebraParams, var: str) -> Mat:
     size = alg.nvars
     return tuple(
-        tuple(poly_const(alg, tag, alg.field.from_int(alg.omega_int(i, j))) for j in range(size))
+        tuple(alg.const(alg.omega_int(i, j), var=var) for j in range(size))
         for i in range(size)
     )
 
 
 @functools.cache
-def omega_inv_matrix(alg: AlgebraParams, tag: str) -> Mat:
+def omega_inv_matrix(alg: AlgebraParams, var: str) -> Mat:
     """omega^{-1} = -omega for the standard symplectic form."""
-    return tuple(tuple(-a for a in row) for row in omega_matrix(alg, tag))
+    return tuple(tuple(-a for a in row) for row in omega_matrix(alg, var))
 
 
-def antisymmetric(alg: AlgebraParams, tag: str, entry, size: int = 0) -> Mat:
+def antisymmetric(alg: AlgebraParams, var: str, entry, size: int = 0) -> Mat:
     """The size x size (default 2n x 2n) antisymmetric matrix with
     entry(i, j) above the diagonal."""
     size = size or alg.nvars
-    M = [[poly_zero(alg, tag)] * size for _ in range(size)]
+    M = [[alg.const(0, var=var)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
             M[i][j] = e = entry(i, j)
@@ -145,7 +145,7 @@ def antisymmetric(alg: AlgebraParams, tag: str, entry, size: int = 0) -> Mat:
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
     """Matrix product; a pair with a zero factor costs nothing."""
-    zero = poly_zero(A[0][0].alg, A[0][0].var)
+    zero = A[0][0].alg.const(0, var=A[0][0].var)
     cols = tuple(zip(*B))
     out = []
     for row in A:
@@ -161,7 +161,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 
 def mat_vec(A: Mat, v: list) -> list:
-    zero = poly_zero(A[0][0].alg, A[0][0].var)
+    zero = A[0][0].alg.const(0, var=A[0][0].var)
     out = []
     for row in A:
         acc = zero
@@ -234,36 +234,36 @@ def det(M: Mat) -> Poly:
     size = len(M)
     if size == 0:
         raise WeyliftError("empty matrix")
-    alg, tag = M[0][0].alg, M[0][0].var
+    alg, var = M[0][0].alg, M[0][0].var
     if size <= 4:
-        return _det_cofactor(M, alg, tag)
-    return _det_bareiss(M, alg, tag)
+        return _det_cofactor(M, alg, var)
+    return _det_bareiss(M, alg, var)
 
 
-def _det_cofactor(M, alg, tag) -> Poly:
+def _det_cofactor(M, alg, var) -> Poly:
     size = len(M)
     if size == 1:
         return M[0][0]
-    acc = poly_zero(alg, tag)
+    acc = alg.const(0, var=var)
     sign = alg.field.one
     for j in range(size):
         if M[0][j]:
             minor = [[M[i][jj] for jj in range(size) if jj != j] for i in range(1, size)]
-            acc = acc + M[0][j].scale(sign) * _det_cofactor(minor, alg, tag)
+            acc = acc + M[0][j].scale(sign) * _det_cofactor(minor, alg, var)
         sign = -sign
     return acc
 
 
-def _det_bareiss(M, alg, tag) -> Poly:
+def _det_bareiss(M, alg, var) -> Poly:
     size = len(M)
     A = [list(row) for row in M]
-    prev = poly_one(alg, tag)
+    prev = alg.const(1, var=var)
     sign = False
     for r in range(size - 1):
         if A[r][r].is_zero():
             swap = next((i for i in range(r + 1, size) if not A[i][r].is_zero()), None)
             if swap is None:
-                return poly_zero(alg, tag)
+                return alg.const(0, var=var)
             A[r], A[swap] = A[swap], A[r]
             sign = not sign
         for i in range(r + 1, size):

@@ -85,12 +85,12 @@ def _trace_samples(e: Endo, seed: int) -> list[WeylElem]:
     # the expansion side does not need the bound; it stays so that the
     # sample set, and with it the work a trace-check does, is fixed per map.
     if e.deg * (p - 1) * alg.nvars <= 10:
-        top = alg.one_elem()
+        top = alg.const(1)
         for i in range(alg.nvars):
             top = top * e.u(i) ** (p - 1)
     else:
         top = alg.monomial((p - 1,) * alg.nvars, alg.field.one, "k")
-    samples = [alg.one_elem(), top]
+    samples = [alg.const(1), top]
     for _ in range(6):
         coeffs: dict = {}
         for _ in range(rng.randint(1, 3)):

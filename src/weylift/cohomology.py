@@ -128,13 +128,13 @@ def psi_forward(e: Endo, f: WeylElem) -> C.Poly:
         for m, g in basis_expand(e, f).items()
         for b, c in g._items()
     ]
-    return C.poly_items(e.alg, "y", items)
+    return e.alg.from_items(items, "y")
 
 
 def from_basis(e: Endo, coeffs: dict) -> WeylElem:
     """sum_m u^^m g_m for {m: central g_m}; the inverse of basis_expand."""
     if not coeffs:
-        return e.alg.zero_elem()
+        return e.alg.const(0)
     return _horner(e, list(coeffs.items()), 0)
 
 
@@ -210,7 +210,7 @@ class Form:
     __hash__ = None
 
     def slot(self, I: tuple) -> C.Poly:
-        return self.coeffs.get(I, C.poly_zero(self.alg, "y"))
+        return self.coeffs.get(I, self.alg.const(0, var="y"))
 
     def __add__(self, other: Form) -> Form:
         if self.degree != other.degree or self.alg != other.alg:
@@ -272,13 +272,13 @@ def _integrate(f: C.Poly, v: int) -> C.Poly:
         for e, c in f._items()
         if e[v] % p != p - 1
     ]
-    return C.poly_items(f.alg, "y", items)
+    return f.alg.from_items(items, "y")
 
 
 def _wedge(c: int, v: int, G: Form) -> Form:
     """y_v^c dy_v ^ G for a form G in the variables after y_v."""
     alg = G.alg
-    yc = C.poly_items(alg, "y", [(tuple(c if i == v else 0 for i in range(alg.nvars)), 1)])
+    yc = alg.from_items([(tuple(c if i == v else 0 for i in range(alg.nvars)), 1)], "y")
     return Form(alg, G.degree + 1, {(v,) + J: yc * g for J, g in G.coeffs.items()})
 
 
@@ -312,7 +312,7 @@ def _split_closed(F: Form):
                 stripped = e[:v] + (0,) + e[v + 1 :]
                 groups.setdefault(e[v], {}).setdefault(I[1:], []).append((stripped, c))
         for cv, slots in sorted(groups.items()):
-            W = Form(alg, q - 1, {J: C.poly_items(alg, "y", items) for J, items in slots.items()})
+            W = Form(alg, q - 1, {J: alg.from_items(items, "y") for J, items in slots.items()})
             if q == 1:
                 if any(x % p for e, _ in W.slot(())._items() for x in e):
                     raise InternalInconsistency("1-form residual escapes the harmonic pattern")
@@ -347,7 +347,7 @@ def split_closed_2form(F: Form):
             (tuple(x - (p - 1) if i in I else x for i, x in enumerate(e)), c)
             for e, c in f._items()
         ]
-        harmonic[I] = C.poly_items(F.alg, "y", kpart)
+        harmonic[I] = F.alg.from_items(kpart, "y")
     return h, harmonic
 
 

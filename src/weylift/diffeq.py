@@ -39,11 +39,11 @@ def _rhs(images: list[C.Poly], i: int) -> C.Poly:
     """(d/dv_i)^{p-1} sum_{l<n} (d g_l/dv_i) g_{n+l} for the images g.
 
     The images are ybar (y-level, the gamma equation) or the center images
-    (x-level, the f equation); the result keeps their tag.
+    (x-level, the f equation); the result keeps their letter.
     """
     alg = images[0].alg
     n = alg.n
-    acc = C.poly_zero(alg, images[0].var)
+    acc = alg.const(0, var=images[0].var)
     for l in range(n):
         acc = acc + images[l].pderiv(i) * images[n + l]
     return acc.pderiv_iter(i, alg.field.p - 1)
@@ -58,18 +58,18 @@ def _pth_root_termwise(f: C.Poly) -> C.Poly:
         if any(x % p for x in exps):
             return None
         items.append((tuple(x // p for x in exps), res.pow(c, root)))
-    return C.poly_items(f.alg, f.var, items)
+    return f.alg.from_items(items, f.var)
 
 
 def solve_gamma(rhs: C.Poly, i: int) -> C.Poly:
     """Solve gamma^p + (d/dy_i)^{p-1} gamma = rhs by degree descent.
 
-    Works uniformly for the y-level and x-level equations (the tag of rhs
+    Works uniformly for the y-level and x-level equations (the letter of rhs
     is kept).  Raises NoSolution when a slice blocks the descent.
     """
     alg = rhs.alg
     p = alg.field.p
-    gamma = C.poly_zero(alg, rhs.var)
+    gamma = alg.const(0, var=rhs.var)
     R = rhs
     while not R.is_zero():
         D = int(R.degree())
@@ -136,8 +136,8 @@ def check_matrix_id(e: Endo, sol: GammaSolution) -> bool:
     matrix of Jbar^T, must equal omega^{-1} + J_gamma - J_gamma^T.
     """
     levels = ((sol.J_ybar, sol.J_gamma, "y"), (e.center_jacobian, sol.J_f, "x"))
-    for J, Jg, tag in levels:
-        rhs = C.mat_add(C.omega_inv_matrix(e.alg, tag), C.mat_sub(Jg, C.mat_transpose(Jg)))
+    for J, Jg, var in levels:
+        rhs = C.mat_add(C.omega_inv_matrix(e.alg, var), C.mat_sub(Jg, C.mat_transpose(Jg)))
         if not C.mat_eq(C.bracket_matrix(C.mat_transpose(J)), rhs):
             return False
     return True

@@ -102,7 +102,7 @@ class Endo:
 
     def u_ij(self, i: int, j: int) -> WeylElem:
         if i == j:
-            return self.alg.zero_elem()
+            return self.alg.const(0)
         if i < j:
             return self._u_ij_upper[(i, j)]
         return -self._u_ij_upper[(j, i)]
@@ -174,7 +174,7 @@ class Endo:
         """phi(f): substitute the images into a normally ordered element."""
         if f.alg != self.alg or f.ring != "k":
             raise ParamsMismatch("apply expects an element of A_n(k)")
-        acc = self.alg.zero_elem()
+        acc = self.alg.const(0)
         for exps, c in f._items():
             factors = [self.power(i, x) for i, x in enumerate(exps) if x] or [self.power(0, 0)]
             acc._add_into(reduce(mul, factors), c)
@@ -190,7 +190,7 @@ class Endo:
     @cached_property
     def _powers(self) -> list[dict[int, WeylElem]]:
         """{e: u_i^e} per image, for e = 0, 1, .. as far as power reached."""
-        return [{0: self.alg.one_elem(), 1: u} for u in self.images]
+        return [{0: self.alg.const(1), 1: u} for u in self.images]
 
     def compose(self, other: Endo) -> Endo:
         """self after other: z_i -> self(other(z_i))."""
@@ -350,7 +350,7 @@ def _random_half_poly(alg: AlgebraParams, rng: random.Random, half: str, max_deg
             exps[lo + rng.randrange(n)] += 1
         c = alg.field.from_int(rng.randint(1, alg.field.p - 1))
         terms[tuple(exps)] = c
-    return alg.from_terms(terms)
+    return WeylElem(alg, "k", terms)
 
 
 def _random_linear(alg: AlgebraParams, rng: random.Random) -> list[Endo]:

@@ -64,22 +64,22 @@ def fixture_bkk() -> None:
     alg = AlgebraParams(2, field)
     e = bkk_family(alg, 2, field.one)
     rep = e.analyze()
-    minus1 = C.poly_const(alg, "x", -field.one)
+    minus1 = alg.const(-1, var="x")
     for i in range(4):
         for j in range(4):
             want = minus1 if (i, j) == (0, 3) else (-minus1 if (i, j) == (3, 0) else None)
             got = rep.C[i][j]
-            assert got == (want if want is not None else C.poly_zero(alg, "x"))
+            assert got == (want if want is not None else alg.const(0, var="x"))
     assert not rep.liftable and not rep.poisson
     sol = DQ.gamma_solution(e)
-    assert sol.gamma[2] == C.poly_var(alg, "y", 1)
+    assert sol.gamma[2] == alg.gen(1, var="y")
     for i in (0, 1, 3):
         assert sol.gamma[i].is_zero()
     assert not sol.symmetric
     want = (
-        C.poly_var(alg, "x", 0)
+        alg.gen(0, var="x")
         + C.Poly(alg, "x", {(0, 3, 2, 0): field.one})
-        - C.poly_var(alg, "x", 1)
+        - alg.gen(1, var="x")
     )
     assert e.center_images[0] == want
 
@@ -111,7 +111,7 @@ def fixture_obstruction_witness() -> None:
     e = bkk_family(alg, 2, field.one)
     out = coh.construct_lift(e)
     assert isinstance(out, coh.ObstructionWitness)
-    assert out.harmonic[(0, 3)] == C.poly_const(alg, "y", -field.one)
+    assert out.harmonic[(0, 3)] == alg.const(-1, var="y")
     assert list(out.harmonic) == [(0, 3)]
 
 
@@ -122,15 +122,15 @@ def fixture_trace() -> None:
     ide = identity_endo(alg)
     f = alg.monomial((2, 2), field.one, "k")
     via_matrix = TV.trace(TV.rep(alg, f))
-    assert via_matrix == C.poly_const(alg, "y", -field.one)
+    assert via_matrix == alg.const(-1, var="y")
     assert TV.trace_top_coefficient(ide, f) == -via_matrix
-    assert TV.trace_top_coefficient(ide, f) == C.poly_one(alg, "y")
+    assert TV.trace_top_coefficient(ide, f) == alg.const(1, var="y")
     alg2 = AlgebraParams(2, field)
     e = bkk_family(alg2, 2, field.one)
-    prod = alg2.one_elem()
+    prod = alg2.const(1)
     for i in range(4):
         prod = prod * e.u(i) ** 2
-    assert TV.trace_top_coefficient(e, prod) == C.poly_one(alg2, "y")
+    assert TV.trace_top_coefficient(e, prod) == alg2.const(1, var="y")
 
 
 def fixture_conjugator() -> None:

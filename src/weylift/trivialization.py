@@ -54,7 +54,7 @@ def mat_size(alg: AlgebraParams) -> int:
 
 
 def trace(A: C.Mat) -> C.Poly:
-    acc = C.poly_zero(A[0][0].alg, A[0][0].var)
+    acc = A[0][0].alg.const(0, var=A[0][0].var)
     for i in range(len(A)):
         acc = acc + A[i][i]
     return acc
@@ -76,19 +76,19 @@ def nu(alg: AlgebraParams, i: int) -> C.Mat:
     N = mat_size(alg)
     l = i % n
     step = p ** (n - 1 - l)
-    rows = [[C.poly_zero(alg, "y") for _ in range(N)] for _ in range(N)]
+    rows = [[alg.const(0, var="y") for _ in range(N)] for _ in range(N)]
     for c, e in enumerate(product(range(p), repeat=n)):
         if i < n and e[l] < p - 1:
-            rows[c + step][c] = C.poly_one(alg, "y")
+            rows[c + step][c] = alg.const(1, var="y")
         elif i >= n and e[l] > 0:
-            rows[c - step][c] = C.poly_const(alg, "y", alg.field.from_int(e[l]))
+            rows[c - step][c] = alg.const(e[l], var="y")
     return tuple(tuple(row) for row in rows)
 
 
 @functools.cache
 def rep_gen(alg: AlgebraParams, i: int) -> C.Mat:
     """rep(z_i) = nu_i + y_i * Id."""
-    return C.mat_add(nu(alg, i), C.mat_scalar(C.poly_var(alg, "y", i), mat_size(alg)))
+    return C.mat_add(nu(alg, i), C.mat_scalar(alg.gen(i, var="y"), mat_size(alg)))
 
 
 @functools.cache
@@ -112,7 +112,7 @@ def rep(alg: AlgebraParams, f: WeylElem) -> C.Mat:
             term = pw if term is None else C.mat_mul(term, pw)
         if term is None:
             term = C.mat_identity(alg, "y", N)
-        acc = C.mat_add(acc, C.mat_scale(term, C.poly_const(alg, "y", c)))
+        acc = C.mat_add(acc, C.mat_scale(term, C.Poly(alg, "y", {(0,) * alg.nvars: c})))
     return acc
 
 
@@ -156,12 +156,12 @@ def _as_uni(f: C.Poly, v: int) -> dict:
     out: dict = {}
     for e, c in f._items():
         out.setdefault(e[v], []).append((e[:v] + (0,) + e[v + 1 :], c))
-    return {d: C.poly_items(f.alg, f.var, items) for d, items in out.items()}
+    return {d: f.alg.from_items(items, f.var) for d, items in out.items()}
 
 
-def _from_uni(alg, tag, v: int, coeffs: dict) -> C.Poly:
+def _from_uni(alg, var, v: int, coeffs: dict) -> C.Poly:
     items = [(e[:v] + (d,) + e[v + 1 :], c) for d, g in coeffs.items() for e, c in g._items()]
-    return C.poly_items(alg, tag, items)
+    return alg.from_items(items, var)
 
 
 def _normalize(f: C.Poly) -> C.Poly:
@@ -181,7 +181,7 @@ def mv_gcd(f: C.Poly, g: C.Poly) -> C.Poly:
     v = _top_var(f)
     w = _top_var(g)
     if v is None or w is None:
-        return C.poly_one(f.alg, f.var)
+        return f.alg.const(1, var=f.var)
     v = max(v, w)
     uf, ug = _as_uni(f, v), _as_uni(g, v)
     cont_f = _content(uf)
@@ -315,7 +315,7 @@ def recover_conjugator(A: list, B: list) -> C.Mat:
     """
     alg = A[0][0][0].alg
     N = len(A[0])
-    zero, one = C.poly_zero(alg, "y"), C.poly_one(alg, "y")
+    zero, one = alg.const(0, var="y"), alg.const(1, var="y")
     for j in range(N):
         col = _project(A, B, [one if k == j else zero for k in range(N)])
         if any(col):

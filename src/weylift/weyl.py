@@ -9,9 +9,12 @@ z_1^{e_1} ... z_2n^{e_2n} to nonzero coefficients.
 Two kinds share that store, and the letter ``var`` names the kind: WeylElem
 in z, and Poly over k in x (the center Z = k[x], x_i = z_i^p) or y (its
 Frobenius twist S = k[y], x_i = y_i^p).  One constructor, _new, builds each
-element from its five fields (algebra, ring, letter, set-up, store);
-f._as(var, data) re-reads a store in another letter on f's set-up, and
-AlgebraParams.from_items builds either kind from (exponent, residue) pairs.
+element from its five fields (algebra, ring, letter, set-up, store), and
+f._as(var, data) re-reads a store in another letter on f's set-up.  Each
+input form has one public constructor for every letter, which checks the
+ring, letter and index once: AlgebraParams.const (an integer), gen (a
+generator index), from_items ((exponent, residue) pairs), and WeylElem /
+Poly (coefficient objects).
 
 Multiplication uses the closed contraction formula (pairs are independent
 because the brackets are central):
@@ -112,24 +115,20 @@ class AlgebraParams:
 
     # -- element constructors ------------------------------------------------
 
-    def zero_elem(self, ring: str = "k") -> WeylElem:
-        return self.const(0, ring)
-
-    def one_elem(self, ring: str = "k") -> WeylElem:
-        return self.const(1, ring)
-
-    def const(self, t: int, ring: str = "k") -> WeylElem:
-        """The integer t as a constant of A_n(k) or A_n(W_2(k)); 0 is the empty element."""
-        ctx = _layout(self, ring)
+    def const(self, t: int, ring: str = "k", var: str = "z") -> SparseElem:
+        """The integer t as a constant over ``ring`` in the letter ``var``
+        ("z": WeylElem, "x" or "y": Poly over k); 0 is the empty element."""
+        cls, ctx = _kind(ring, var), _layout(self, ring)
         r = t % ctx.res.N  # the residue of an integer, for every m
-        return _new(WeylElem, self, ring, "z", ctx, {0: r} if r else {})
+        return _new(cls, self, ring, var, ctx, {0: r} if r else {})
 
-    def gen(self, i: int, ring: str = "k") -> WeylElem:
-        """The generator z_{i+1} (0-based index i)."""
-        if not 0 <= i < self.nvars:
-            raise WeyliftError(f"generator index {i} out of range")
+    def gen(self, i: int, ring: str = "k", var: str = "z") -> SparseElem:
+        """The generator z_{i+1} (0-based index i), or x_{i+1} or y_{i+1}."""
+        cls = _kind(ring, var)
+        if not (isinstance(i, int) and 0 <= i < self.nvars):
+            raise WeyliftError(f"generator index {i!r} out of range")
         ctx = _layout(self, ring)
-        return _new(WeylElem, self, ring, "z", ctx, {1 << (ctx.width * i): 1})
+        return _new(cls, self, ring, var, ctx, {1 << (ctx.width * i): 1})
 
     def exponents(self, exps) -> tuple:
         """exps as a checked exponent vector: 2n ints >= 0 (no floats or strings)."""
@@ -145,13 +144,10 @@ class AlgebraParams:
         coeff = self.ring_one(ring) if coeff is None else coeff
         return WeylElem(self, ring, {tuple(exps): coeff})
 
-    def from_terms(self, terms: dict, ring: str = "k") -> WeylElem:
-        return WeylElem(self, ring, terms)
-
     def from_items(self, items, var: str = "z") -> SparseElem:
         """The element over k in the letter ``var`` ("z": WeylElem, "x" or
         "y": Poly) of (exponent tuple, residue) pairs; zero residues drop."""
-        return _new(_KINDS[var], self, "k", var, *_pack(self, "k", items))
+        return _new(_kind("k", var), self, "k", var, *_pack(self, "k", items))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +454,7 @@ class WeylElem(SparseElem):
     __slots__ = ()
 
     def __init__(self, alg: AlgebraParams, ring: str, terms: dict):
-        if ring not in ("k", "w2"):
-            raise WeyliftError(f"unknown coefficient ring {ring!r}")
+        _kind(ring, "z")
         self.alg, self.ring, self.var = alg, ring, "z"
         self.ctx, self.data = _encode(alg, ring, terms)
 
@@ -491,18 +486,19 @@ class WeylElem(SparseElem):
 class Poly(SparseElem):
     """A sparse polynomial over k in 2n commuting variables, x or y.
 
-    Poly(alg, tag, terms) takes {exponent vector: FieldElem} and drops zero
-    coefficients; a malformed vector raises WeyliftError.  The letter only
-    guards against mixing the two coordinate systems; arithmetic is
-    identical.
+    Poly(alg, var, terms) takes the letter var ("x" or "y") and {exponent
+    vector: FieldElem}, and drops zero coefficients; a malformed vector
+    raises WeyliftError.  AlgebraParams.const, gen and from_items build
+    polynomials from integers, indices and residues.  The letter only guards
+    against mixing the two coordinate systems; arithmetic is identical.
     """
 
     __slots__ = ()
 
-    def __init__(self, alg: AlgebraParams, tag: str, terms: dict):
-        if tag not in ("x", "y"):
-            raise WeyliftError(f"unknown variable tag {tag!r}")
-        self.alg, self.ring, self.var = alg, "k", tag
+    def __init__(self, alg: AlgebraParams, var: str, terms: dict):
+        if var not in ("x", "y"):
+            raise WeyliftError(f"unknown polynomial variable {var!r}")
+        self.alg, self.ring, self.var = alg, "k", var
         self.ctx, self.data = _encode(alg, "k", terms)
 
     def is_constant(self) -> bool:
@@ -543,27 +539,16 @@ class Poly(SparseElem):
 _KINDS = {"z": WeylElem, "x": Poly, "y": Poly}
 
 
-def poly_items(alg: AlgebraParams, tag: str, items) -> Poly:
-    """The polynomial of (exponent tuple, residue) pairs; zero residues drop."""
-    return alg.from_items(items, tag)
-
-
-def poly_zero(alg: AlgebraParams, tag: str) -> Poly:
-    return _new(Poly, alg, "k", tag, _layout(alg, "k"), {})
-
-
-def poly_one(alg: AlgebraParams, tag: str) -> Poly:
-    return _new(Poly, alg, "k", tag, _layout(alg, "k"), {0: 1})
-
-
-def poly_const(alg: AlgebraParams, tag: str, c) -> Poly:
-    return Poly(alg, tag, {(0,) * alg.nvars: c})
-
-
-def poly_var(alg: AlgebraParams, tag: str, i: int) -> Poly:
-    exps = [0] * alg.nvars
-    exps[i] = 1
-    return Poly(alg, tag, {tuple(exps): alg.field.one})
+def _kind(ring: str, var: str) -> type:
+    """The class of elements over ``ring`` in the letter ``var``: the one
+    check of every constructor (a polynomial is over k)."""
+    if ring not in ("k", "w2"):
+        raise WeyliftError(f"unknown coefficient ring {ring!r}")
+    if var not in _KINDS:
+        raise WeyliftError(f"unknown variable {var!r}")
+    if var != "z" and ring != "k":
+        raise WeyliftError(f"polynomials in {var} are over k, not {ring!r}")
+    return _KINDS[var]
 
 
 # ---------------------------------------------------------------------------

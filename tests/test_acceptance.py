@@ -28,7 +28,7 @@ from weylift import cohomology as coh
 from weylift import diffeq as DQ
 from weylift.endo import bkk_family, etale_family
 from weylift.scalars import FieldParams
-from weylift.weyl import AlgebraParams, commutator, times_p_elem
+from weylift.weyl import AlgebraParams, WeylElem, commutator, times_p_elem
 
 
 @pytest.fixture
@@ -61,8 +61,8 @@ def test_criterion_01_bkk_obstruction_and_gamma(gate):
             sol = DQ.gamma_solution(e)
             elapsed = time.monotonic() - t0
             assert not rep.liftable and not rep.poisson
-            minus_one = C.poly_const(alg, "x", k.from_int(-1))
-            one = C.poly_const(alg, "x", k.one)
+            minus_one = alg.const(-1, var="x")
+            one = alg.const(1, var="x")
             for i in range(4):
                 for j in range(4):
                     if (i, j) == (0, 3):
@@ -72,8 +72,8 @@ def test_criterion_01_bkk_obstruction_and_gamma(gate):
                     else:
                         assert rep.C[i][j].is_zero()
             y2 = C.Poly(alg, "y", {(0, 1, 0, 0): k.one})
-            assert sol.gamma == [C.poly_zero(alg, "y"), C.poly_zero(alg, "y"),
-                                 y2, C.poly_zero(alg, "y")]
+            assert sol.gamma == [alg.const(0, var="y"), alg.const(0, var="y"),
+                                 y2, alg.const(0, var="y")]
             want_x1 = C.Poly(alg, "x", {
                 (1, 0, 0, 0): k.one,
                 (0, p, p - 1, 0): k.one,
@@ -96,7 +96,7 @@ def test_criterion_02_etale_family_flags_and_lifts(gate):
         # Phi(z1) = [z1] - p [z2^2 z1], Phi(z2) = [z2] + [z2^3]
         Phi1 = alg.gen(0, "w2") - times_p_elem(alg.monomial((1, 2), field.one, "k"))
         Phi2 = alg.gen(1, "w2") + alg.monomial((0, 3), field.w2_one(), "w2")
-        om = alg.from_terms({(0, 0): field.w2_from_int(-1)}, "w2")
+        om = WeylElem(alg, "w2", {(0, 0): field.w2_from_int(-1)})
         assert commutator(Phi1, Phi2) == om
         assert coh.verify_lift(alg, [Phi1, Phi2])
         lift = coh.construct_lift(e0)

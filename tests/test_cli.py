@@ -116,7 +116,7 @@ def test_trace_gate_exits_4(capsys, monkeypatch):
     trace = cli.TV.trace_top_coefficient
 
     def off_by_one(e, f):
-        return trace(e, f) + C.poly_one(e.alg, "y")
+        return trace(e, f) + e.alg.const(1, var="y")
 
     monkeypatch.setattr(cli.TV, "trace_top_coefficient", off_by_one)
     code, out, err = _run(capsys, ["trace-check", "--input", str(SPEC_DIR / "bkk_p3.spec")])
@@ -133,14 +133,14 @@ def _trace_samples_by_terms(e, seed):
     p = alg.field.p
     rng = random.Random(("trace", seed, p, alg.n).__repr__())
     if e.deg * (p - 1) * alg.nvars <= 10:
-        top = alg.one_elem()
+        top = alg.const(1)
         for i in range(alg.nvars):
             top = top * e.u(i) ** (p - 1)
     else:
         top = alg.monomial((p - 1,) * alg.nvars, alg.field.one, "k")
-    samples = [alg.one_elem(), top]
+    samples = [alg.const(1), top]
     for _ in range(6):
-        f = alg.zero_elem()
+        f = alg.const(0)
         for _ in range(rng.randint(1, 3)):
             exps = tuple(rng.randint(0, p - 1) for _ in range(alg.nvars))
             f = f + alg.monomial(exps, alg.field.from_int(rng.randint(1, p - 1)), "k")

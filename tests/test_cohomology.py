@@ -65,10 +65,10 @@ FORM_ALGS = [(3, 1), (3, 2), (5, 1), (2, 2)]
 
 def test_d_examples():
     alg = AlgebraParams(1, FieldParams(3))
-    y1 = C.poly_var(alg, "y", 0)
+    y1 = alg.gen(0, var="y")
     F = coh.Form(alg, 1, {(1,): y1})  # y1 dy2
     dF = F.d()
-    assert dF.slot((0, 1)) == C.poly_one(alg, "y")
+    assert dF.slot((0, 1)) == alg.const(1, var="y")
     # the harmonic generator y1^2 y2^2 dy1 dy2 is closed
     h = coh.Form(
         alg, 2, {(0, 1): C.Poly(alg, "y", {(2, 2): alg.field.one})}
@@ -191,7 +191,7 @@ def _assemble_harmonic(alg, harmonic):
 
 def test_split_examples():
     alg = AlgebraParams(1, FieldParams(3))
-    one = C.poly_one(alg, "y")
+    one = alg.const(1, var="y")
     F = coh.Form(alg, 2, {(0, 1): one})  # dy1 dy2
     h, harmonic = coh.split_closed_2form(F)
     assert harmonic == {}
@@ -218,13 +218,13 @@ def test_split_examples():
 
 def test_split_rejects_non_closed():
     alg = AlgebraParams(1, FieldParams(3))
-    y2 = C.poly_var(alg, "y", 1)
+    y2 = alg.gen(1, var="y")
     F = coh.Form(alg, 2, {(0, 1): y2 * y2})  # d(F) = 2 y2 dy2 dy1 dy2? no:
     # coefficient y2^2 depends on y2 only through dy2-slot... d is the y1-derivative
     # into slot (0,1) from (1,)? directly: d(y2^2 dy1 dy2) = 0; use y1^2 y2 dy1 dy2? no
     # d(g dy1 dy2) always 0 for n=1.  Use n=2 to get a genuine non-closed 2-form.
     alg2 = AlgebraParams(2, FieldParams(3))
-    g = C.poly_var(alg2, "y", 2)  # y3
+    g = alg2.gen(2, var="y")  # y3
     F2 = coh.Form(alg2, 2, {(0, 1): g})
     assert not F2.d().is_zero()
     with pytest.raises(NotClosed):
@@ -239,8 +239,8 @@ def test_hat_u_and_duality(a1_f3, corpus):
         alg = e.alg
         for i in range(alg.nvars):
             for j in range(alg.nvars):
-                want = alg.from_terms(
-                    {(0,) * alg.nvars: alg.field.from_int(1 if i == j else 0)}
+                want = WeylElem(
+                    alg, "k", {(0,) * alg.nvars: alg.field.from_int(1 if i == j else 0)}
                 )
                 assert commutator(e.u(i), u_hat(e, j)) == want
 
@@ -252,11 +252,13 @@ def test_basis_expand_reconstructs(corpus):
     checked = 0
     for e in corpus + _f9_family_maps():
         alg = e.alg
-        f = alg.from_terms(
+        f = WeylElem(
+            alg,
+            "k",
             {
                 tuple(rng.randint(0, 2) for _ in range(alg.nvars)): alg.field.from_int(1)
                 for _ in range(2)
-            }
+            },
         )
         for x in [f] + (_expansion_inputs(e) if alg.field.m > 1 else []):
             assert coh.from_basis(e, coh.basis_expand(e, x)) == x
@@ -350,7 +352,7 @@ def _exps_bounded(nvars: int, total: int):
 
 def _ordered_monomial(e: Endo, m: tuple) -> WeylElem:
     """The ordered product u^_1^{m_1} ... u^_2n^{m_2n}."""
-    out = e.alg.one_elem()
+    out = e.alg.const(1)
     for i, x in enumerate(m):
         out = out * u_hat(e, i) ** x
     return out
@@ -437,7 +439,7 @@ def test_top_coefficient_matches_expansion(corpus):
     for e in seeded + _f9_family_maps():
         top = (e.alg.field.p - 1,) * e.alg.nvars
         for f in _expansion_inputs(e):
-            want = coh.basis_expand(e, f).get(top, e.alg.zero_elem()).to_center_poly()
+            want = coh.basis_expand(e, f).get(top, e.alg.const(0)).to_center_poly()
             assert coh.top_coefficient(e, f) == x_to_y(want)
             checked += 1
             nonzero += not want.is_zero()
@@ -455,18 +457,20 @@ def test_top_coefficient_off_the_span_is_internal(a1_f3):
 def test_psi_properties(a1_f3, corpus):
     ident = identity_endo(a1_f3)
     # z1 = u-hat_2 at the identity, so psi(z1) = y2
-    assert coh.psi_forward(ident, a1_f3.gen(0)) == C.poly_var(a1_f3, "y", 1)
-    assert coh.psi_forward(ident, a1_f3.one_elem()) == C.poly_one(a1_f3, "y")
+    assert coh.psi_forward(ident, a1_f3.gen(0)) == a1_f3.gen(1, var="y")
+    assert coh.psi_forward(ident, a1_f3.const(1)) == a1_f3.const(1, var="y")
     for e in corpus[::9]:
         alg = e.alg
         rng = random.Random(("psi", alg.field.p, alg.n).__repr__())
-        f = alg.from_terms(
+        f = WeylElem(
+            alg,
+            "k",
             {
                 tuple(rng.randint(0, 2) for _ in range(alg.nvars)): alg.field.from_int(
                     rng.randint(1, alg.field.p - 1)
                 )
                 for _ in range(2)
-            }
+            },
         )
         s = coh.psi_forward(e, f)
         assert coh.psi_inverse(e, s) == f
@@ -477,7 +481,7 @@ def test_psi_properties(a1_f3, corpus):
 
 def test_psi_on_center(a1_f3):
     e = etale_family(a1_f3, 1, a1_f3.field.one)
-    f = embed_center(C.poly_var(a1_f3, "x", 0))  # z1^p as an element
+    f = embed_center(a1_f3.gen(0, var="x"))  # z1^p as an element
     assert coh.psi_forward(e, f) == C.Poly(a1_f3, "y", {(3, 0): a1_f3.field.one})
 
 
@@ -680,4 +684,4 @@ def test_construct_lift_bkk_witness(a2_f3):
     out = coh.construct_lift(e)
     assert isinstance(out, coh.ObstructionWitness)
     assert list(out.harmonic) == [(0, 3)]
-    assert out.harmonic[(0, 3)] == C.poly_const(a2_f3, "y", -a2_f3.field.one)
+    assert out.harmonic[(0, 3)] == a2_f3.const(-1, var="y")

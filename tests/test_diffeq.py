@@ -18,12 +18,12 @@ from weylift.weyl import AlgebraParams
 def test_phi_S_fixtures(a1_f3, a2_f3):
     ident = identity_endo(a2_f3)
     for i in range(4):
-        assert DQ.phi_S(ident, i) == C.poly_var(a2_f3, "y", i)
+        assert DQ.phi_S(ident, i) == a2_f3.gen(i, var="y")
     bkk = bkk_family(a2_f3, 2, a2_f3.field.one)
-    y = [C.poly_var(a2_f3, "y", i) for i in range(4)]
+    y = [a2_f3.gen(i, var="y") for i in range(4)]
     assert DQ.phi_S(bkk, 0) == y[0] + y[1] ** 3 * y[2] ** 2 - y[1]
     et = etale_family(a1_f3, 0, a1_f3.field.one)
-    w = [C.poly_var(a1_f3, "y", i) for i in range(2)]
+    w = [a1_f3.gen(i, var="y") for i in range(2)]
     assert DQ.phi_S(et, 1) == w[1] + w[1] ** 3
 
 
@@ -37,19 +37,19 @@ def test_phi_S_is_pth_root(corpus):
 def test_rhs_gamma_fixtures(a1_f3, a2_f3):
     assert all(r.is_zero() for r in DQ.gamma_solution(identity_endo(a2_f3)).rhs)
     bkk = bkk_family(a2_f3, 2, a2_f3.field.one)
-    y2 = C.poly_var(a2_f3, "y", 1)
+    y2 = a2_f3.gen(1, var="y")
     assert DQ.gamma_solution(bkk).rhs[2] == y2**3
 
 
 def test_solve_gamma_unit_cases(a1_f3):
-    zero = C.poly_zero(a1_f3, "y")
+    zero = a1_f3.const(0, var="y")
     assert DQ.solve_gamma(zero, 0).is_zero()
     # rhs = y2^3 in coordinate 2 of the n=2 algebra: gamma = y2
     a2 = AlgebraParams(2, a1_f3.field)
-    y2 = C.poly_var(a2, "y", 1)
+    y2 = a2.gen(1, var="y")
     assert DQ.solve_gamma(y2**3, 2) == y2
     # constant right side: gamma = c^{1/p}
-    c = C.poly_const(a1_f3, "y", a1_f3.field.from_int(2))
+    c = a1_f3.const(2, var="y")
     got = DQ.solve_gamma(c, 0)
     assert got.is_constant()
     assert got**3 == c
@@ -64,19 +64,19 @@ def test_solve_gamma_plugs_back(corpus_gamma):
 
 
 def test_solve_gamma_rejects_unreachable_rhs(a1_f3):
-    y1 = C.poly_var(a1_f3, "y", 0)
+    y1 = a1_f3.gen(0, var="y")
     with pytest.raises(NoSolution):
         DQ.solve_gamma(y1, 0)  # degree 1 < p with no constant match
     with pytest.raises(NoSolution):
-        DQ.solve_gamma(y1**4 * C.poly_var(a1_f3, "y", 1) ** 2, 0)  # top not a cube
+        DQ.solve_gamma(y1**4 * a1_f3.gen(1, var="y") ** 2, 0)  # top not a cube
 
 
 def test_gamma_solution_bkk(a2_f3):
     sol = DQ.gamma_solution(bkk_family(a2_f3, 2, a2_f3.field.one))
-    y2 = C.poly_var(a2_f3, "y", 1)
+    y2 = a2_f3.gen(1, var="y")
     assert sol.gamma[2] == y2
     assert sol.gamma[0].is_zero() and sol.gamma[1].is_zero() and sol.gamma[3].is_zero()
-    x2 = C.poly_var(a2_f3, "x", 1)
+    x2 = a2_f3.gen(1, var="x")
     assert sol.f[2] == x2
     assert not sol.symmetric
 
@@ -124,7 +124,7 @@ def test_bounded_degree_forces_constant_gamma():
 def _bump(M: C.Mat, i: int, j: int) -> C.Mat:
     """M with 1 added to entry (i, j)."""
     rows = [list(row) for row in M]
-    rows[i][j] = rows[i][j] + C.poly_one(rows[i][j].alg, rows[i][j].var)
+    rows[i][j] = rows[i][j] + rows[i][j].alg.const(1, var=rows[i][j].var)
     return tuple(map(tuple, rows))
 
 

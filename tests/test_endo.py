@@ -37,13 +37,13 @@ def test_validate_rejects_degenerate_images(a1_f3):
     with pytest.raises(RelationViolation) as exc:
         validate([z1, z1])
     # [z1, z1] = 0 misses omega_{12} = -1 by exactly 1
-    assert exc.value.residual == a1_f3.one_elem()
+    assert exc.value.residual == a1_f3.const(1)
 
 
 def test_images_must_be_weyl_elements_over_k(a1_f3):
     """Center polynomials, or Weyl elements over W_2, are not images: their
     stores would otherwise be read as Weyl elements over k."""
-    polys = [C.poly_var(a1_f3, "x", 0), C.poly_var(a1_f3, "x", 1)]
+    polys = [a1_f3.gen(0, var="x"), a1_f3.gen(1, var="x")]
     with pytest.raises(ParamsMismatch):
         validate(polys)
     with pytest.raises(ParamsMismatch):
@@ -74,7 +74,7 @@ def test_u_ij_of_an_unvalidated_violation_is_bad_input(a1_f3):
     with pytest.raises(RelationViolation) as exc:
         Endo(a1_f3, [z1, z1]).u_ij(0, 1)
     assert (exc.value.i, exc.value.j) == (0, 1)
-    assert exc.value.residual == a1_f3.one_elem()
+    assert exc.value.residual == a1_f3.const(1)
 
 
 def _first_k_violation(e: Endo):
@@ -278,12 +278,12 @@ def test_degree_bound_theorem_corpus(corpus_reports, corpus_gamma):
 def test_center_images_fixtures(a1_f3, a2_f3):
     ident = identity_endo(a2_f3)
     for i in range(4):
-        assert ident.center_images[i] == C.poly_var(a2_f3, "x", i)
+        assert ident.center_images[i] == a2_f3.gen(i, var="x")
     bkk = bkk_family(a2_f3, 2, a2_f3.field.one)
-    x = [C.poly_var(a2_f3, "x", i) for i in range(4)]
+    x = [a2_f3.gen(i, var="x") for i in range(4)]
     assert bkk.center_images[0] == x[0] + x[1] ** 3 * x[2] ** 2 - x[1]
     et = etale_family(a1_f3, 0, a1_f3.field.one)
-    y = [C.poly_var(a1_f3, "x", i) for i in range(2)]
+    y = [a1_f3.gen(i, var="x") for i in range(2)]
     assert et.center_images[1] == y[1] + y[1] ** 3
 
 
@@ -350,7 +350,7 @@ def test_composition_of_liftable_is_liftable():
 
 
 def test_elementary_zero_is_identity(a1_f3):
-    e = elementary(a1_f3, a1_f3.zero_elem(), "second")
+    e = elementary(a1_f3, a1_f3.const(0), "second")
     assert e.images == identity_endo(a1_f3).images
 
 

@@ -19,7 +19,7 @@ from weylift.parser import (
     parse_spec_text,
 )
 from weylift.scalars import FieldParams, Witt2
-from weylift.weyl import AlgebraParams
+from weylift.weyl import AlgebraParams, WeylElem
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -29,7 +29,7 @@ def _rand_elem(alg, rng, max_deg=5, max_terms=4):
     for _ in range(rng.randint(1, max_terms)):
         exps = tuple(rng.randint(0, max_deg) for _ in range(alg.nvars))
         terms[exps] = alg.field.from_int(rng.randint(1, alg.field.p - 1))
-    return alg.from_terms(terms)
+    return WeylElem(alg, "k", terms)
 
 
 def test_round_trip_500_random_elements():
@@ -53,13 +53,13 @@ def test_grammar_examples(a1_f3):
     two = a1_f3.field.from_int(2)
     assert parse_expr(a1_f3, "z1") == a1_f3.gen(0)
     assert parse_expr(a1_f3, "z1*z2") == a1_f3.monomial((1, 1))
-    assert parse_expr(a1_f3, "z2*z1") == a1_f3.gen(0) * a1_f3.gen(1) + a1_f3.one_elem()
+    assert parse_expr(a1_f3, "z2*z1") == a1_f3.gen(0) * a1_f3.gen(1) + a1_f3.const(1)
     assert parse_expr(a1_f3, "z1^2") == a1_f3.monomial((2, 0))
-    assert parse_expr(a1_f3, "2") == a1_f3.from_terms({(0, 0): two})
-    assert parse_expr(a1_f3, "2^2") == a1_f3.from_terms({(0, 0): one})  # 4 = 1 mod 3
+    assert parse_expr(a1_f3, "2") == WeylElem(a1_f3, "k", {(0, 0): two})
+    assert parse_expr(a1_f3, "2^2") == WeylElem(a1_f3, "k", {(0, 0): one})  # 4 = 1 mod 3
     assert parse_expr(a1_f3, "(z1+z2)^2") == (a1_f3.gen(0) + a1_f3.gen(1)) ** 2
     assert parse_expr(a1_f3, "z1 - z1").is_zero()
-    assert parse_expr(a1_f3, "1 - 2*z1") == a1_f3.one_elem() - a1_f3.gen(0).scale(two)
+    assert parse_expr(a1_f3, "1 - 2*z1") == a1_f3.const(1) - a1_f3.gen(0).scale(two)
 
 
 def test_grammar_precedence(a1_f3):

@@ -25,7 +25,7 @@ from weylift import trivialization as TV
 from weylift.endo import bkk_family, etale_family, fourier, identity_endo
 from weylift.errors import NotAHomomorphism
 from weylift.scalars import FieldParams
-from weylift.weyl import AlgebraParams, ad_pow
+from weylift.weyl import AlgebraParams, WeylElem, ad_pow
 
 
 def _poly(alg, terms):
@@ -45,7 +45,7 @@ def test_rep_satisfies_relations(p, n):
             Rj = TV.rep_gen(alg, j)
             lhs = C.mat_sub(C.mat_mul(Ri, Rj), C.mat_mul(Rj, Ri))
             want = C.mat_scalar(
-                C.poly_const(alg, "y", alg.field.from_int(alg.omega_int(i, j))), N
+                alg.const(alg.omega_int(i, j), var="y"), N
             )
             assert C.mat_eq(lhs, want)
 
@@ -62,8 +62,8 @@ def test_rep_is_multiplicative():
             (rng.randint(0, 3), rng.randint(0, 3)): alg.field.from_int(rng.randint(1, 2))
             for _ in range(2)
         }
-        f = alg.from_terms(terms_f)
-        g = alg.from_terms(terms_g)
+        f = WeylElem(alg, "k", terms_f)
+        g = WeylElem(alg, "k", terms_g)
         assert C.mat_eq(
             TV.rep(alg, f * g), C.mat_mul(TV.rep(alg, f), TV.rep(alg, g))
         )
@@ -74,7 +74,7 @@ def test_rep_generator_pth_power_is_scalar():
     N = TV.mat_size(alg)
     for i in range(2):
         R = C.mat_pow(TV.rep_gen(alg, i), 3)
-        yi = C.poly_var(alg, "y", i)
+        yi = alg.gen(i, var="y")
         assert C.mat_eq(R, C.mat_scalar(yi**3, N))
 
 
@@ -90,7 +90,7 @@ def test_trace_identity_exhaustive(p, n):
     for m in itertools.product(range(p), repeat=alg.nvars):
         t = TV.trace(TV.rep(alg, alg.monomial(m)))
         if m == top:
-            assert t == C.poly_const(alg, "y", sign)
+            assert t == C.Poly(alg, "y", {(0,) * alg.nvars: sign})
         else:
             assert t.is_zero()
 
@@ -120,7 +120,7 @@ def test_trace_closed_form_matches_matrix_trace(q, n):
                 rng.choice((rng.randint(0, 2 * p), p - 1, 2 * p - 1)) for _ in range(alg.nvars)
             )
             terms[exps] = rng.choice(coeffs)
-        f = alg.from_terms(terms)
+        f = WeylElem(alg, "k", terms)
         want = TV.trace(TV.rep(alg, f)).scale(sign)
         assert TV.trace_top_coefficient(e, f) == want
         nonzero += not want.is_zero()
@@ -137,32 +137,34 @@ def test_trace_top_coefficient_three_routes(corpus):
         if p == 5 and alg.n == 2:
             continue  # 25x25 polynomial matrices; the sizes below cover the claim
         rng = random.Random(("trace3", p, alg.n).__repr__())
-        samples = [alg.one_elem()]
-        prod = alg.one_elem()
+        samples = [alg.const(1)]
+        prod = alg.const(1)
         for i in range(alg.nvars):
             prod = prod * e.u(i) ** (p - 1)
         samples.append(prod)
         for _ in range(2):
             samples.append(
-                alg.from_terms(
+                WeylElem(
+                    alg,
+                    "k",
                     {
                         tuple(rng.randint(0, p) for _ in range(alg.nvars)): alg.field.from_int(
                             rng.randint(1, p - 1)
                         )
-                    }
+                    },
                 )
             )
         for f in samples:
             via_trace = TV.trace_top_coefficient(e, f)
             expansion = coh.basis_expand(e, f)
-            top = expansion.get((p - 1,) * alg.nvars, alg.zero_elem())
+            top = expansion.get((p - 1,) * alg.nvars, alg.const(0))
             assert via_trace == x_to_y(top.to_center_poly())
 
 
 def test_trace_of_identity_and_top_product(a1_f3):
     e = identity_endo(a1_f3)
-    assert TV.trace_top_coefficient(e, a1_f3.monomial((2, 2))) == C.poly_one(a1_f3, "y")
-    assert TV.trace_top_coefficient(e, a1_f3.one_elem()).is_zero()
+    assert TV.trace_top_coefficient(e, a1_f3.monomial((2, 2))) == a1_f3.const(1, var="y")
+    assert TV.trace_top_coefficient(e, a1_f3.const(1)).is_zero()
 
 
 def test_ad_chain_independence(corpus):
@@ -177,13 +179,15 @@ def test_ad_chain_independence(corpus):
         if p == 5 and alg.n == 2:
             continue  # keep the loop fast; degree profile covered below
         rng = random.Random(("adchain", p, alg.n, checked).__repr__())
-        f = alg.from_terms(
+        f = WeylElem(
+            alg,
+            "k",
             {
                 tuple(rng.randint(0, 2) for _ in range(alg.nvars)): alg.field.from_int(
                     rng.randint(1, p - 1)
                 )
                 for _ in range(2)
-            }
+            },
         )
         via_u = f
         via_z = f
@@ -222,7 +226,7 @@ def test_mv_gcd_of_coprime_is_constant():
 def test_column_content():
     alg = AlgebraParams(1, FieldParams(3))
     h = _poly(alg, {(1, 0): 1, (0, 0): 2})
-    col = [h, h * _poly(alg, {(1, 1): 2}), C.poly_zero(alg, "y")]
+    col = [h, h * _poly(alg, {(1, 1): 2}), alg.const(0, var="y")]
     content = TV.column_content(col)
     assert TV._normalize(content) == TV._normalize(h)
     for v in col[:2]:
@@ -280,7 +284,7 @@ def _proportional(A, B) -> bool:
 def _e00(alg, N):
     """The matrix unit E_00, the vacuum projector of the untwisted nu_l."""
     E = [list(row) for row in C.mat_zero(alg, "y", N)]
-    E[0][0] = C.poly_one(alg, "y")
+    E[0][0] = alg.const(1, var="y")
     return tuple(tuple(row) for row in E)
 
 
@@ -319,7 +323,7 @@ def test_recover_conjugator_rejects_non_units():
 
 
 def _unit(alg, N, j):
-    return [C.poly_one(alg, "y") if k == j else C.poly_zero(alg, "y") for k in range(N)]
+    return [alg.const(1, var="y") if k == j else alg.const(0, var="y") for k in range(N)]
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
@@ -354,7 +358,7 @@ def _matrix_projector(A, B):
         for t in range(alg.field.p):
             c = alg.field.from_int((-1) ** t * factorial(t)).inverse()
             term = C.mat_mul(C.mat_pow(a, t), C.mat_pow(b, t))
-            acc = C.mat_add(acc, C.mat_scale(term, C.poly_const(alg, "y", c)))
+            acc = C.mat_add(acc, C.mat_scale(term, C.Poly(alg, "y", {(0,) * alg.nvars: c})))
         proj = C.mat_mul(proj, acc)
     return proj
 
@@ -383,7 +387,7 @@ def test_vacuum_projector_matrix_oracle(corpus):
 def test_conjugator_for_endo_identity(a1_f3):
     cj = TV.conjugator_for_endo(identity_endo(a1_f3))
     assert cj.det.is_constant() and not cj.det.is_zero()
-    assert cj.ybar == [C.poly_var(a1_f3, "y", i) for i in range(2)]
+    assert cj.ybar == [a1_f3.gen(i, var="y") for i in range(2)]
     assert C.mat_eq(cj.G, C.mat_identity(a1_f3, "y", 3))
 
 

@@ -46,6 +46,7 @@ from weylift.errors import ParamsMismatch, WeyliftError
 from weylift.scalars import FieldParams, Witt2, teichmuller
 from weylift.weyl import (
     AlgebraParams,
+    Poly,
     WeylElem,
     _contraction_row,
     ad_pow,
@@ -60,7 +61,7 @@ from weylift.weyl import (
 def _ref_mul_gen(f: WeylElem, i: int) -> WeylElem:
     """Right-multiply by z_i, commuting it across whole power blocks."""
     alg = f.alg
-    out = alg.zero_elem(f.ring)
+    out = alg.const(0, f.ring)
     for e, c in f.terms.items():
         j = max((t for t in range(alg.nvars) if e[t]), default=-1)
         if j <= i:
@@ -88,7 +89,7 @@ def _ref_mul_gen(f: WeylElem, i: int) -> WeylElem:
 
 def _ref_mul(f: WeylElem, g: WeylElem) -> WeylElem:
     alg = f.alg
-    acc = alg.zero_elem(f.ring)
+    acc = alg.const(0, f.ring)
     for e, c in g.terms.items():
         part = f.scale(c)
         for i in range(alg.nvars):
@@ -125,7 +126,7 @@ def _random_elem(alg: AlgebraParams, rng: random.Random, max_deg: int, ring: str
     for _ in range(rng.randint(1, 3)):
         exps = tuple(rng.randint(0, max_deg) for _ in range(alg.nvars))
         terms[exps] = _random_coeff(alg.field, rng, ring)
-    return alg.from_terms(terms, ring)
+    return WeylElem(alg, ring, terms)
 
 
 @pytest.mark.parametrize(
@@ -161,7 +162,7 @@ def test_product_ring_axioms(q, n):
             assert (f * g) * h == f * (g * h)
             assert f * (g + h) == f * g + f * h
             assert (f + g) * h == f * h + g * h
-            assert f * alg.one_elem(ring) == f
+            assert f * alg.const(1, ring) == f
 
 
 @pytest.mark.parametrize("q,n", [(3, 1), (5, 2), (9, 1), (9, 2), (32749, 1)])
@@ -189,7 +190,7 @@ def test_pderiv_is_bracket_with_conjugate_generator(q, n):
         for _ in range(rng.randint(1, 4)):
             exps = tuple(rng.randint(0, 4) for _ in range(alg.nvars))
             terms[exps] = field.element(rng.randrange(field.p) for _ in range(field.m))
-        f = alg.from_terms(terms)
+        f = WeylElem(alg, "k", terms)
         for l in range(n):
             assert commutator(alg.gen(n + l), f) == f.pderiv(l)
             assert commutator(alg.gen(l), f) == -f.pderiv(n + l)
@@ -200,7 +201,7 @@ def test_defining_relations():
     for i in range(4):
         for j in range(4):
             zi, zj = alg.gen(i), alg.gen(j)
-            want = alg.from_terms({(0,) * 4: alg.field.from_int(alg.omega_int(i, j))})
+            want = WeylElem(alg, "k", {(0,) * 4: alg.field.from_int(alg.omega_int(i, j))})
             assert commutator(zi, zj) == want
 
 
@@ -241,7 +242,7 @@ def test_power_by_squaring_makes_no_product_with_one(monkeypatch):
     monkeypatch.setattr(weyl, "_contract", lambda A, B: calls.append(1) or mul(A, B))
     for ring in ("k", "w2"):
         f = _random_elem(alg, rng, 2, ring)
-        want = alg.one_elem(ring)
+        want = alg.const(1, ring)
         for e in range(10):
             calls.clear()
             got = f**e
@@ -287,7 +288,7 @@ def _admissible_pairs(p: int, total: int) -> list[tuple[WeylElem, WeylElem]]:
     alg2 = AlgebraParams(2, FieldParams(p))
     while len(pairs) < total // 2:
         u = _rand_w2(alg1, rng, 2)
-        v = alg1.zero_elem("w2")
+        v = alg1.const(0, "w2")
         for t in range(3):
             c = rng.randrange(p * p)
             if c:
@@ -312,7 +313,7 @@ def _split_bracket(u: WeylElem, v: WeylElem) -> tuple[Witt2, WeylElem]:
     B = commutator(u, v)
     d1, d2 = w2_decompose_elem(B)
     const = d1.terms.get((0,) * alg.nvars, alg.field.zero)
-    assert d1 == alg.from_terms({(0,) * alg.nvars: const}), "pair is not admissible"
+    assert d1 == WeylElem(alg, "k", {(0,) * alg.nvars: const}), "pair is not admissible"
     return teichmuller(const), teich_lift(d2)
 
 
@@ -323,11 +324,11 @@ def test_power_commutator_identities(p):
     for u, v in pairs:
         alg = u.alg
         kappa, w = _split_bracket(u, v)
-        one = alg.one_elem("w2")
+        one = alg.const(1, "w2")
         for t in range(2, p + 1):
             lhs = commutator(u**t, v)
             scalar = alg.field.w2_from_int(t) * kappa
-            acc = alg.zero_elem("w2")
+            acc = alg.const(0, "w2")
             for i in range(t):
                 acc = acc + (u**i) * w * (u ** (t - 1 - i))
             rhs = (u ** (t - 1)).scale(scalar) + times_p_elem(acc)
@@ -350,7 +351,7 @@ def test_split_ambiguity_does_not_matter():
     kappa, w = _split_bracket(u, v)
     d = 2
     kappa2 = kappa + alg.field.w2_from_int(p * d)
-    w_shift = w - alg.one_elem("w2").scale(alg.field.w2_from_int(d))
+    w_shift = w - alg.const(1, "w2").scale(alg.field.w2_from_int(d))
     r1 = times_p_elem((u ** (p - 1)).scale(kappa) + ad_pow(u, p - 1, w))
     r2 = times_p_elem((u ** (p - 1)).scale(kappa2) + ad_pow(u, p - 1, w_shift))
     assert r1 == r2
@@ -417,8 +418,8 @@ def test_product_at_packing_widths_matches_central_shift(q, top):
     center = alg.monomial(pc)
     for _ in range(4):
         f = _random_elem(alg, rng, min(d, 40)) + alg.monomial((d, 0, 1, 2))
-        shifted = alg.from_terms(
-            {tuple(x + y for x, y in zip(e, pc)): c for e, c in f.terms.items()}
+        shifted = WeylElem(
+            alg, "k", {tuple(x + y for x, y in zip(e, pc)): c for e, c in f.terms.items()}
         )
         assert f * center == shifted
         assert center * f == shifted
@@ -473,12 +474,12 @@ def _mixed_w2_elem(alg: AlgebraParams, rng: random.Random, units: int, multiples
             terms[exps] = Witt2(rng.choice(nonzero), rng.choice(nonzero + [field.zero]))
         else:
             terms[exps] = Witt2(field.zero, rng.choice(nonzero))
-    return alg.from_terms(terms, "w2")
+    return WeylElem(alg, "w2", terms)
 
 
 def _naive_product(f: WeylElem, g: WeylElem) -> WeylElem:
     """Sum over all term pairs of c_a c_b z^ea z^eb, each by the swap oracle."""
-    out = f.alg.zero_elem(f.ring)
+    out = f.alg.const(0, f.ring)
     for ea, ca in f.terms.items():
         for eb, cb in g.terms.items():
             out = out + mono_mul_naive(f.alg, ea, eb, f.ring).scale(ca * cb)
@@ -508,7 +509,7 @@ def test_w2_product_with_p_divisible_terms(q, n):
         )
         fp = _mixed_w2_elem(alg, rng, 0, 4)
         gp = _mixed_w2_elem(alg, rng, 0, 4)
-        assert fp * gp == alg.zero_elem("w2")
+        assert fp * gp == alg.const(0, "w2")
         assert (f + fp) * (g + gp) == _naive_product(f + fp, g + gp)
     assert saw_unit_with_divisible_residue == (q in _EXTENSIONS)
 
@@ -587,7 +588,7 @@ def test_commutator_with_zero_and_across_algebras():
     alg = AlgebraParams(1, FieldParams(3))
     for ring in ("k", "w2"):
         f = alg.gen(0, ring) + alg.gen(1, ring) ** 2
-        zero = alg.zero_elem(ring)
+        zero = alg.const(0, ring)
         assert commutator(f, zero) == zero
         assert commutator(zero, f) == zero
     other = AlgebraParams(1, FieldParams(5))
@@ -612,7 +613,7 @@ def test_ad_pow_stops_at_the_first_zero(monkeypatch):
     assert ad_pow(z2, 6, z1**3).is_zero()
     assert len(calls) == 4
     calls.clear()
-    assert ad_pow(z2, 6, alg.zero_elem()).is_zero()
+    assert ad_pow(z2, 6, alg.const(0)).is_zero()
     assert not calls
 
 
@@ -696,9 +697,9 @@ def test_tagged_polys_on_one_set_up_still_refuse_to_mix():
     from weylift import center as C
 
     alg = AlgebraParams(1, FieldParams(3))
-    x = C.poly_var(alg, "x", 0) + C.poly_one(alg, "x")
-    y = C.poly_var(alg, "y", 1) + C.poly_one(alg, "y")
-    z = alg.gen(0) + alg.one_elem()
+    x = alg.gen(0, var="x") + alg.const(1, var="x")
+    y = alg.gen(1, var="y") + alg.const(1, var="y")
+    z = alg.gen(0) + alg.const(1)
     zx = z._as("x")  # z's own store, read in x
     assert x.ctx is y.ctx is z.ctx is zx.ctx and zx.data is z.data
     assert type(zx) is C.Poly
@@ -707,7 +708,52 @@ def test_tagged_polys_on_one_set_up_still_refuse_to_mix():
             with pytest.raises(ParamsMismatch):
                 combine(a, b)
     assert x != y and x != z and z != zx and zx != z
-    assert zx == C.poly_var(alg, "x", 0) + C.poly_one(alg, "x")
+    assert zx == alg.gen(0, var="x") + alg.const(1, var="x")
+
+
+# (the call, the class-constructor call it equals, or WeyliftError), on A_1(F_3)
+_CONSTRUCTOR_CASES = {
+    "z const over w2": (
+        lambda a: a.const(2, "w2"),
+        lambda a: WeylElem(a, "w2", {(0, 0): a.field.w2_from_int(2)}),
+    ),
+    "z gen": (lambda a: a.gen(1), lambda a: WeylElem(a, "k", {(0, 1): a.field.one})),
+    "x zero": (lambda a: a.const(0, var="x"), lambda a: Poly(a, "x", {})),
+    "x minus one": (
+        lambda a: a.const(-1, var="x"),
+        lambda a: Poly(a, "x", {(0, 0): -a.field.one}),
+    ),
+    "y gen": (lambda a: a.gen(1, var="y"), lambda a: Poly(a, "y", {(0, 1): a.field.one})),
+    "y items": (
+        lambda a: a.from_items([((2, 1), 2), ((1, 0), 0)], "y"),
+        lambda a: Poly(a, "y", {(2, 1): a.field.from_int(2)}),
+    ),
+    "negative index": (lambda a: a.gen(-1, var="x"), WeyliftError),
+    "index past 2n": (lambda a: a.gen(2, var="x"), WeyliftError),
+    "float index": (lambda a: a.gen(1.0), WeyliftError),
+    "unknown ring in const": (lambda a: a.const(1, "w3"), WeyliftError),
+    "unknown ring in gen": (lambda a: a.gen(0, "bogus"), WeyliftError),
+    "unknown ring in WeylElem": (lambda a: WeylElem(a, "w3", {}), WeyliftError),
+    "unknown letter in const": (lambda a: a.const(1, var="q"), WeyliftError),
+    "unknown letter in from_items": (lambda a: a.from_items([((0, 0), 1)], "q"), WeyliftError),
+    "z in Poly": (lambda a: Poly(a, "z", {}), WeyliftError),
+    "x over w2": (lambda a: a.const(1, "w2", "x"), WeyliftError),
+    "y gen over w2": (lambda a: a.gen(0, "w2", "y"), WeyliftError),
+}
+
+
+@pytest.mark.parametrize("build, want", _CONSTRUCTOR_CASES.values(), ids=_CONSTRUCTOR_CASES)
+def test_constructors_check_ring_letter_and_index(build, want):
+    """const, gen and from_items take every letter: each good call equals
+    the class constructor it stands for, and a bad ring, letter (a
+    polynomial over w2 included) or index raises WeyliftError."""
+    alg = AlgebraParams(1, FieldParams(3))
+    if want is WeyliftError:
+        with pytest.raises(WeyliftError):
+            build(alg)
+    else:
+        got, ref = build(alg), want(alg)
+        assert type(got) is type(ref) and got.var == ref.var and got == ref
 
 
 def test_only_weyl_imports_its_private_names():
@@ -837,7 +883,7 @@ def test_mixed_packing_widths_agree_with_the_decoded_terms(q):
             again = (small + big) - big
             assert again.ctx.width == width
             assert again == small and small == again
-            assert again != small + alg.one_elem(ring)
+            assert again != small + alg.const(1, ring)
             assert dict((small * big).terms.items()) == _termwise_product(small, big)
             assert dict((big * small).terms.items()) == _termwise_product(big, small)
 
@@ -864,8 +910,8 @@ def test_kronecker_digit_bound(monkeypatch):
         weyl._context.cache_clear()
         D = scalars.residue_ring(p, 2, field.modulus, "w2").D
         top = Witt2._of(field, (q - 1) | (q - 1) << D)
-        f = alg.from_terms({(0, i, 1, 0): top for i in range(K)}, "w2")
-        g = alg.from_terms({(q - 1, K - 1 - j, 0, 0): top for j in range(K)}, "w2")
+        f = WeylElem(alg, "w2", {(0, i, 1, 0): top for i in range(K)})
+        g = WeylElem(alg, "w2", {(q - 1, K - 1 - j, 0, 0): top for j in range(K)})
         return dict((f * g).terms.items()) == _termwise_product(f, g)
 
     width = scalars._digit_width
@@ -898,7 +944,7 @@ def test_constructors_reject_malformed_exponent_vectors(exps):
         lambda: WeylElem(alg, "w2", {exps: alg.field.w2_one()}),
         lambda: C.Poly(alg, "x", {exps: one}),
         lambda: alg.monomial(exps),
-        lambda: alg.from_terms({exps: one}, "w2"),
+        lambda: WeylElem(alg, "w2", {exps: one}),
         lambda: C.Poly(alg, "y", {exps: one}),
     ]
     for build in builds:
@@ -931,7 +977,7 @@ def test_terms_is_a_fresh_decoded_dict(q, ring):
     built = {}
     while len(built) < 6:
         built[tuple(rng.randrange(4) for _ in range(4))] = _random_coeff(alg.field, rng, ring)
-    elems = [alg.from_terms(built, ring)]
+    elems = [WeylElem(alg, ring, built)]
     if ring == "k":
         elems.append(C.Poly(alg, "y", built))
     for f in elems:
