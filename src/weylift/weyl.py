@@ -496,7 +496,7 @@ class Poly(SparseElem):
     __slots__ = ()
 
     def __init__(self, alg: AlgebraParams, var: str, terms: dict):
-        if var not in ("x", "y"):
+        if _kind("k", var) is not Poly:
             raise WeyliftError(f"unknown polynomial variable {var!r}")
         self.alg, self.ring, self.var = alg, "k", var
         self.ctx, self.data = _encode(alg, "k", terms)
