@@ -89,7 +89,7 @@ def _trace_samples(e: Endo, seed: int) -> list[WeylElem]:
         for i in range(alg.nvars):
             top = top * e.u(i) ** (p - 1)
     else:
-        top = alg.monomial((p - 1,) * alg.nvars, alg.field.one, "k")
+        top = alg.from_items([((p - 1,) * alg.nvars, 1)])
     samples = [alg.const(1), top]
     for _ in range(6):
         coeffs: dict = {}

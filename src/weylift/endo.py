@@ -348,9 +348,8 @@ def _random_half_poly(alg: AlgebraParams, rng: random.Random, half: str, max_deg
         total = rng.randint(1, max_deg)
         for _ in range(total):
             exps[lo + rng.randrange(n)] += 1
-        c = alg.field.from_int(rng.randint(1, alg.field.p - 1))
-        terms[tuple(exps)] = c
-    return WeylElem(alg, "k", terms)
+        terms[tuple(exps)] = rng.randint(1, alg.field.p - 1)
+    return alg.from_items(terms.items())
 
 
 def _random_linear(alg: AlgebraParams, rng: random.Random) -> list[Endo]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .endo import Endo
 from .errors import ParseError, UnknownVariable, WeyliftError
-from .scalars import FieldElem, FieldParams
+from .scalars import FieldParams
 from .weyl import AlgebraParams, WeylElem
 
 
@@ -173,37 +173,24 @@ def parse_expr(alg: AlgebraParams, src: str) -> WeylElem:
 # canonical printing (inverse of parse_expr on its image)
 
 
-def format_coeff(c) -> str:
-    """Render a field element as an in-grammar integer literal."""
-    if not isinstance(c, FieldElem):
-        raise WeyliftError(f"cannot format {c!r}")
-    vals = c.coeffs
-    if any(vals[1:]):
-        raise WeyliftError("extension-field coefficient has no in-grammar rendering")
-    return str(vals[0])
-
-
 def format_elem(f: WeylElem) -> str:
     """Deterministic in-grammar rendering; parse_expr(format_elem(f)) == f.
 
-    Terms come in ascending exponent order as c*z1^e1*..., "0" when empty.
+    Terms come in ascending exponent order as c*z1^e1*..., "0" when empty;
+    each coefficient is read off its residue's digits, as cli.ser_elem does.
     """
     if f.ring != "k":
         raise WeyliftError("only elements over k can be rendered in the grammar")
-    terms = f.terms
-    if not terms:
-        return "0"
+    digits = f.ctx.res.digits
     parts = []
-    for exps, c in sorted(terms.items()):
-        bits = []
-        cs = format_coeff(c)
-        if cs != "1" or not any(exps):
-            bits.append(cs)
-        for i, x in enumerate(exps):
-            if x:
-                bits.append(f"z{i + 1}" + (f"^{x}" if x > 1 else ""))
+    for exps, r in sorted(f._items()):
+        c, *rest = digits(r)
+        if any(rest):
+            raise WeyliftError("extension-field coefficient has no in-grammar rendering")
+        bits = [str(c)] if c != 1 or not any(exps) else []
+        bits += [f"z{i + 1}" + (f"^{x}" if x > 1 else "") for i, x in enumerate(exps) if x]
         parts.append("*".join(bits))
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def rep(alg: AlgebraParams, f: WeylElem) -> C.Mat:
         raise WeyliftError("rep is defined over k, not W_2")
     N = mat_size(alg)
     acc = C.mat_zero(alg, "y", N)
-    for exps, c in sorted(f.terms.items()):
+    for exps, c in sorted(f._items()):
         term = None
         for i, e in enumerate(exps):
             if not e:
@@ -112,7 +112,7 @@ def rep(alg: AlgebraParams, f: WeylElem) -> C.Mat:
             term = pw if term is None else C.mat_mul(term, pw)
         if term is None:
             term = C.mat_identity(alg, "y", N)
-        acc = C.mat_add(acc, C.mat_scale(term, C.Poly(alg, "y", {(0,) * alg.nvars: c})))
+        acc = C.mat_add(acc, C.mat_scale(term, alg.from_items([((0,) * alg.nvars, c)], "y")))
     return acc
 
 
@@ -168,8 +168,8 @@ def _normalize(f: C.Poly) -> C.Poly:
     """Scale so the lex-leading coefficient is 1 (deterministic generator)."""
     if f.is_zero():
         return f
-    _, lc = f.lex_leading()
-    return f.scale(lc.inverse())
+    _, lc = max(f._items())
+    return f._scale(f.ctx.res.pow(lc, f.alg.field.q - 2))
 
 
 def mv_gcd(f: C.Poly, g: C.Poly) -> C.Poly:
@@ -267,15 +267,16 @@ def _project(A: list, B: list, v: list) -> list:
     Matrix-vector products only: the l-factors act right to left, each as
     the B_l-powers of its input followed by Horner in A_l.
     """
-    field = v[0].alg.field
-    c = [field.from_int((-1) ** t * factorial(t)).inverse() for t in range(field.p)]
+    p, res = v[0].alg.field.p, v[0].ctx.res
+    # the weights (-1)^t / t! = ((-1)^t t!)^(p-2) in F_p
+    c = [res.pow((-1) ** t * factorial(t) % p, p - 2) for t in range(p)]
     for a, b in zip(reversed(A), reversed(B)):
         w = [v]
-        for _ in range(field.p - 1):
+        for _ in range(p - 1):
             w.append(C.mat_vec(b, w[-1]))
-        v = [x.scale(c[-1]) for x in w[-1]]
-        for t in reversed(range(field.p - 1)):
-            v = [x + y.scale(c[t]) for x, y in zip(C.mat_vec(a, v), w[t])]
+        v = [x._scale(c[-1]) for x in w[-1]]
+        for t in reversed(range(p - 1)):
+            v = [x + y._scale(c[t]) for x, y in zip(C.mat_vec(a, v), w[t])]
     return v
 
 

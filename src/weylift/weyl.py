@@ -42,9 +42,10 @@ k * pack(e_l + e_{n+l}), coefficient products sum unreduced in a dict
 keyed by ints, and each output term is reduced once: one int path for
 every m.  Over W_2 two multiples of p (as most terms of the W_2 p-th
 powers are) multiply to 0, so an A term divisible by p meets only the
-unit terms of B.  FieldElem / Witt2 objects appear only where they enter
-(the constructors, which all encode through one _encode, and scale) and
-in ``terms``, a plain dict decoded afresh on each read.  The set-up
+unit terms of B.  FieldElem / Witt2 objects enter only through WeylElem,
+Poly, monomial, scale and the families' c, and leave only through
+``terms`` (a dict decoded afresh on each read), repr and mono_mul_naive.
+Every constructor packs through _pack, which checks each vector.  The set-up
 (packing, pair steps, contraction weights, residue ring) is memoised by
 value per field, n, ring and width, shared by every equal algebra: most
 products are tiny, and each operation builds its own algebra.
@@ -119,7 +120,10 @@ class AlgebraParams:
         """The integer t as a constant over ``ring`` in the letter ``var``
         ("z": WeylElem, "x" or "y": Poly over k); 0 is the empty element."""
         cls, ctx = _kind(ring, var), _layout(self, ring)
-        r = t % ctx.res.N  # the residue of an integer, for every m
+        try:
+            r = operator.index(t) % ctx.res.N  # the residue of an integer, for every m
+        except TypeError:
+            raise WeyliftError(f"constant {t!r} is not an integer") from None
         return _new(cls, self, ring, var, ctx, {0: r} if r else {})
 
     def gen(self, i: int, ring: str = "k", var: str = "z") -> SparseElem:
@@ -233,19 +237,30 @@ def _repack(data: dict, src: _Context, dst: _Context) -> dict:
     }
 
 
-def _pack(alg: AlgebraParams, ring: str, items: list) -> tuple:
-    """(set-up, store) of (exponent tuple, residue) pairs; zero residues drop."""
-    ctx = _layout(alg, ring, max((max(e) for e, _ in items), default=0))
-    key = ctx.key
-    return ctx, {key(e): r for e, r in items if r}
+def _pack(alg: AlgebraParams, ring: str, items) -> tuple:
+    """(set-up, store) of (exponent vector, residue) pairs, residues reduced
+    and zeros dropped: where every constructor checks.  Packing checks
+    well-formed vectors (struct takes only 2n ints that fit); on a failure
+    each vector goes through AlgebraParams.exponents, which raises
+    WeyliftError on a bad one and reads ints by __index__, and packs again;
+    a residue that is still no int then raises WeyliftError."""
+    index = operator.index
+    for checked in (False, True):
+        try:
+            ctx = _layout(alg, ring, index(max((max(e) for e, _ in items), default=0)))
+            key, reduce = ctx.key, ctx.res.reduce
+            return ctx, {key(e): v for e, r in items if (v := reduce(index(r)))}
+        except (struct.error, TypeError, ValueError):
+            if checked:
+                raise WeyliftError("a residue is not an integer") from None
+            items = [(alg.exponents(e), r) for e, r in items]
 
 
 def _encode(alg: AlgebraParams, ring: str, terms: dict) -> tuple:
-    """(set-up, store) of {exponent vector: coefficient object}, each vector
-    checked by AlgebraParams.exponents; zeros drop.  The one way in for
-    coefficient objects."""
+    """(set-up, store) of {exponent vector: coefficient object}; zeros drop.
+    The one way in for coefficient objects."""
     encode = _layout(alg, ring).res.encode
-    return _pack(alg, ring, [(alg.exponents(e), encode(c)) for e, c in terms.items()])
+    return _pack(alg, ring, [(e, encode(c)) for e, c in terms.items()])
 
 
 def _aligned(A: SparseElem, B: SparseElem, product: bool = False) -> tuple:
@@ -288,9 +303,8 @@ class SparseElem:
     the store (and set-up), _as the letter (and the store, if given).  Each
     subclass supplies its own product.
 
-    Every constructor that takes coefficient objects goes through _encode,
-    which checks each exponent vector; ``terms`` hands out a fresh decoded
-    dict, and library code that only reads or regroups exponents uses
+    Every constructor packs through _pack, which checks each exponent
+    vector; ``terms`` hands out a fresh decoded dict, and library code reads
     _items() and keeps the residues.
 
     Instances are treated as immutable: no method mutates the store after
@@ -529,11 +543,6 @@ class Poly(SparseElem):
         for _ in range(r):
             f = f.pderiv(i)
         return f
-
-    def lex_leading(self):
-        """(exponent, coefficient) of the lex-largest monomial."""
-        e, r = max(self._items())
-        return e, self.ctx.res.decode(self.alg.field, r)
 
 
 _KINDS = {"z": WeylElem, "x": Poly, "y": Poly}

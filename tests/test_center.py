@@ -123,10 +123,17 @@ def test_det_routes_agree(corpus):
     p3_n2 = [e for e in corpus if (e.alg.field.p, e.alg.n) == (3, 2)]
     for e in (etale_family(AlgebraParams(1, f5), 4, f5.one), p3_n2[1]):
         mats.append(TV.conjugator_for_endo(e).G)
+    # one 4 x 4 matrix over F_9, its entries' coefficients drawn from all of F_9
+    a9 = AlgebraParams(2, FieldParams(3, 2))
+    rng, units = random.Random(59), [c for c in a9.field.all_elements() if c]
+    mats.append([
+        [_rand_poly(a9, rng, max_deg=1, nterms=2).scale(rng.choice(units)) for _ in range(4)]
+        for _ in range(4)
+    ])
     for M in mats:
         alg, tag = M[0][0].alg, M[0][0].var
         assert C._det_cofactor(M, alg, tag) == C._det_bareiss(M, alg, tag)
-    assert [len(M) for M in mats[-2:]] == [5, 9]
+    assert [len(M) for M in mats[-3:]] == [5, 9, 4]
 
 
 def test_det_of_omega(a2):
@@ -150,6 +157,19 @@ def test_divexact(a1):
         C.divexact(a1.gen(0, var="x"), a1.gen(1, var="x"))
     with pytest.raises((DivisionByZero, WeyliftError)):
         C.divexact(a1.const(1, var="x"), a1.const(0, var="x"))
+
+
+def test_divexact_over_f9():
+    """Exact division with coefficients outside F_p: the leading residue t of
+    g is inverted in F_9."""
+    f9 = FieldParams(3, 2)
+    alg, t, one = AlgebraParams(1, f9), f9.element((0, 1)), f9.one
+    f = C.Poly(alg, "x", {(2, 0): t, (0, 1): one, (0, 0): t + one})
+    g = C.Poly(alg, "x", {(2, 1): t, (1, 0): t * t, (0, 0): one})
+    assert C.divexact(f * g, g) == f
+    assert C.divexact(f * g, f) == g
+    with pytest.raises(WeyliftError):
+        C.divexact(f * g + alg.const(1, var="x"), g)
 
 
 def test_frobenius_twist(a1):

@@ -12,7 +12,6 @@ from weylift.errors import ParseError, UnknownVariable, WeyliftError
 from weylift.parser import (
     MAX_NESTING,
     SpecFile,
-    format_coeff,
     format_elem,
     load_spec,
     parse_expr,
@@ -112,13 +111,24 @@ def test_nesting_depth_is_bounded(a1_f3):
     assert (exc.value.line, exc.value.col) == (1, 6 + MAX_NESTING)
 
 
-def test_format_coeff_accepts_only_field_elements():
-    """A Witt vector also stores residues in coeffs; it has no literal and raises."""
-    field = FieldParams(3)
-    assert format_coeff(field.from_int(2)) == "2"
-    for c in (field.w2_from_int(2), Witt2(field.one, field.one), 2):
+def test_format_elem_renders_only_prime_field_coefficients_over_k():
+    """Coefficients are read off residue digits: an F_3 element and an F_9
+    element with coefficients in F_3 render, while t over F_9 has no
+    in-grammar literal and an element over W_2 has none either."""
+    f3, f9 = FieldParams(3), FieldParams(3, 2)
+    a3, a9 = AlgebraParams(1, f3), AlgebraParams(1, f9)
+    f = WeylElem(a3, "k", {(2, 1): f3.from_int(2), (0, 0): f3.one, (1, 0): f3.one})
+    assert format_elem(f) == "1 + z1 + 2*z1^2*z2"
+    assert format_elem(a9.gen(1).scale(f9.from_int(2))) == "2*z2"
+    t = f9.element((0, 1))
+    for g in (
+        a9.gen(0).scale(t),
+        a9.const(1) + a9.monomial((1, 1), t + f9.one),
+        a3.const(2, "w2"),
+        WeylElem(a3, "w2", {(1, 0): Witt2(f3.one, f3.one)}),
+    ):
         with pytest.raises(WeyliftError):
-            format_coeff(c)
+            format_elem(g)
 
 
 def test_spec_files_parse_to_intended_images():

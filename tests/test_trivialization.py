@@ -223,6 +223,19 @@ def test_mv_gcd_of_coprime_is_constant():
     assert TV.mv_gcd(f, g).is_constant()
 
 
+def test_mv_gcd_normalises_over_f9():
+    """Over F_9 with coefficient t the gcd comes out with lex-leading
+    coefficient 1: the common factor t*y1 + 1 scaled by t^-1."""
+    f9 = FieldParams(3, 2)
+    alg, t, one = AlgebraParams(1, f9), f9.element((0, 1)), f9.one
+    h = C.Poly(alg, "y", {(1, 0): t, (0, 0): one})
+    f = h * C.Poly(alg, "y", {(0, 1): one, (0, 0): t})
+    g = h * C.Poly(alg, "y", {(1, 0): t, (0, 1): t})
+    d = TV.mv_gcd(f, g)
+    assert d == h.scale(t.inverse())
+    assert max(d.terms.items())[1] == one
+
+
 def test_column_content():
     alg = AlgebraParams(1, FieldParams(3))
     h = _poly(alg, {(1, 0): 1, (0, 0): 2})

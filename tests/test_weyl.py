@@ -34,6 +34,7 @@ import ast
 import hashlib
 import operator
 import random
+import re
 from itertools import product
 from math import comb, factorial
 from pathlib import Path
@@ -739,6 +740,13 @@ _CONSTRUCTOR_CASES = {
     "z in Poly": (lambda a: Poly(a, "z", {}), WeyliftError),
     "x over w2": (lambda a: a.const(1, "w2", "x"), WeyliftError),
     "y gen over w2": (lambda a: a.gen(0, "w2", "y"), WeyliftError),
+    "z items unreduced": (
+        lambda a: a.from_items([((1, 0), 7), ((0, 1), -3)]),
+        lambda a: WeylElem(a, "k", {(1, 0): a.field.one}),
+    ),
+    "float residue": (lambda a: a.from_items([((1, 0), 1.5)], "x"), WeyliftError),
+    "float const": (lambda a: a.const(1.5), WeyliftError),
+    "str const": (lambda a: a.const("1", var="y"), WeyliftError),
 }
 
 
@@ -929,12 +937,12 @@ def test_kronecker_digit_bound(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "exps", [(1,), (1, 0, 0), (-1, 0), (0, -2), (1.5, 0), ("2", 0), (0.9, 1)]
+    "exps", [(1,), (1, 0, 0), (-1, 0), (0, -2), (1.5, 0), ("2", 0), (0.9, 1), ("a", 0), ()]
 )
 def test_constructors_reject_malformed_exponent_vectors(exps):
-    """Every constructor that takes coefficient objects checks each vector:
-    a wrong length, a negative entry or an entry that is not an integer
-    (a float is not truncated) raises WeyliftError."""
+    """Every constructor checks each vector in the one packer: a wrong
+    length, a negative entry or an entry that is not an integer (a float is
+    not truncated) raises WeyliftError, not struct.error."""
     from weylift import center as C
 
     alg = AlgebraParams(1, FieldParams(3))
@@ -946,6 +954,8 @@ def test_constructors_reject_malformed_exponent_vectors(exps):
         lambda: alg.monomial(exps),
         lambda: WeylElem(alg, "w2", {exps: one}),
         lambda: C.Poly(alg, "y", {exps: one}),
+        lambda: alg.from_items([((0, 1), 1), (exps, 1)]),
+        lambda: alg.from_items([(exps, 2)], "x"),
     ]
     for build in builds:
         with pytest.raises(WeyliftError):
@@ -964,6 +974,22 @@ def test_constructors_read_index_ints_exactly():
 
     alg = AlgebraParams(1, FieldParams(3))
     assert alg.monomial((Index(2), Index(0))) == alg.monomial((2, 0))
+    assert alg.from_items([((Index(1), 0), 1)]) == alg.gen(0)
+    assert alg.const(Index(4)) == alg.const(1)
+
+
+def test_coefficient_objects_stay_at_the_boundary():
+    """Past the constructors the library runs on residues: these modules
+    name no coefficient class and decode no ``terms``."""
+    src = Path(weylift.__file__).parent
+    banned = re.compile(r"FieldElem|Witt2|\.inverse\(|from_int\(|field\.one|lex_leading|\.terms\b")
+    found = [
+        f"{name}.py:{i}: {line.strip()}"
+        for name in ("center", "trivialization", "cohomology", "diffeq", "parser", "cli")
+        for i, line in enumerate((src / f"{name}.py").read_text(encoding="utf-8").splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not found
 
 
 @pytest.mark.parametrize("q,ring", [(5, "k"), (5, "w2"), (9, "k")])
