@@ -64,8 +64,12 @@ def _pth_root_termwise(f: C.Poly) -> C.Poly:
 def solve_gamma(rhs: C.Poly, i: int) -> C.Poly:
     """Solve gamma^p + (d/dy_i)^{p-1} gamma = rhs by degree descent.
 
-    Works uniformly for the y-level and x-level equations (the letter of rhs
-    is kept).  Raises NoSolution when a slice blocks the descent.
+    Each step takes the termwise p-th root gt of the top slice and subtracts
+    the slice itself for gt^p, exactly: in characteristic p the p-th power
+    of a commutative polynomial is the sum of its terms' p-th powers.  The
+    final check takes the one power.  Works uniformly for the y-level and
+    x-level equations (the letter of rhs is kept).  Raises NoSolution when
+    a slice blocks the descent.
     """
     alg = rhs.alg
     p = alg.field.p
@@ -76,9 +80,7 @@ def solve_gamma(rhs: C.Poly, i: int) -> C.Poly:
         if D < p:
             if D > 0:
                 raise NoSolution(f"residual of degree {D} in (0, p) cannot be matched: {R!r}")
-            g0 = _pth_root_termwise(R)
-            gamma = gamma + g0
-            R = R - g0**p
+            gamma = gamma + _pth_root_termwise(R)
             break
         if D % p:
             raise NoSolution(f"top degree {D} is not divisible by p: {R.homogeneous_slice(D)!r}")
@@ -87,9 +89,7 @@ def solve_gamma(rhs: C.Poly, i: int) -> C.Poly:
         if gt is None:
             raise NoSolution(f"top slice is not a p-th power: {top!r}")
         gamma = gamma + gt
-        R = R - gt**p - gt.pderiv_iter(i, p - 1)
-    if R:
-        raise NoSolution(f"descent finished with nonzero residual {R!r}")
+        R = R - top - gt.pderiv_iter(i, p - 1)
     check = gamma**p + gamma.pderiv_iter(i, p - 1)
     if check != rhs:
         raise InternalInconsistency("gamma solver produced a non-solution")

@@ -40,22 +40,25 @@ mod p or p^2 for m = 1, Kronecker-packed digits for m > 1.  So a monomial
 product is one addition, a k-fold contraction of pair l subtracts
 k * pack(e_l + e_{n+l}), coefficient products sum unreduced in a dict
 keyed by ints, and each output term is reduced once: one int path for
-every m.  Over W_2 two multiples of p (as most terms of the W_2 p-th
-powers are) multiply to 0, so an A term divisible by p meets only the
-unit terms of B.  FieldElem / Witt2 objects enter only through WeylElem,
-Poly, monomial, scale and the families' c, and leave only through
-``terms`` (a dict decoded afresh on each read), repr and mono_mul_naive.
-Every constructor packs through _pack, which checks each vector.  The set-up
-(packing, pair steps, contraction weights, residue ring) is memoised by
-value per field, n, ring and width, shared by every equal algebra: most
-products are tiny, and each operation builds its own algebra.
+every m.  Pair l's contractions are a row of plain (offset, weight mod N)
+pairs from k = 0, (0, 1), and rows of several pairs combine by one rule,
+offsets adding and weights multiplying.  Over W_2 two multiples of p (as
+most terms of the W_2 p-th powers are) multiply to 0, so an A term
+divisible by p meets only the unit terms of B.  FieldElem / Witt2 objects
+enter only through WeylElem, Poly, monomial, scale and the families' c,
+and leave only through ``terms`` (a dict decoded afresh on each read),
+repr and mono_mul_naive.  Every constructor packs through _pack, which
+checks each vector and residue.  The set-up (packing, pair steps,
+contraction weights, residue ring) is memoised by value per field, n, ring
+and width, shared by every equal algebra: most products are tiny, and each
+operation builds its own algebra.
 
 The commutator [f, g] runs the same kernel once.  For a pair of terms
 c_a z^a, c_b z^b with c = c_a c_b, the contractions of z^a z^b enter with
 +c and those of z^b z^a with -c, and the k = 0 part z^(a+b) common to both
-is never emitted, so a pair that contracts in neither order never touches
-the output.  A contraction's weight is symmetric in the two exponents, so
-both orders read one row table.
+(offset 0) is never emitted, so a pair that contracts in neither order
+never touches the output.  A contraction's weight is symmetric in the two
+exponents, so both orders read one row table.
 
 Output terms come in first-insertion order over the visited pairs, A-major;
 in a commutator each A term goes through B for z^a z^b, then again for
@@ -171,8 +174,8 @@ class _Context:
     term whose upper (lower) fields are v, links(v, True (False)) lists the
     pairs l that z^a z^b (z^b z^a) contracts: (shift of z_l (z_{n+l}) in a
     B key, the rows of (l, x) keyed by that exponent y, the builder of a
-    missing row).  A row is () when no contraction survives, else
-    (k * step_l, weight mod N) from k = 0 (weight None).
+    missing row).  A row is () when no contraction survives, else the
+    (k * step_l, weight mod N) from k = 0, whose entry is (0, 1).
     """
 
     __slots__ = ("fmt", "width", "size", "pack", "unpack", "high", "upper", "res", "links")
@@ -203,7 +206,7 @@ def _context(p: int, m: int, modulus, n: int, ring: str, fmt: str) -> _Context:
     def new_row(l: int, a: int, b: int) -> tuple:
         step = (1 << (width * l)) + (1 << (width * (n + l)))
         row = _contraction_row(a, b, p, weight)
-        return ((0, None),) + tuple((k * step, w) for k, w in row) if row else ()
+        return ((0, 1),) + tuple((k * step, w) for k, w in row) if row else ()
 
     def links(v: int, upper: bool) -> list:
         got = table.get(v)
@@ -238,17 +241,19 @@ def _repack(data: dict, src: _Context, dst: _Context) -> dict:
 
 
 def _pack(alg: AlgebraParams, ring: str, items) -> tuple:
-    """(set-up, store) of (exponent vector, residue) pairs, residues reduced
-    and zeros dropped: where every constructor checks.  Packing checks
-    well-formed vectors (struct takes only 2n ints that fit); on a failure
-    each vector goes through AlgebraParams.exponents, which raises
-    WeyliftError on a bad one and reads ints by __index__, and packs again;
-    a residue that is still no int then raises WeyliftError."""
-    index = operator.index
+    """(set-up, store) of (exponent vector, residue) pairs, read once, with
+    residues reduced and zeros dropped: where every constructor checks.
+    Struct packs only 2n ints that fit; on a failure each vector goes
+    through AlgebraParams.exponents (WeyliftError on a bad one, ints read by
+    __index__) and packs again.  A residue must be an int, for m > 1 one
+    >= 0 within the m digits (for m = 1 any int is read mod N)."""
+    index, items = operator.index, list(items)
     for checked in (False, True):
         try:
             ctx = _layout(alg, ring, index(max((max(e) for e, _ in items), default=0)))
-            key, reduce = ctx.key, ctx.res.reduce
+            key, res, reduce = ctx.key, ctx.res, ctx.res.reduce
+            if res.m > 1 and any(index(r) >> (res.D * res.m) for _, r in items):
+                raise WeyliftError(f"a residue is < 0 or past the ring's {res.m} digits")
             return ctx, {key(e): v for e, r in items if (v := reduce(index(r)))}
         except (struct.error, TypeError, ValueError):
             if checked:
@@ -572,8 +577,8 @@ def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
     multiples of p are never visited over W_2, so every visited pair has a
     nonzero coefficient c.  The bracket takes each A term through the B
     terms twice: the contractions of z^a z^b enter with c, then those of
-    z^b z^a with -c, and the k = 0 part z^(a+b) they share is never
-    emitted.  Output terms keep first-insertion order, A-major.
+    z^b z^a with -c, and the k = 0 part z^(a+b) they share, at offset 0,
+    is never emitted.  Output terms keep first-insertion order, A-major.
     """
     if not A.data or not B.data:
         A._require_compatible(B)
@@ -613,9 +618,7 @@ def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
                         if row:
                             # offsets and weights mod N of the contractions so far
                             parts = row if parts is None else [
-                                (u + d, v if w is None else w if v is None else v * w % N)
-                                for u, v in parts
-                                for d, w in row
+                                (u + d, v * w % N) for u, v in parts for d, w in row
                             ]
                 key = pa + pb
                 if parts is None:
@@ -626,14 +629,9 @@ def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
                     continue
                 c = c_a * cb
                 for d, w in parts:
-                    # only the k = 0 part z^(a+b) has no weight; it cancels
-                    # in the bracket
-                    if w is None:
-                        if bracket:
-                            continue
-                        v = c
-                    else:
-                        v = c * w
+                    if not d and bracket:
+                        continue  # offset 0 is z^(a+b), which cancels in the bracket
+                    v = c * w
                     s = get(key - d)
                     out[key - d] = v if s is None else s + v
     reduce = res.reduce

@@ -55,6 +55,35 @@ def test_solve_gamma_unit_cases(a1_f3):
     assert got**3 == c
 
 
+@pytest.mark.parametrize("family", ["bkk p=3 j=2", "etale F_9 i=2 c=t"])
+def test_gamma_solution_takes_one_power_per_coordinate(monkeypatch, a2_f3, family):
+    """The descent subtracts each top slice for its root's p-th power, so
+    the one ** per coordinate is the final check, also on a coordinate whose
+    right side steps down from degree >= p (bkk's rhs[2] = y2^3, etale's
+    rhs[0] = 2t y2^3) and over F_9, where the p-th roots are not the
+    identity.  The center images, p-th powers in A_n, are read first."""
+    from weylift.weyl import SparseElem
+
+    if family.startswith("bkk"):
+        e = bkk_family(a2_f3, 2, a2_f3.field.one)
+    else:
+        f9 = AlgebraParams(1, FieldParams(3, 2))
+        e = etale_family(f9, 2, f9.field.element((0, 1)))
+    assert e.center_images
+    calls = []
+    power = SparseElem.__pow__
+
+    def counted(self, k):
+        calls.append(k)
+        return power(self, k)
+
+    monkeypatch.setattr(SparseElem, "__pow__", counted)
+    sol = DQ.gamma_solution(e)
+    p = e.alg.field.p
+    assert any(r.degree() >= p for r in sol.rhs)
+    assert calls == [p] * e.alg.nvars
+
+
 def test_solve_gamma_plugs_back(corpus_gamma):
     for e, sol in corpus_gamma[::5]:
         p = e.alg.field.p

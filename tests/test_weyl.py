@@ -744,6 +744,14 @@ _CONSTRUCTOR_CASES = {
         lambda a: a.from_items([((1, 0), 7), ((0, 1), -3)]),
         lambda a: WeylElem(a, "k", {(1, 0): a.field.one}),
     ),
+    "one-shot items": (
+        lambda a: a.from_items(((e, 1) for e in [(1, 0), (0, 1)])),
+        lambda a: WeylElem(a, "k", {(1, 0): a.field.one, (0, 1): a.field.one}),
+    ),
+    "z items minus one": (
+        lambda a: a.from_items([((1, 0), -1)]),
+        lambda a: WeylElem(a, "k", {(1, 0): -a.field.one}),
+    ),
     "float residue": (lambda a: a.from_items([((1, 0), 1.5)], "x"), WeyliftError),
     "float const": (lambda a: a.const(1.5), WeyliftError),
     "str const": (lambda a: a.const("1", var="y"), WeyliftError),
@@ -762,6 +770,39 @@ def test_constructors_check_ring_letter_and_index(build, want):
     else:
         got, ref = build(alg), want(alg)
         assert type(got) is type(ref) and got.var == ref.var and got == ref
+
+
+def test_extension_field_residues_must_fit_the_ring():
+    """Over F_9 a residue is an int >= 0 within the ring's two digits: -1,
+    and t shifted past the digits, raise WeyliftError, while the residue
+    of t builds t z_1 (an integer's residue comes from const)."""
+    alg = AlgebraParams(1, FieldParams(3, 2))
+    t_z1 = WeylElem(alg, "k", {(1, 0): alg.field.element((0, 1))})
+    (t,) = t_z1.data.values()
+    assert alg.from_items([((1, 0), t)]) == t_z1
+    assert alg.from_items([((1, 0), 2)], "y") == alg.const(2, var="y") * alg.gen(0, var="y")
+    for bad in (-1, t << t.bit_length()):
+        with pytest.raises(WeyliftError):
+            alg.from_items([((1, 0), bad)])
+    assert alg.const(-1) == alg.const(2)
+
+
+def test_contraction_rows_are_plain_pairs_from_k_0():
+    """The rows the kernel reads for z_3^5 z_4^3 * z_1^4 z_2^3 are () or
+    plain (offset, weight mod N) pairs from the k = 0 contraction (0, 1),
+    over k and W_2; pair 2, (a, b) = (3, 3), contracts to 0 only over k."""
+    alg = AlgebraParams(2, FieldParams(3))
+    ea, eb = (0, 0, 5, 3), (4, 3, 0, 0)
+    for ring in ("k", "w2"):
+        a, b = alg.monomial(ea, ring=ring), alg.monomial(eb, ring=ring)
+        assert a * b == mono_mul_naive(alg, ea, eb, ring)
+        ctx, (key,) = a.ctx, a.data
+        links = ctx.links(key & ctx.upper, True)
+        rows = [by_y[y] for (_, by_y, _), y in zip(links, eb)]
+        assert len(rows) == 2 and (rows[1] == ()) == (ring == "k")
+        for row in rows:
+            assert not row or row[0] == (0, 1)
+            assert all(d > 0 and 0 < w < ctx.res.N for d, w in row[1:])
 
 
 def test_only_weyl_imports_its_private_names():
