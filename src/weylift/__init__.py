@@ -19,7 +19,6 @@ from .errors import (
     ResourceLimit,
     NotClosed,
     NoSolution,
-    NotAHomomorphism,
     ParseError,
     UnknownVariable,
     InternalInconsistency,
@@ -43,7 +42,6 @@ __all__ = [
     "ResourceLimit",
     "NotClosed",
     "NoSolution",
-    "NotAHomomorphism",
     "ParseError",
     "UnknownVariable",
     "InternalInconsistency",

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 
 from .errors import DivisionByZero, NotDivisibleByP, WeyliftError
-from .scalars import square_multiply
 from .weyl import AlgebraParams, Poly, WeylElem, commutator, teich_lift, w2_decompose_elem
 
 
@@ -97,20 +96,6 @@ def witt_brackets(elems: list[WeylElem]) -> Mat:
 Mat = tuple
 
 
-def mat_scalar(s: Poly, N: int) -> Mat:
-    """The N x N matrix s * Id."""
-    z = s.alg.const(0, var=s.var)
-    return tuple(tuple(s if i == j else z for j in range(N)) for i in range(N))
-
-
-def mat_zero(alg: AlgebraParams, var: str, N: int) -> Mat:
-    return mat_scalar(alg.const(0, var=var), N)
-
-
-def mat_identity(alg: AlgebraParams, var: str, N: int) -> Mat:
-    return mat_scalar(alg.const(1, var=var), N)
-
-
 def jacobian(images: list[Poly]) -> Mat:
     """J[i][j] = d(images[i]) / d var_j."""
     return tuple(tuple(f.pderiv(j) for j in range(f.alg.nvars)) for f in images)
@@ -143,41 +128,6 @@ def antisymmetric(alg: AlgebraParams, var: str, entry, size: int = 0) -> Mat:
     return tuple(map(tuple, M))
 
 
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    """Matrix product; a pair with a zero factor costs nothing."""
-    zero = A[0][0].alg.const(0, var=A[0][0].var)
-    cols = tuple(zip(*B))
-    out = []
-    for row in A:
-        new = []
-        for col in cols:
-            acc = None
-            for a, b in zip(row, col):
-                if a and b:
-                    acc = a * b if acc is None else acc + a * b
-            new.append(zero if acc is None else acc)
-        out.append(tuple(new))
-    return tuple(out)
-
-
-def mat_vec(A: Mat, v: list) -> list:
-    zero = A[0][0].alg.const(0, var=A[0][0].var)
-    out = []
-    for row in A:
-        acc = zero
-        for a, b in zip(row, v):
-            if a and b:
-                acc = acc + a * b
-        out.append(acc)
-    return out
-
-
-def mat_pow(A: Mat, e: int) -> Mat:
-    if not e:
-        return mat_identity(A[0][0].alg, A[0][0].var, len(A))
-    return square_multiply(A, e, mat_mul)
-
-
 def mat_transpose(A: Mat) -> Mat:
     return tuple(zip(*A))
 
@@ -188,10 +138,6 @@ def mat_add(A: Mat, B: Mat) -> Mat:
 
 def mat_sub(A: Mat, B: Mat) -> Mat:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(A: Mat, s: Poly) -> Mat:
-    return tuple(tuple(a * s for a in row) for row in A)
 
 
 def mat_eq(A: Mat, B: Mat) -> bool:
@@ -229,7 +175,7 @@ def det(M: Mat) -> Poly:
     Measured on a 2-CPU Xeon, Python 3.11.  is_etale's 2n x 2n Jacobians:
     on the 199 of the perfbench corpus workload (n <= 2), cofactor takes
     0.011 s and Bareiss 0.048 s, where one warm pass over that workload
-    takes 0.27 s.  The conjugator's p^n x p^n G: cofactor expansion grows
+    takes 0.27 s.  The test oracle's p^n x p^n conjugator G: cofactor expansion grows
     like size! on dense rows; on the 7 x 7 G of map 1 of the F_7, n = 1
     corpus generate_corpus(alg, 8, 3) it takes 2.6 s and Bareiss 0.004-0.006 s.
     """

@@ -25,7 +25,6 @@ from .endo import DEFAULT_BUDGET, Endo, generate_corpus
 from .errors import (
     InternalInconsistency,
     NoSolution,
-    NotAHomomorphism,
     NotClosed,
     ParseError,
     RelationViolation,
@@ -384,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimit as ex:
         print(f"resource limit: {ex}", file=sys.stderr)
         return 3
-    except (InternalInconsistency, NotClosed, NoSolution, NotAHomomorphism) as ex:
+    except (InternalInconsistency, NotClosed, NoSolution) as ex:
         print(f"internal inconsistency: {ex}", file=sys.stderr)
         return 4
     except WeyliftError as ex:

@@ -210,7 +210,8 @@ class Form:
     __hash__ = None
 
     def slot(self, I: tuple) -> C.Poly:
-        return self.coeffs.get(I, self.alg.const(0, var="y"))
+        f = self.coeffs.get(I)
+        return self.alg.const(0, var="y") if f is None else f
 
     def __add__(self, other: Form) -> Form:
         if self.degree != other.degree or self.alg != other.alg:
@@ -236,8 +237,10 @@ class Form:
         out: dict = {}
         for I, f in self.coeffs.items():
             for w in range(self.alg.nvars):
+                if w in I:
+                    continue
                 df = f.pderiv(w)
-                if df.is_zero() or w in I:
+                if df.is_zero():
                     continue
                 pos = sum(1 for i in I if i < w)
                 J = tuple(sorted(I + (w,)))

@@ -60,10 +60,6 @@ class NoSolution(WeyliftError):
     """The characteristic-p differential equation has no polynomial solution."""
 
 
-class NotAHomomorphism(WeyliftError):
-    """Matrix-unit images do not come from an algebra homomorphism."""
-
-
 class ParseError(WeyliftError):
     """Syntax error in an expression or spec file.
 

@@ -530,8 +530,15 @@ def test_selftest_subcommand(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["all_ok"] is True
-    names = {f["name"] for f in rep["fixtures"]}
-    assert {"witt-ring", "normal-order", "bkk", "etale-family"} <= names
+    assert [f["name"] for f in rep["fixtures"]] == [
+        "witt-ring",
+        "normal-order",
+        "bkk",
+        "etale-family",
+        "obstruction-witness",
+        "trace",
+        "parser",
+    ]
 
 
 def test_selftest_takes_no_budget_or_seed(capsys):

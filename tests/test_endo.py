@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+import trivialization_oracle as TO
 
 from weylift import center as C
 from weylift import diffeq
@@ -190,7 +191,7 @@ def test_bracket_matrix_matches_the_matrix_product(reference_maps):
     for e in reference_maps:
         J = e.center_jacobian
         inv = C.omega_inv_matrix(e.alg, "x")
-        want = C.mat_mul(C.mat_mul(J, inv), C.mat_transpose(J))
+        want = TO.mat_mul(TO.mat_mul(J, inv), C.mat_transpose(J))
         assert C.mat_eq(e.center_brackets, want)
         assert C.is_poisson_morphism(e.center_brackets) == C.mat_eq(want, inv)
 

@@ -1,5 +1,7 @@
 """The rank-p^n matrix representation over k[y], the reduced trace, and
-recovery of the conjugating matrix from the twisted generators alone.
+recovery of the conjugating matrix from the twisted generators alone, all
+in trivialization_oracle; and the library's closed-form trace against the
+oracle's matrix trace.
 
 The conjugator round trip plants G as a product of elementary matrices
 with small polynomial entries, feeds A_l = G nu_l G^{-1} and B_l =
@@ -17,13 +19,13 @@ import random
 from math import factorial
 
 import pytest
+import trivialization_oracle as TO
 from test_center import x_to_y
 
 from weylift import center as C
 from weylift import diffeq as DQ
 from weylift import trivialization as TV
 from weylift.endo import bkk_family, etale_family, fourier, identity_endo
-from weylift.errors import NotAHomomorphism
 from weylift.scalars import FieldParams
 from weylift.weyl import AlgebraParams, WeylElem, ad_pow
 
@@ -38,13 +40,13 @@ def _poly(alg, terms):
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
 def test_rep_satisfies_relations(p, n):
     alg = AlgebraParams(n, FieldParams(p))
-    N = TV.mat_size(alg)
+    N = TO.mat_size(alg)
     for i in range(alg.nvars):
         for j in range(alg.nvars):
-            Ri = TV.rep_gen(alg, i)
-            Rj = TV.rep_gen(alg, j)
-            lhs = C.mat_sub(C.mat_mul(Ri, Rj), C.mat_mul(Rj, Ri))
-            want = C.mat_scalar(
+            Ri = TO.rep_gen(alg, i)
+            Rj = TO.rep_gen(alg, j)
+            lhs = C.mat_sub(TO.mat_mul(Ri, Rj), TO.mat_mul(Rj, Ri))
+            want = TO.mat_scalar(
                 alg.const(alg.omega_int(i, j), var="y"), N
             )
             assert C.mat_eq(lhs, want)
@@ -65,17 +67,17 @@ def test_rep_is_multiplicative():
         f = WeylElem(alg, "k", terms_f)
         g = WeylElem(alg, "k", terms_g)
         assert C.mat_eq(
-            TV.rep(alg, f * g), C.mat_mul(TV.rep(alg, f), TV.rep(alg, g))
+            TO.rep(alg, f * g), TO.mat_mul(TO.rep(alg, f), TO.rep(alg, g))
         )
 
 
 def test_rep_generator_pth_power_is_scalar():
     alg = AlgebraParams(1, FieldParams(3))
-    N = TV.mat_size(alg)
+    N = TO.mat_size(alg)
     for i in range(2):
-        R = C.mat_pow(TV.rep_gen(alg, i), 3)
+        R = TO.mat_pow(TO.rep_gen(alg, i), 3)
         yi = alg.gen(i, var="y")
-        assert C.mat_eq(R, C.mat_scalar(yi**3, N))
+        assert C.mat_eq(R, TO.mat_scalar(yi**3, N))
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
@@ -88,7 +90,7 @@ def test_trace_identity_exhaustive(p, n):
     import itertools
 
     for m in itertools.product(range(p), repeat=alg.nvars):
-        t = TV.trace(TV.rep(alg, alg.monomial(m)))
+        t = TO.trace(TO.rep(alg, alg.monomial(m)))
         if m == top:
             assert t == C.Poly(alg, "y", {(0,) * alg.nvars: sign})
         else:
@@ -121,7 +123,7 @@ def test_trace_closed_form_matches_matrix_trace(q, n):
             )
             terms[exps] = rng.choice(coeffs)
         f = WeylElem(alg, "k", terms)
-        want = TV.trace(TV.rep(alg, f)).scale(sign)
+        want = TO.trace(TO.rep(alg, f)).scale(sign)
         assert TV.trace_top_coefficient(e, f) == want
         nonzero += not want.is_zero()
     assert nonzero >= 3
@@ -209,7 +211,7 @@ def test_mv_gcd_recovers_common_factor():
         f = _poly(alg, {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(1, 4), (0, 0): 1})
         g = _poly(alg, {(rng.randint(1, 2), 0): rng.randint(1, 4), (0, 1): 1})
         h = _poly(alg, {(1, 1): rng.randint(1, 4), (0, 0): rng.randint(1, 4)})
-        d = TV.mv_gcd(f * h, g * h)
+        d = TO.mv_gcd(f * h, g * h)
         # divexact raises on failure: d divides both products, h divides d
         C.divexact(f * h, d)
         C.divexact(g * h, d)
@@ -220,7 +222,7 @@ def test_mv_gcd_of_coprime_is_constant():
     alg = AlgebraParams(1, FieldParams(3))
     f = _poly(alg, {(1, 0): 1, (0, 0): 1})  # y1 + 1
     g = _poly(alg, {(0, 1): 1, (0, 0): 2})  # y2 + 2
-    assert TV.mv_gcd(f, g).is_constant()
+    assert TO.mv_gcd(f, g).is_constant()
 
 
 def test_mv_gcd_normalises_over_f9():
@@ -231,7 +233,7 @@ def test_mv_gcd_normalises_over_f9():
     h = C.Poly(alg, "y", {(1, 0): t, (0, 0): one})
     f = h * C.Poly(alg, "y", {(0, 1): one, (0, 0): t})
     g = h * C.Poly(alg, "y", {(1, 0): t, (0, 1): t})
-    d = TV.mv_gcd(f, g)
+    d = TO.mv_gcd(f, g)
     assert d == h.scale(t.inverse())
     assert max(d.terms.items())[1] == one
 
@@ -240,8 +242,8 @@ def test_column_content():
     alg = AlgebraParams(1, FieldParams(3))
     h = _poly(alg, {(1, 0): 1, (0, 0): 2})
     col = [h, h * _poly(alg, {(1, 1): 2}), alg.const(0, var="y")]
-    content = TV.column_content(col)
-    assert TV._normalize(content) == TV._normalize(h)
+    content = TO.column_content(col)
+    assert TO._normalize(content) == TO._normalize(h)
     for v in col[:2]:
         C.divexact(v, content)
 
@@ -251,8 +253,8 @@ def test_column_content():
 
 def _random_unimodular(alg, rng, N):
     """A product of elementary row operations with entries of degree <= 2."""
-    G = C.mat_identity(alg, "y", N)
-    Ginv = C.mat_identity(alg, "y", N)
+    G = TO.mat_identity(alg, "y", N)
+    Ginv = TO.mat_identity(alg, "y", N)
     for _ in range(rng.randint(2, 4)):
         i = rng.randrange(N)
         j = rng.randrange(N)
@@ -262,12 +264,12 @@ def _random_unimodular(alg, rng, N):
             alg,
             {tuple(rng.randint(0, 1) for _ in range(alg.nvars)): rng.randint(1, alg.field.p - 1)},
         )
-        E = list(list(row) for row in C.mat_identity(alg, "y", N))
+        E = list(list(row) for row in TO.mat_identity(alg, "y", N))
         E[i][j] = E[i][j] + f
-        Einv = list(list(row) for row in C.mat_identity(alg, "y", N))
+        Einv = list(list(row) for row in TO.mat_identity(alg, "y", N))
         Einv[i][j] = Einv[i][j] - f
-        G = C.mat_mul(G, tuple(tuple(r) for r in E))
-        Ginv = C.mat_mul(tuple(tuple(r) for r in Einv), Ginv)
+        G = TO.mat_mul(G, tuple(tuple(r) for r in E))
+        Ginv = TO.mat_mul(tuple(tuple(r) for r in Einv), Ginv)
     return G, Ginv
 
 
@@ -296,7 +298,7 @@ def _proportional(A, B) -> bool:
 
 def _e00(alg, N):
     """The matrix unit E_00, the vacuum projector of the untwisted nu_l."""
-    E = [list(row) for row in C.mat_zero(alg, "y", N)]
+    E = [list(row) for row in TO.mat_zero(alg, "y", N)]
     E[0][0] = alg.const(1, var="y")
     return tuple(tuple(row) for row in E)
 
@@ -304,35 +306,35 @@ def _e00(alg, N):
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
 def test_recover_conjugator_round_trip(p, n):
     alg = AlgebraParams(n, FieldParams(p))
-    N = TV.mat_size(alg)
+    N = TO.mat_size(alg)
     rng = random.Random(("conj", p, n).__repr__())
     rounds = {(2, 1): 20, (3, 1): 20, (2, 2): 10}[(p, n)]
     for _ in range(rounds):
         G0, G0inv = _random_unimodular(alg, rng, N)
 
         def conj(M):
-            return C.mat_mul(C.mat_mul(G0, M), G0inv)
+            return TO.mat_mul(TO.mat_mul(G0, M), G0inv)
 
-        A = [conj(TV.nu(alg, l)) for l in range(n)]
-        B = [conj(TV.nu(alg, n + l)) for l in range(n)]
-        G = TV.recover_conjugator(A, B)
+        A = [conj(TO.nu(alg, l)) for l in range(n)]
+        B = [conj(TO.nu(alg, n + l)) for l in range(n)]
+        G = TO.recover_conjugator(A, B)
         assert _proportional(G, G0)
 
 
 def test_recover_conjugator_rejects_non_units():
     alg = AlgebraParams(1, FieldParams(2))
     N = 2
-    one = C.mat_identity(alg, "y", N)
-    nu1, nu2 = TV.nu(alg, 0), TV.nu(alg, 1)
+    one = TO.mat_identity(alg, "y", N)
+    nu1, nu2 = TO.nu(alg, 0), TO.nu(alg, 1)
     # A = B = Id at p = 2: the projector I - AB is 0
-    with pytest.raises(NotAHomomorphism, match="projector vanishes"):
-        TV.recover_conjugator([one], [one])
+    with pytest.raises(TO.NotAHomomorphism, match="projector vanishes"):
+        TO.recover_conjugator([one], [one])
     # A = Id creates nothing: v_1 = A r0 = r0, so A G = G nu_1 fails
-    with pytest.raises(NotAHomomorphism, match="generator 1"):
-        TV.recover_conjugator([one], [nu2])
+    with pytest.raises(TO.NotAHomomorphism, match="generator 1"):
+        TO.recover_conjugator([one], [nu2])
     # B = 1 + nu_2 keeps [B, A] = 1, but B G = G (1 + nu_2) where G nu_2 is wanted
-    with pytest.raises(NotAHomomorphism, match="generator 2"):
-        TV.recover_conjugator([nu1], [C.mat_add(one, nu2)])
+    with pytest.raises(TO.NotAHomomorphism, match="generator 2"):
+        TO.recover_conjugator([nu1], [C.mat_add(one, nu2)])
 
 
 def _unit(alg, N, j):
@@ -343,19 +345,19 @@ def _unit(alg, N, j):
 def test_vacuum_projector_of_nu_is_e00(p, n):
     """P(nu) = E_00: sum_t (-T)^t D^t f / t! = f(0) on k[T]/(T^p)."""
     alg = AlgebraParams(n, FieldParams(p))
-    N = TV.mat_size(alg)
-    A = [TV.nu(alg, l) for l in range(n)]
-    B = [TV.nu(alg, n + l) for l in range(n)]
+    N = TO.mat_size(alg)
+    A = [TO.nu(alg, l) for l in range(n)]
+    B = [TO.nu(alg, n + l) for l in range(n)]
     E = _e00(alg, N)
     for j in range(N):
-        assert TV._project(A, B, _unit(alg, N, j)) == [row[j] for row in E]
+        assert TO._project(A, B, _unit(alg, N, j)) == [row[j] for row in E]
 
 
 def _twisted(e):
     """A_l = rep(u_l) - ybar_l and B_l = rep(u_{n+l}) - ybar_{n+l}."""
-    alg, N = e.alg, TV.mat_size(e.alg)
+    alg, N = e.alg, TO.mat_size(e.alg)
     T = [
-        C.mat_sub(TV.rep(alg, e.u(i)), C.mat_scalar(y, N))
+        C.mat_sub(TO.rep(alg, e.u(i)), TO.mat_scalar(y, N))
         for i, y in enumerate(DQ.phi_S_all(e))
     ]
     return T[: alg.n], T[alg.n :]
@@ -365,14 +367,14 @@ def _matrix_projector(A, B):
     """prod_l sum_{t<p} (-1)^t/t! A_l^t B_l^t by matrix products, l left to right."""
     alg = A[0][0][0].alg
     N = len(A[0])
-    proj = C.mat_identity(alg, "y", N)
+    proj = TO.mat_identity(alg, "y", N)
     for a, b in zip(A, B):
-        acc = C.mat_zero(alg, "y", N)
+        acc = TO.mat_zero(alg, "y", N)
         for t in range(alg.field.p):
             c = alg.field.from_int((-1) ** t * factorial(t)).inverse()
-            term = C.mat_mul(C.mat_pow(a, t), C.mat_pow(b, t))
-            acc = C.mat_add(acc, C.mat_scale(term, C.Poly(alg, "y", {(0,) * alg.nvars: c})))
-        proj = C.mat_mul(proj, acc)
+            term = TO.mat_mul(TO.mat_pow(a, t), TO.mat_pow(b, t))
+            acc = C.mat_add(acc, TO.mat_scale(term, C.Poly(alg, "y", {(0,) * alg.nvars: c})))
+        proj = TO.mat_mul(proj, acc)
     return proj
 
 
@@ -388,20 +390,20 @@ def test_vacuum_projector_matrix_oracle(corpus):
         p3_n2[1],
     ]
     for e in maps:
-        alg, N = e.alg, TV.mat_size(e.alg)
+        alg, N = e.alg, TO.mat_size(e.alg)
         A, B = _twisted(e)
         proj = _matrix_projector(A, B)
         for j in range(N):
-            assert TV._project(A, B, _unit(alg, N, j)) == [row[j] for row in proj]
-        G = TV.conjugator_for_endo(e).G
-        assert C.mat_eq(C.mat_mul(proj, G), C.mat_mul(G, _e00(alg, N)))
+            assert TO._project(A, B, _unit(alg, N, j)) == [row[j] for row in proj]
+        G = TO.conjugator_for_endo(e).G
+        assert C.mat_eq(TO.mat_mul(proj, G), TO.mat_mul(G, _e00(alg, N)))
 
 
 def test_conjugator_for_endo_identity(a1_f3):
-    cj = TV.conjugator_for_endo(identity_endo(a1_f3))
+    cj = TO.conjugator_for_endo(identity_endo(a1_f3))
     assert cj.det.is_constant() and not cj.det.is_zero()
     assert cj.ybar == [a1_f3.gen(i, var="y") for i in range(2)]
-    assert C.mat_eq(cj.G, C.mat_identity(a1_f3, "y", 3))
+    assert C.mat_eq(cj.G, TO.mat_identity(a1_f3, "y", 3))
 
 
 @pytest.mark.parametrize("maker", ["etale", "fourier", "bkk"])
@@ -412,18 +414,18 @@ def test_conjugator_for_endo_families(maker, a1_f3, a2_f3):
         e = fourier(a1_f3)
     else:
         e = bkk_family(a2_f3, 2, a2_f3.field.one)
-    cj = TV.conjugator_for_endo(e)
+    cj = TO.conjugator_for_endo(e)
     assert cj.det.is_constant() and not cj.det.is_zero()
     assert cj.ybar == [DQ.phi_S(e, i) for i in range(e.alg.nvars)]
 
 
 def test_conjugator_certifies_twisted_scalars(a1_f3):
     e = etale_family(a1_f3, 1, a1_f3.field.one)
-    cj = TV.conjugator_for_endo(e)
+    cj = TO.conjugator_for_endo(e)
     alg = e.alg
     for i in range(alg.nvars):
-        lhs = C.mat_sub(C.mat_mul(TV.rep(alg, e.u(i)), cj.G), C.mat_mul(cj.G, TV.nu(alg, i)))
-        assert C.mat_eq(lhs, C.mat_scale(cj.G, cj.ybar[i]))
+        lhs = C.mat_sub(TO.mat_mul(TO.rep(alg, e.u(i)), cj.G), TO.mat_mul(cj.G, TO.nu(alg, i)))
+        assert C.mat_eq(lhs, TO.mat_scale(cj.G, cj.ybar[i]))
 
 
 def _mat_bytes(M) -> bytes:
@@ -463,7 +465,7 @@ def test_conjugator_is_pinned(corpus):
         "corpus-p3-n2-1": p3_n2[1],
     }
     for name, e in maps.items():
-        cj = TV.conjugator_for_endo(e)
+        cj = TO.conjugator_for_endo(e)
         assert (_mat_digest(cj.G), _mat_digest([[cj.det]])) == CONJUGATOR_DIGESTS[name], name
 
 
@@ -472,7 +474,7 @@ def test_corpus_conjugators_are_pinned(corpus):
     """One SHA-256 over G and det G of all 104 corpus maps, in corpus order."""
     h = hashlib.sha256()
     for e in corpus:
-        cj = TV.conjugator_for_endo(e)
+        cj = TO.conjugator_for_endo(e)
         h.update(_mat_bytes(cj.G))
         h.update(_mat_bytes([[cj.det]]))
     assert h.hexdigest() == "b78ac4bc9e49f8872c859adf853f26b58d059564fac84b1a70d38d452b2db7f3"
@@ -482,6 +484,6 @@ def test_conjugator_rejects_invalid_images(a1_f3):
 
     z2 = a1_f3.gen(1)
     bad = Endo(a1_f3, [a1_f3.gen(0), z2 + z2])  # [z1, 2 z2] = -2 != -1
-    with pytest.raises(NotAHomomorphism):
-        TV.conjugator_for_endo(bad)
+    with pytest.raises(TO.NotAHomomorphism):
+        TO.conjugator_for_endo(bad)
 
