@@ -13,6 +13,7 @@ which always indicates a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -72,13 +73,29 @@ def field_block(field: FieldParams) -> dict:
 # pipeline
 
 
-def _trace_samples(e: Endo, seed: int) -> list[WeylElem]:
-    """trace-check's samples: 1, a top element and six seeded random sums of
-    1-3 monomials, each summed as residues mod p (an integer's residue for
-    every m, as in AlgebraParams.const) in one dict and packed once."""
-    alg = e.alg
+@functools.cache
+def _seeded_samples(alg: AlgebraParams, seed: int) -> tuple[WeylElem, ...]:
+    """trace-check's six seeded random sums of 1-3 monomials, each summed as
+    residues mod p (an integer's residue for every m, as in
+    AlgebraParams.const) in one dict and packed once.  They depend only on
+    the algebra and the seed, so they are drawn once per (algebra, seed),
+    memoised by value as weyl's set-ups are."""
     p = alg.field.p
     rng = random.Random(("trace", seed, p, alg.n).__repr__())
+    samples = []
+    for _ in range(6):
+        coeffs: dict = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(0, p - 1) for _ in range(alg.nvars))
+            coeffs[exps] = (coeffs.get(exps, 0) + rng.randint(1, p - 1)) % p
+        samples.append(alg.from_items(coeffs.items()))
+    return tuple(samples)
+
+
+def _trace_samples(e: Endo, seed: int) -> list[WeylElem]:
+    """trace-check's samples: 1, a top element and the six seeded sums."""
+    alg = e.alg
+    p = alg.field.p
     # Only take the product of image powers while its degree bound stays
     # small; otherwise the plain top monomial stands in.  The ad chain of
     # the expansion side does not need the bound; it stays so that the
@@ -89,14 +106,7 @@ def _trace_samples(e: Endo, seed: int) -> list[WeylElem]:
             top = top * e.u(i) ** (p - 1)
     else:
         top = alg.from_items([((p - 1,) * alg.nvars, 1)])
-    samples = [alg.const(1), top]
-    for _ in range(6):
-        coeffs: dict = {}
-        for _ in range(rng.randint(1, 3)):
-            exps = tuple(rng.randint(0, p - 1) for _ in range(alg.nvars))
-            coeffs[exps] = (coeffs.get(exps, 0) + rng.randint(1, p - 1)) % p
-        samples.append(alg.from_items(coeffs.items()))
-    return samples
+    return [alg.const(1), top, *_seeded_samples(alg, seed)]
 
 
 def run(spec: SpecFile, tasks: list[str], budget: int | None = None, seed: int = 0,

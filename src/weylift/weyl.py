@@ -58,7 +58,10 @@ c_a z^a, c_b z^b with c = c_a c_b, the contractions of z^a z^b enter with
 +c and those of z^b z^a with -c, and the k = 0 part z^(a+b) common to both
 (offset 0) is never emitted, so a pair that contracts in neither order
 never touches the output.  A contraction's weight is symmetric in the two
-exponents, so both orders read one row table.
+exponents, so both orders read one row table.  Over k only k < p
+contracts, and by Lucas a weight then reads the exponents mod p only, so a
+row is built once per pair and exponent residues.  An ad chain ad(f)^r g
+is one kernel call, whose pass runs r times on the previous step's store.
 
 Output terms come in first-insertion order over the visited pairs, A-major;
 in a commutator each A term goes through B for z^a z^b, then again for
@@ -203,10 +206,20 @@ def _context(p: int, m: int, modulus, n: int, ring: str, fmt: str) -> _Context:
     rows: dict = {}
     table: dict = {}
 
-    def new_row(l: int, a: int, b: int) -> tuple:
+    def build_row(l: int, a: int, b: int) -> tuple:
         step = (1 << (width * l)) + (1 << (width * (n + l)))
         row = _contraction_row(a, b, p, weight)
         return ((0, 1),) + tuple((k * step, w) for k, w in row) if row else ()
+
+    if ring == "k":
+        # Over k only k < p contracts, and there binom(a,k) = binom(a mod p, k)
+        # mod p (Lucas): (a, b) has the row of (a mod p, b mod p), built once.
+        by_residues = functools.cache(build_row)
+
+        def new_row(l: int, a: int, b: int) -> tuple:
+            return by_residues(l, a % p, b % p)
+    else:
+        new_row = build_row
 
     def links(v: int, upper: bool) -> list:
         got = table.get(v)
@@ -569,8 +582,9 @@ def _kind(ring: str, var: str) -> type:
 # multiplication
 
 
-def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
-    """A * B, or [A, B] = A * B - B * A when ``bracket``, on the int store.
+def _contract(A: WeylElem, B: WeylElem, bracket: bool = False, times: int = 1) -> WeylElem:
+    """A * B, or [A, B] = A * B - B * A when ``bracket``, on the int store;
+    with ``times`` = r the chain A * (... (A * B)), or ad(A)^r B.
 
     Coefficient products c = c_a c_b and their multiples by the rows'
     weights sum unreduced; each output term is reduced once.  Pairs of two
@@ -579,11 +593,29 @@ def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
     terms twice: the contractions of z^a z^b enter with c, then those of
     z^b z^a with -c, and the k = 0 part z^(a+b) they share, at offset 0,
     is never emitted.  Output terms keep first-insertion order, A-major.
+
+    A chain runs the pass ``times`` times, B being the previous step's
+    reduced store, and stops at the first 0.  Before each further step it
+    applies _aligned's overflow test; if that hits, a fresh call re-aligns
+    the rest of the chain.  So each step's terms, in order, are those of
+    one call per step.
     """
     if not A.data or not B.data:
         A._require_compatible(B)
         return A._like({})
     ctx, da, db = _aligned(A, B, True)
+    while True:
+        db = _pass(ctx, da, db, bracket)
+        times -= 1
+        if not times or not db:
+            return A._like(db, ctx)
+        if (_or_keys(da) | _or_keys(db)) & ctx.high:
+            return _contract(A, A._like(db, ctx), bracket, times)
+
+
+def _pass(ctx: _Context, da: dict, db: dict, bracket: bool) -> dict:
+    """One step of _contract on nonzero stores at ctx: the reduced store of
+    A * B or [A, B]."""
     res, links_of = ctx.res, ctx.links
     unit, N, fmask = res.unit, res.N, (1 << ctx.width) - 1
     upper = ctx.upper
@@ -635,7 +667,7 @@ def _contract(A: WeylElem, B: WeylElem, bracket: bool = False) -> WeylElem:
                     s = get(key - d)
                     out[key - d] = v if s is None else s + v
     reduce = res.reduce
-    return A._like({k: r for k, v in out.items() if (r := reduce(v))}, ctx)
+    return {k: r for k, v in out.items() if (r := reduce(v))}
 
 
 def _contraction_row(a: int, b: int, p: int, image) -> tuple:
@@ -719,12 +751,9 @@ def commutator(f: WeylElem, g: WeylElem) -> WeylElem:
 
 
 def ad_pow(f: WeylElem, r: int, g: WeylElem) -> WeylElem:
-    """ad(f)^r applied to g; the chain stops at the first 0."""
-    for _ in range(r):
-        if not g:
-            break
-        g = commutator(f, g)
-    return g
+    """ad(f)^r applied to g as one kernel call, none for g = 0; the chain
+    stops at the first 0."""
+    return _contract(f, g, True, r) if r > 0 and g else g
 
 
 def _with_ring(F: WeylElem, ring: str) -> tuple:

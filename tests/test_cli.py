@@ -118,10 +118,52 @@ def test_trace_gate_exits_4(capsys, monkeypatch):
     def off_by_one(e, f):
         return trace(e, f) + e.alg.const(1, var="y")
 
+    # a first run fills the seeded-sample memo, so the failing run below
+    # reads its samples from it: a warm memo must not hide a broken route
+    spec = str(SPEC_DIR / "bkk_p3.spec")
+    assert _run(capsys, ["trace-check", "--input", spec])[0] == 0
     monkeypatch.setattr(cli.TV, "trace_top_coefficient", off_by_one)
-    code, out, err = _run(capsys, ["trace-check", "--input", str(SPEC_DIR / "bkk_p3.spec")])
+    code, out, err = _run(capsys, ["trace-check", "--input", spec])
     assert code == 4
     assert "internal inconsistency" in err and "trace route disagrees" in err
+
+
+def test_trace_check_draws_seeded_samples_once_per_algebra_and_seed(monkeypatch):
+    """Two maps over A_2(F_3) share one draw of the six seeded sums; a new
+    seed or a new algebra draws again.  Both routes still run on every
+    sample of every map, and no run changes a memoised store."""
+    import random
+    import types
+
+    from weylift import cli
+
+    draws = []
+
+    def counted(seed):
+        draws.append(seed)
+        return random.Random(seed)
+
+    cli._seeded_samples.cache_clear()
+    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=counted))
+    routes = []
+    trace, top = cli.TV.trace_top_coefficient, cli.coh.top_coefficient
+    monkeypatch.setattr(cli.TV, "trace_top_coefficient", lambda e, f: routes.append(1) or trace(e, f))
+    monkeypatch.setattr(cli.coh, "top_coefficient", lambda e, f: routes.append(2) or top(e, f))
+    bkk, other = (load_spec(SPEC_DIR / f"{name}.spec") for name in ("bkk_p3", "map_p3_n2"))
+    assert bkk.endo().alg == other.endo().alg
+    assert run(bkk, ["trace-check"])[1] == 0
+    memo = cli._seeded_samples(bkk.endo().alg, 0)
+    stores = [dict(f.data) for f in memo]
+    assert len(draws) == 1 and len(memo) == 6
+    assert run(other, ["trace-check"])[1] == 0
+    assert len(draws) == 1
+    assert routes == [1, 2] * 16
+    assert run(other, ["trace-check"], seed=1)[1] == 0
+    assert len(draws) == 2
+    assert run(load_spec(SPEC_DIR / "bkk_p5.spec"), ["trace-check"])[1] == 0
+    assert len(draws) == 3
+    assert cli._seeded_samples(bkk.endo().alg, 0) is memo
+    assert [f.data for f in memo] == stores
 
 
 def _trace_samples_by_terms(e, seed):
@@ -447,14 +489,19 @@ def test_golden_report_digests(capsys):
 def test_reports_do_not_depend_on_product_term_order(capsys, monkeypatch):
     """The Weyl kernel's output order is not part of any report: with every
     product and every commutator emitting its terms in reverse, all golden
-    digests still match."""
+    digests still match.  An ad chain steps one reversed bracket at a time,
+    so every step's order is perturbed."""
     from weylift import weyl
 
     contract = weyl._contract
 
-    def reversed_contract(A, B, bracket=False):
-        out = contract(A, B, bracket)
-        return weyl.WeylElem(out.alg, out.ring, dict(reversed(out.terms.items())))
+    def reversed_contract(A, B, bracket=False, times=1):
+        for _ in range(times):
+            out = contract(A, B, bracket)
+            B = weyl.WeylElem(out.alg, out.ring, dict(reversed(out.terms.items())))
+            if not B:
+                break
+        return B
 
     monkeypatch.setattr(weyl, "_contract", reversed_contract)
     _check_golden_digests(capsys)

@@ -600,22 +600,71 @@ def test_commutator_with_zero_and_across_algebras():
 
 
 def test_ad_pow_stops_at_the_first_zero(monkeypatch):
-    """ad(z_2)^r z_1^3 reaches 0 after 4 brackets, so it makes 4 calls, not r."""
+    """ad(z_2)^r z_1^3 reaches 0 after 4 brackets: each ad_pow is one kernel
+    call, which runs 4 bracket passes, not r, even for r = 10**7; a chain
+    from 0 makes no call."""
     from weylift import weyl
 
     alg = AlgebraParams(1, FieldParams(7))
-    calls = []
-    bracket = weyl.commutator
-    monkeypatch.setattr(weyl, "commutator", lambda f, g: calls.append(1) or bracket(f, g))
-    z1, z2 = alg.gen(0), alg.gen(1)
-    assert ad_pow(z2, 3, z1**3) == alg.const(6)
-    assert len(calls) == 3
+    calls, passes = [], []
+    contract, one_pass = weyl._contract, weyl._pass
+    monkeypatch.setattr(weyl, "_contract", lambda *a: calls.append(1) or contract(*a))
+    monkeypatch.setattr(weyl, "_pass", lambda *a: passes.append(1) or one_pass(*a))
+    z2, g, zero = alg.gen(1), alg.gen(0) ** 3, alg.const(0)
+    for r, want, steps in ((3, 6, 3), (6, 0, 4), (10**7, 0, 4)):
+        calls.clear(), passes.clear()
+        assert ad_pow(z2, r, g) == alg.const(want)
+        assert (len(calls), len(passes)) == (1, steps)
     calls.clear()
-    assert ad_pow(z2, 6, z1**3).is_zero()
-    assert len(calls) == 4
-    calls.clear()
-    assert ad_pow(z2, 6, alg.const(0)).is_zero()
+    assert ad_pow(z2, 6, zero) is zero
     assert not calls
+
+
+@pytest.mark.parametrize("ring", ["k", "w2"])
+def test_ad_chain_re_aligns_when_exponents_pass_a_width(ring, monkeypatch):
+    """ad(z_1^100 z_2 + z_1)^5 (z_2^5 + z_1 z_2) at p = 101: the z_1
+    exponents reach 198 after two steps, whose sums with 100 pass 255, so
+    the chain re-aligns to 16 bits for its last three steps.  It equals five
+    single commutators, term for term and in order."""
+    from weylift import weyl
+
+    alg = AlgebraParams(1, FieldParams(101))
+    z1, z2 = alg.gen(0, ring), alg.gen(1, ring)
+    f, g = z1**100 * z2 + z1, z2**5 + z1 * z2
+    want = g
+    for _ in range(5):
+        want = commutator(f, want)
+    calls = []
+    contract = weyl._contract
+    monkeypatch.setattr(weyl, "_contract", lambda *a: calls.append(a[3:]) or contract(*a))
+    got = ad_pow(f, 5, g)
+    assert calls == [(5,), (3,)]
+    assert got.ctx.width == want.ctx.width == 16
+    assert list(got.data.items()) == list(want.data.items())
+
+
+def test_rows_over_k_are_keyed_by_exponent_residues():
+    """Over k (Lucas) the row of (a, b) is the row of (a mod p, b mod p),
+    one tuple built once, and it equals the row built from a, b themselves;
+    over W_2 rows are built from the full exponents."""
+    from weylift import weyl
+
+    p = 5
+    alg = AlgebraParams(1, FieldParams(p))
+    for ring in ("k", "w2"):
+        ctx = alg.gen(0, ring).ctx
+        rows = {}
+        for a in range(1, 3 * p):
+            (shift, _, new_row), = ctx.links(a << ctx.width, True)
+            assert shift == 0
+            for b in range(1, 3 * p):
+                row = new_row(b)
+                direct = weyl._contraction_row(a, b, p, ctx.res.N.__rmod__)
+                step = (1 << ctx.width) + 1
+                assert row == (((0, 1),) + tuple((k * step, w) for k, w in direct) if direct else ())
+                rows.setdefault((a % p, b % p), set()).add(id(row))
+        if ring == "k":
+            assert all(len(ids) == 1 for ids in rows.values())
 
 
 # SHA-256 of the commutator's terms in dict order over the seeded pairs below,
