@@ -27,14 +27,18 @@ recovers the obstruction matrix, and when the harmonic part is zero the
 1-form h pulls back to correction terms v_i making
 Phi(z_i) = [u_i] + p [v_i] a lift to W_2(k).
 
-One recursive routine splits a closed q-form (the constructive half of the
-Cartier isomorphism H^q(Omega_S) = Omega^q over k[y^p]).  It processes the
-variables in increasing order; the stage at y_v first integrates in y_v
-every monomial of a dy_v slot whose y_v exponent is not p-1 mod p.  The
-residual, grouped by its exact y_v exponent c, is y_v^c dy_v times a closed
-(q-1)-form in the later variables, which the routine splits by calling
-itself; at q = 1 that residual already lies in k[y^p] and is harmonic.
-This is deterministic, so h is reproducible.
+One pass over the monomials splits a closed q-form (the constructive half
+of the Cartier isomorphism H^q(Omega_S) = Omega^q over k[y^p]).  S's de
+Rham complex is the tensor product of the one-variable complexes
+k[y_v] -> k[y_v] dy_v, each its harmonic part (y_v^(pc) and
+y_v^(pc+p-1) dy_v, kept by the projection pi_v) plus an acyclic part with
+homotopy s_v(y_v^a dy_v) = y_v^(a+1)/(a+1).  The Kunneth homotopy
+s = sum_v pi_(<v) (x) s_v (x) id_(>v) has ds + sd = 1 - pi, so a closed F is
+d(sF) + pi(F), with no recursion.  Term by term: c y^a dy_I whose first
+non-harmonic factor is at y_v gives h the term
+(-1)^t c/(a_v+1) y^(a+e_v) dy_(I minus v), t the indices of I below v, when
+v is in I, and nothing when it is not; a term with no such factor is
+harmonic.  This is deterministic, so h is reproducible.
 """
 
 from __future__ import annotations
@@ -186,14 +190,31 @@ def psi_inverse(e: Endo, s: C.Poly) -> WeylElem:
 
 
 class Form:
-    """An alternating form sum_I f_I dy_I with strictly increasing index tuples."""
+    """An alternating form sum_I f_I dy_I with strictly increasing index tuples.
+
+    Form(alg, degree, coeffs) checks each slot (degree increasing indices
+    below 2n) and coefficient (a y-Poly of alg), raising WeyliftError, and
+    drops zero coefficients.
+    """
 
     __slots__ = ("alg", "degree", "coeffs")
 
     def __init__(self, alg: AlgebraParams, degree: int, coeffs: dict):
+        if type(degree) is not int or degree < 0:
+            raise WeyliftError(f"bad form degree {degree!r}")
+        for I, f in coeffs.items():
+            if not (
+                isinstance(I, tuple)
+                and len(I) == degree
+                and all(type(i) is int for i in I)
+                and all(a < b for a, b in zip((-1,) + I, I + (alg.nvars,)))
+            ):
+                raise WeyliftError(f"slot {I!r} is not {degree} increasing indices < {alg.nvars}")
+            if not (isinstance(f, C.Poly) and f.var == "y" and f.alg == alg):
+                raise WeyliftError(f"coefficient of slot {I!r} is not a y-Poly of the algebra")
         self.alg = alg
         self.degree = degree
-        self.coeffs = coeffs
+        self.coeffs = {I: f for I, f in coeffs.items() if f}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -219,18 +240,8 @@ class Form:
         out = dict(self.coeffs)
         for I, f in other.coeffs.items():
             s = out.get(I)
-            s = f if s is None else s + f
-            if s:
-                out[I] = s
-            elif I in out:
-                del out[I]
+            out[I] = f if s is None else s + f
         return Form(self.alg, self.degree, out)
-
-    def __neg__(self) -> Form:
-        return Form(self.alg, self.degree, {I: -f for I, f in self.coeffs.items()})
-
-    def __sub__(self, other: Form) -> Form:
-        return self + (-other)
 
     def d(self) -> Form:
         """Exterior derivative with signs from sorting dy_w into dy_I."""
@@ -246,18 +257,15 @@ class Form:
                 J = tuple(sorted(I + (w,)))
                 piece = df if pos % 2 == 0 else -df
                 s = out.get(J)
-                s = piece if s is None else s + piece
-                if s:
-                    out[J] = s
-                elif J in out:
-                    del out[J]
+                out[J] = piece if s is None else s + piece
         return Form(self.alg, self.degree + 1, out)
 
     def __repr__(self) -> str:
         if not self.coeffs:
             return f"0 ({self.degree}-form)"
         bits = [
-            f"({f!r}) dy{'dy'.join(str(i + 1) for i in I)}" for I, f in sorted(self.coeffs.items())
+            f"({f!r})" + (" " if I else "") + "".join(f"dy{i + 1}" for i in I)
+            for I, f in sorted(self.coeffs.items())
         ]
         return " + ".join(bits)
 
@@ -266,64 +274,29 @@ class Form:
 # splitting closed forms
 
 
-def _integrate(f: C.Poly, v: int) -> C.Poly:
-    """Antiderivative in y_v of the monomials of f whose y_v exponent is not
-    p-1 mod p (the others have no antiderivative in y_v)."""
-    p, reduce = f.alg.field.p, f.ctx.res.reduce
-    items = [
-        (e[:v] + (e[v] + 1,) + e[v + 1 :], reduce(c * pow(e[v] + 1, p - 2, p)))
-        for e, c in f._items()
-        if e[v] % p != p - 1
-    ]
-    return f.alg.from_items(items, "y")
-
-
-def _wedge(c: int, v: int, G: Form) -> Form:
-    """y_v^c dy_v ^ G for a form G in the variables after y_v."""
-    alg = G.alg
-    yc = alg.from_items([(tuple(c if i == v else 0 for i in range(alg.nvars)), 1)], "y")
-    return Form(alg, G.degree + 1, {(v,) + J: yc * g for J, g in G.coeffs.items()})
-
-
 def _split_closed(F: Form):
-    """Split a closed q-form, q >= 1, as F = d(h) + harm with harm harmonic.
-
-    Variables go in increasing order.  At y_v, each slot dy_v dy_J (in
-    increasing J) first loses its monomials whose y_v exponent is not p-1
-    mod p: h gains their antiderivative in y_v times dy_J.  The rest of the
-    dy_v slots, grouped by the exact y_v exponent c, is y_v^c dy_v W_c with
-    W_c a closed (q-1)-form in the later variables.  At q = 1, W_c is a
-    function of y^p and joins harm as it is; otherwise W_c = d(g) + harm_c
-    by recursion, h gains -y_v^c dy_v g and harm gains y_v^c dy_v harm_c.
-    """
+    """Split a closed q-form, q >= 1, as F = d(h) + harm with harm harmonic:
+    h = sF and harm = pi(F) in one pass over the terms of F (the Kunneth
+    homotopy of the module docstring).  A non-closed F fails the final
+    check, an InternalInconsistency."""
     alg = F.alg
-    p = alg.field.p
-    q = F.degree
-    work = Form(alg, q, dict(F.coeffs))
-    h = Form(alg, q - 1, {})
-    harm = Form(alg, q, {})
-    for v in range(alg.nvars):
-        for I in sorted(I for I in work.coeffs if I[0] == v):
-            g = _integrate(work.coeffs[I], v)
-            if g:
-                piece = Form(alg, q - 1, {I[1:]: g})
-                h = h + piece
-                work = work - piece.d()
-        groups: dict = {}
-        for I in sorted(I for I in work.coeffs if I[0] == v):
-            for e, c in work.coeffs.pop(I)._items():
-                stripped = e[:v] + (0,) + e[v + 1 :]
-                groups.setdefault(e[v], {}).setdefault(I[1:], []).append((stripped, c))
-        for cv, slots in sorted(groups.items()):
-            W = Form(alg, q - 1, {J: alg.from_items(items, "y") for J, items in slots.items()})
-            if q == 1:
-                if any(x % p for e, _ in W.slot(())._items() for x in e):
-                    raise InternalInconsistency("1-form residual escapes the harmonic pattern")
-                harm = harm + _wedge(cv, v, W)
-            else:
-                g_b, harm_b = _split_closed(W)
-                h = h - _wedge(cv, v, g_b)
-                harm = harm + _wedge(cv, v, harm_b)
+    p, q = alg.field.p, F.degree
+    h_terms: dict = {}
+    harm_terms: dict = {}
+    for I, f in F.coeffs.items():
+        reduce = f.ctx.res.reduce
+        want = tuple(p - 1 if v in I else 0 for v in range(alg.nvars))
+        for a, c in f._items():
+            v = next((v for v, (x, y) in enumerate(zip(a, want)) if x % p != y), None)
+            if v is None:
+                harm_terms.setdefault(I, []).append((a, c))
+            elif v in I:
+                t = I.index(v)
+                slot = h_terms.setdefault(I[:t] + I[t + 1 :], {})
+                b = a[:v] + (a[v] + 1,) + a[v + 1 :]
+                slot[b] = reduce(slot.get(b, 0) + c * ((-1) ** t * pow(a[v] + 1, -1, p) % p))
+    h = Form(alg, q - 1, {J: alg.from_items(terms.items(), "y") for J, terms in h_terms.items()})
+    harm = Form(alg, q, {I: alg.from_items(terms, "y") for I, terms in harm_terms.items()})
     if h.d() + harm != F:
         raise InternalInconsistency(f"the splitting does not reconstruct the closed {q}-form")
     return h, harm

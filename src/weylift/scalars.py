@@ -1,8 +1,8 @@
 """Exact scalars: finite fields F_{p^m} and length-2 Witt vectors W_2(k).
 
-A FieldParams object fixes (p, m, modulus) and interns the small amount of
-precomputed data everything else relies on: for m = 1 the table of field
-elements, so arithmetic does not allocate.
+A FieldParams object fixes (p, m, modulus) and checks them: p prime, and
+for m > 1 a monic irreducible modulus.  The residue rings that arithmetic
+runs in (ResidueRing, below) are built once per field and memoised by value.
 
 Witt vectors are pairs (a1, a2) with the standard length-2 laws:
 

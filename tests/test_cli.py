@@ -14,8 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from weylift import center as C
+from weylift import cohomology as coh
+from weylift.center import _det_bareiss as det_bareiss
 from weylift.cli import main, run, run_corpus
-from weylift.parser import KNOWN_TASKS, load_spec
+from weylift.parser import KNOWN_TASKS, load_spec, parse_spec_text
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -263,6 +266,39 @@ def test_lift_at_p32749_finishes(capsys, tmp_path, images):
     assert code == 0
     lift = json.loads(out)["lift"]
     assert lift["liftable"] is True and lift["verified"] is True
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_n3_map_through_every_task(monkeypatch, j):
+    """z1 -> z1 + z2^3 z4^j at p = 3, n = 3: the bkk map on the pairs (1, 4)
+    and (2, 5), the identity on (3, 6).  It lifts iff j < p - 1, and its
+    6 x 6 Jacobian determinant takes the Bareiss route."""
+    p = 3
+    images = [f"z1 + z2^3*z4^{j}"] + [f"z{i}" for i in range(2, 7)]
+    spec = parse_spec_text(
+        f"p = {p}\nn = 3\n" + "".join(f"phi.{i} = {u}\n" for i, u in enumerate(images, 1))
+    )
+    bareiss = []
+
+    def spy(M, alg, var):
+        bareiss.append(len(M))
+        return det_bareiss(M, alg, var)
+
+    monkeypatch.setattr(C, "_det_bareiss", spy)
+    report, code = run(spec, ["analyze", "gamma", "lift", "trace-check"])
+    assert code == 0
+    assert bareiss and all(size == 6 for size in bareiss)
+    liftable = j < p - 1
+    assert report["analyze"]["etale"]
+    assert report["analyze"]["liftable"] == report["analyze"]["poisson"] == liftable
+    assert report["gamma"]["symmetric"] == report["lift"]["liftable"] == liftable
+    assert report["trace_check"] == {"samples": 8, "agree": True}
+    endo = spec.endo()
+    outcome = coh.construct_lift(endo)
+    if liftable:
+        assert isinstance(outcome, coh.Lift) and coh.verify_lift(endo.alg, outcome.Phi)
+    else:
+        assert isinstance(outcome, coh.ObstructionWitness) and outcome.harmonic
 
 
 def test_invalid_endomorphism_exits_2(capsys, tmp_path):

@@ -22,7 +22,7 @@ from weylift import cli
 from weylift import cohomology as coh
 from weylift import diffeq
 from weylift.endo import Endo, bkk_family, etale_family, generate_corpus, identity_endo
-from weylift.errors import InternalInconsistency, NotClosed
+from weylift.errors import InternalInconsistency, NotClosed, WeyliftError
 from weylift.parser import load_spec
 from weylift.scalars import FieldParams, Witt2
 from weylift.weyl import AlgebraParams, WeylElem, ad_pow, commutator, teich_lift, times_p_elem
@@ -153,8 +153,8 @@ def test_split_is_pinned_on_seeded_closed_2forms():
 
 
 def test_recursive_split_recovers_planted_closed_3forms():
-    """The splitter recurses through every degree: d(random 2-form) plus
-    planted y_I^{p-1} k[y^p] dy_I terms comes back with the planted part."""
+    """The splitter works in every degree: d(random 2-form) plus planted
+    y_I^{p-1} k[y^p] dy_I terms comes back with the planted part."""
     count = 0
     for p, m, n in ((2, 1, 2), (3, 1, 2), (5, 1, 2), (3, 2, 2), (2, 1, 3), (3, 1, 3)):
         alg = AlgebraParams(n, FieldParams(p, m))
@@ -177,6 +177,133 @@ def test_recursive_split_recovers_planted_closed_3forms():
             assert harm == harm_form
             count += 1
     assert count == 48
+
+
+def _planted_harmonic(alg, rng, q):
+    """Random y_I^{p-1} k[y^p] dy_I terms over the q-slots I, and their form."""
+    p = alg.field.p
+    planted = {}
+    for I in combinations(range(alg.nvars), q):
+        if rng.random() < 0.6:
+            e = tuple((p - 1 if t in I else 0) + p * rng.randint(0, 1) for t in range(alg.nvars))
+            planted[I] = C.Poly(alg, "y", {e: _rand_coeff(alg.field, rng)})
+    return coh.Form(alg, q, planted)
+
+
+def test_split_recovers_planted_closed_1forms_and_top_forms():
+    """Degrees 1 and 2n, which the splitter once reached only inside its
+    recursion: d(random (q-1)-form) plus a planted harmonic q-form splits
+    back into the planted part; a top-degree form is always closed."""
+    count = 0
+    for p, m, n in ((2, 1, 1), (3, 1, 1), (5, 1, 1), (3, 2, 1), (3, 1, 2), (2, 2, 2)):
+        alg = AlgebraParams(n, FieldParams(p, m))
+        rng = random.Random(repr(("split-ends", p, m, n)))
+        for q in (1, alg.nvars):
+            for _ in range(6):
+                slots = [I for I in combinations(range(alg.nvars), q - 1) if rng.random() < 0.7]
+                G = coh.Form(alg, q - 1, {I: _rand_poly(alg, rng, max_deg=2 * p) for I in slots})
+                harm_form = _planted_harmonic(alg, rng, q)
+                F = G.d() + harm_form
+                h, harm = coh._split_closed(F)
+                assert h.d() + harm == F
+                assert harm == harm_form
+                count += 1
+    assert count == 72
+
+
+def test_split_one_pass_rule_by_hand():
+    alg = AlgebraParams(1, FieldParams(3))
+    one = alg.field.one
+    # y1^2 y2 dy1 dy2: y1^2 dy1 is harmonic, so v = 2 with t = 1 index of I
+    # below it, and h = (-1)^1 / 2 y1^2 y2^2 dy1 = y1^2 y2^2 dy1 (-1/2 = 1 mod 3)
+    F = coh.Form(alg, 2, {(0, 1): C.Poly(alg, "y", {(2, 1): one})})
+    h, harm = coh._split_closed(F)
+    assert h == coh.Form(alg, 1, {(0,): C.Poly(alg, "y", {(2, 2): one})})
+    assert harm.is_zero()
+    # d(y1 y2) = y2 dy1 + y1 dy2: y1 dy2 gives h nothing, its first
+    # non-harmonic factor y1 carrying no dy
+    y1y2 = C.Poly(alg, "y", {(1, 1): one})
+    h, harm = coh._split_closed(coh.Form(alg, 0, {(): y1y2}).d())
+    assert h == coh.Form(alg, 0, {(): y1y2})
+    assert harm.is_zero()
+
+
+def test_split_closed_rejects_a_non_closed_form():
+    alg = AlgebraParams(2, FieldParams(3))
+    F = coh.Form(alg, 2, {(0, 1): alg.gen(2, var="y")})  # y3 dy1 dy2
+    with pytest.raises(InternalInconsistency):
+        coh._split_closed(F)
+
+
+def test_form_drops_zero_coefficients():
+    alg = AlgebraParams(1, FieldParams(3))
+    zero = alg.const(0, var="y")
+    F = coh.Form(alg, 2, {(0, 1): zero})
+    assert F.is_zero()
+    assert F == coh.Form(alg, 2, {})
+    h, harmonic = coh.split_closed_2form(F)
+    assert h.is_zero() and harmonic == {}
+    y1 = alg.gen(0, var="y")
+    assert coh.Form(alg, 1, {(0,): y1 - y1, (1,): y1}) == coh.Form(alg, 1, {(1,): y1})
+
+
+@pytest.mark.parametrize(
+    "degree, coeffs",
+    [
+        (2, {(1, 0): 1}),
+        (2, {(0, 0): 1}),
+        (2, {(1, 0): "y1"}),
+        (2, {(0, 0): "y1"}),
+        (2, {(0, 5): "y1"}),
+        (2, {(0,): "y1"}),
+        (2, {(0, 1, 1): "y1"}),
+        (1, {(-1,): "y1"}),
+        (1, {(True,): "y1"}),
+        (1, {0: "y1"}),
+        (-1, {}),
+    ],
+    ids=[
+        "decreasing-int",
+        "repeated-int",
+        "decreasing",
+        "repeated",
+        "out-of-range",
+        "short",
+        "long",
+        "negative",
+        "bool",
+        "not-a-tuple",
+        "negative-degree",
+    ],
+)
+def test_form_rejects_bad_slots(degree, coeffs):
+    alg = AlgebraParams(1, FieldParams(3))
+    y1 = alg.gen(0, var="y")
+    coeffs = {I: y1 if f == "y1" else f for I, f in coeffs.items()}
+    with pytest.raises(WeyliftError):
+        coh.Form(alg, degree, coeffs)
+
+
+def test_form_rejects_coefficients_that_are_not_y_polys_of_its_algebra():
+    alg = AlgebraParams(1, FieldParams(3))
+    for f in (
+        1,
+        alg.field.one,
+        alg.gen(0, var="x"),
+        alg.gen(0),
+        AlgebraParams(2, FieldParams(3)).gen(0, var="y"),
+        AlgebraParams(1, FieldParams(5)).gen(0, var="y"),
+    ):
+        with pytest.raises(WeyliftError):
+            coh.Form(alg, 1, {(0,): f})
+
+
+def test_form_repr():
+    alg = AlgebraParams(1, FieldParams(3))
+    y1 = alg.gen(0, var="y")
+    assert repr(coh.Form(alg, 0, {(): y1})) == f"({y1!r})"
+    assert repr(coh.Form(alg, 2, {(0, 1): y1})) == f"({y1!r}) dy1dy2"
+    assert repr(coh.Form(alg, 1, {})) == "0 (1-form)"
 
 
 def _assemble_harmonic(alg, harmonic):
