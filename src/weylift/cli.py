@@ -19,6 +19,7 @@ import random
 import sys
 import time
 
+from . import center as C
 from . import cohomology as coh
 from . import diffeq as DQ
 from . import trivialization as TV
@@ -231,12 +232,7 @@ def run_corpus(p: int, n: int, count: int, seed: int, budget: int | None,
     for endo in generate_corpus(alg, count, seed=seed):
         rep = endo.analyze(budget if budget is not None else DEFAULT_BUDGET)
         sol = DQ.gamma_solution(endo)
-        oracle_ok = all(
-            endo.obstruction_C[i][j] == endo.obstruction_C_oracle[i][j]
-            for i in range(2 * n)
-            for j in range(2 * n)
-        )
-        if not oracle_ok:
+        if not C.mat_eq(endo.obstruction_C, endo.obstruction_C_oracle):
             raise InternalInconsistency("obstruction oracle mismatch in corpus run")
         if not (rep.liftable == rep.poisson == sol.symmetric):
             raise InternalInconsistency("corpus verdicts disagree")

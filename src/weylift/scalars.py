@@ -342,17 +342,10 @@ class FieldElem(_Residues):
         return self.inverse() ** (-e) if e < 0 else _Residues.__pow__(self, e)
 
     def inverse(self) -> FieldElem:
-        """The multiplicative inverse, by Fermat; DivisionByZero at zero.
-
-        An element c of the prime subfield (every element when m = 1) has
-        inverse c^(p-2), taken on its residue; any other element a of
-        F_q has inverse a^(q-2), since a^(q-1) = 1.
-        """
+        """The multiplicative inverse a^(q-2), by Fermat (a^(q-1) = 1), through
+        the one field power; DivisionByZero at zero."""
         if not self.r:
             raise DivisionByZero("inverse of zero")
-        p = self.params.p
-        if self.r < p:
-            return self._with(pow(self.r, p - 2, p))
         return self ** (self.params.q - 2)
 
     def frobenius(self) -> FieldElem:

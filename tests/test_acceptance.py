@@ -126,8 +126,8 @@ def test_criterion_05_degree_bound_regime(gate, corpus_reports, corpus_gamma):
 
 
 def test_criterion_06_matrix_identity_and_f_retag(gate, corpus_gamma):
-    """J-hat^T omega J-hat = omega + J_gamma^T - J_gamma on the corpus, and
-    f_i is exactly gamma_i^p re-tagged."""
+    """J^T omega J = omega + J_f^T - J_f on the corpus, J the center
+    Jacobian, and f_i is exactly gamma_i^p re-tagged."""
     with gate(6, "matrix identity and f = gamma^p on the corpus"):
         TD.test_matrix_identity_corpus(corpus_gamma)
         TD.test_f_equals_gamma_pth_power_and_direct_solve(corpus_gamma)

@@ -268,6 +268,27 @@ def test_lift_at_p32749_finishes(capsys, tmp_path, images):
     assert lift["liftable"] is True and lift["verified"] is True
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nonzero_constant_gamma_is_no_obstruction(p):
+    """z1 -> z1 + z2^(p-1) lifts with zero corrections v, yet gamma = f =
+    (0, 1): a nonzero gamma is no obstruction, only an asymmetric J_f is.
+    At p = 3 this is specs/constant_gamma_p3.spec; z1 -> z1 + z2^2 has
+    gamma = 0 at p = 2 and p = 5."""
+    if p == 3:
+        spec = load_spec(SPEC_DIR / "constant_gamma_p3.spec")
+    else:
+        spec = parse_spec_text(f"p = {p}\nn = 1\nphi.1 = z1 + z2^{p - 1}\nphi.2 = z2\n")
+    report, code = run(spec, ["analyze", "gamma", "lift"])
+    assert code == 0
+    one = [[[[0, 0], 1]]]
+    assert report["gamma"]["gamma"] == report["gamma"]["f"] == [[]] + one
+    assert report["gamma"]["symmetric"] is True
+    assert report["analyze"]["C"] == [[[], []], [[], []]]
+    assert report["analyze"]["liftable"] is report["analyze"]["poisson"] is True
+    assert report["lift"]["liftable"] is report["lift"]["verified"] is True
+    assert report["lift"]["v"] == [[], []]
+
+
 @pytest.mark.parametrize("j", [1, 2])
 def test_n3_map_through_every_task(monkeypatch, j):
     """z1 -> z1 + z2^3 z4^j at p = 3, n = 3: the bkk map on the pairs (1, 4)
@@ -457,6 +478,12 @@ GOLDEN_SPEC_DIGESTS = {
     "bkk_p3": {
         ("analyze", "gamma", "lift"): "7af37f925c3a83754666f4029acf21d96f1668484cbd5c060c5f1789873bbfd5",
         ("trace-check",): "94726357ff900a4ae63f4e447eb02f331bca71ef9c263bc29d045cea9a56d564",
+    },
+    # z1 -> z1 + z2^2 at p = 3: liftable with gamma = f = (0, 1), the one
+    # shipped spec whose gamma is nonzero
+    "constant_gamma_p3": {
+        ("analyze", "gamma", "lift"): "b3531b1211648767ff1143deae68813a6aa25cb1a0505c8e2ef59e578f7724b9",
+        ("trace-check",): "1fcd7bd5e526b362a36b4374c751ec61c83e3f1ae685ac13ef1a94cd721b9812",
     },
     "bkk_p5": {
         ("analyze", "gamma"): "982549f967f2b28a6a7d3d4bce2f771ab4701121683c0eb5b924c43a3c455180",

@@ -1,5 +1,5 @@
 """The gamma and f equations, their unique solvability, and the twisted
-Jacobian identity at both the y-level and the x-level."""
+Jacobian identity on the center (the x level)."""
 
 from __future__ import annotations
 
@@ -55,6 +55,14 @@ def test_solve_gamma_unit_cases(a1_f3):
     assert got**3 == c
 
 
+def _family(a2_f3, family: str):
+    """The bkk p = 3, j = 2 map or the etale F_9, i = 2, c = t map."""
+    if family.startswith("bkk"):
+        return bkk_family(a2_f3, 2, a2_f3.field.one)
+    f9 = AlgebraParams(1, FieldParams(3, 2))
+    return etale_family(f9, 2, f9.field.element((0, 1)))
+
+
 @pytest.mark.parametrize("family", ["bkk p=3 j=2", "etale F_9 i=2 c=t"])
 def test_gamma_solution_takes_one_power_per_coordinate(monkeypatch, a2_f3, family):
     """The descent subtracts each top slice for its root's p-th power, so
@@ -64,11 +72,7 @@ def test_gamma_solution_takes_one_power_per_coordinate(monkeypatch, a2_f3, famil
     identity.  The center images, p-th powers in A_n, are read first."""
     from weylift.weyl import SparseElem
 
-    if family.startswith("bkk"):
-        e = bkk_family(a2_f3, 2, a2_f3.field.one)
-    else:
-        f9 = AlgebraParams(1, FieldParams(3, 2))
-        e = etale_family(f9, 2, f9.field.element((0, 1)))
+    e = _family(a2_f3, family)
     assert e.center_images
     calls = []
     power = SparseElem.__pow__
@@ -119,15 +123,42 @@ def test_f_equals_gamma_pth_power_and_direct_solve(corpus_gamma):
 
 
 def test_matrix_identity_corpus(corpus_gamma):
-    """J-bar^T omega J-bar = omega + J_gamma^T - J_gamma on the full corpus."""
+    """J^T omega J = omega + J_f^T - J_f on the full corpus, J the center
+    Jacobian."""
     for e, sol in corpus_gamma:
         assert DQ.check_matrix_id(e, sol)
 
 
 def test_J_f_is_twist_of_J_gamma(corpus_gamma):
+    """J_f is the Frobenius twist of the y-level Jacobian of gamma, which is
+    why the y-level identity and symmetry are not checked separately."""
     for e, sol in corpus_gamma[::6]:
-        twist = [[C.pth_power_retag(g) for g in row] for row in sol.J_gamma]
+        twist = [[C.pth_power_retag(g) for g in row] for row in C.jacobian(sol.gamma)]
         assert C.mat_eq(sol.J_f, twist)
+
+
+@pytest.mark.parametrize("family", ["bkk p=3 j=2", "etale F_9 i=2 c=t"])
+def test_gamma_check_builds_one_jacobian_and_one_bracket_matrix(monkeypatch, a2_f3, family):
+    """On an analyzed map, solving gamma and checking the matrix identity
+    build the Jacobian J_f and one bracket matrix: the center Jacobian is the
+    one the Poisson and etale verdicts cached, and no y-level twin is built."""
+    e = _family(a2_f3, family)
+    e.analyze()
+    calls = {"jacobian": 0, "bracket_matrix": 0}
+
+    def counted(name):
+        original = getattr(C, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(C, name, counted(name))
+    assert DQ.check_matrix_id(e, DQ.gamma_solution(e))
+    assert calls == {"jacobian": 1, "bracket_matrix": 1}
 
 
 def test_symmetry_fixtures(a1_f3, a2_f3):
@@ -158,9 +189,8 @@ def _bump(M: C.Mat, i: int, j: int) -> C.Mat:
 
 
 def test_matrix_identity_rejects_a_perturbed_J_gamma(corpus_gamma):
-    """An off-diagonal change of J_gamma (y level) or of J_f (x level)
-    breaks the identity; the corpus maps themselves pass it."""
+    """An off-diagonal change of J_f breaks the identity; the corpus maps
+    themselves pass it."""
     for e, sol in corpus_gamma[::9]:
         assert DQ.check_matrix_id(e, sol)
-        assert not DQ.check_matrix_id(e, replace(sol, J_gamma=_bump(sol.J_gamma, 0, 1)))
         assert not DQ.check_matrix_id(e, replace(sol, J_f=_bump(sol.J_f, 1, 0)))
